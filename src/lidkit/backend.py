@@ -6,8 +6,11 @@ The zero-resource task enrolls each unseen language as the mean of its
 reference-utterance embeddings and scores test embeddings by cosine
 similarity against those centroids.
 
-Utterances the network cannot process (too few frames after VAD) score
--inf in every column rather than aborting the run; a diagnostic is logged.
+Segments the front end rejects never reach a back-end: callers skip them
+and ``submission.fill_missing`` fills them as lost trials. A segment that
+loads but is too short for the network (too few frames after VAD) scores
+-inf in every column here rather than aborting the run; a diagnostic is
+logged.
 """
 
 from __future__ import annotations

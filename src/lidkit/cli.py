@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import backend as backend_mod
 from . import config as cfgmod
-from . import dsp, harness, metrics, net, submission
-from .errors import LidkitError, NonFiniteLoss
+from . import harness, metrics, net, submission
+from .errors import InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +48,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lidkit", description="language identification toolkit")
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism bound (advisory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -67,6 +64,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", parents=[common], help="synthesize a test corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
+    p.add_argument("--jobs", type=int, default=1, help="synthesis threads")
 
     p = sub.add_parser("train", parents=[common], help="train the embedding network")
     p.add_argument("--corpus", required=True)
@@ -128,20 +126,16 @@ def _stamp(cfg: dict[str, str], seed: int) -> str:
     return f"# stamp config={cfgmod.config_hash(cfg, seed)} seed={seed}\n"
 
 
-def _write_output(path, text: str, stamp: str = "") -> None:
-    """Write atomically; never leave a partial file behind on failure."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(stamp)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _warn_lost(fill: submission.FillResult) -> None:
+    if fill.num_filled:
+        noun = "trial" if fill.num_filled == 1 else "trials"
+        print(f"warning: {fill.num_filled} lost {noun} filled with -inf", file=sys.stderr)
+
+
+def _warn_fill(fill: submission.FillResult) -> None:
+    for seg in fill.dropped_ids:
+        print(f"warning: segment {seg!r} not in key, dropped", file=sys.stderr)
+    _warn_lost(fill)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +159,7 @@ def _cmd_train(args, cfg):
     languages = [tok for tok in args.languages.split(",") if tok]
     entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
     params = harness.train_network(args.corpus, entries, languages, cfg, args.seed)
-    blob = net.save_params(params)
-    path = Path(args.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    harness.write_atomic(args.out, net.save_params(params))
     print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -186,49 +170,43 @@ def _load_model(path) -> net.NetworkParams:
 
 
 def _split_features(args, cfg):
-    fcfg = dsp.FeatureConfig.from_config(cfg)
-    vcfg = dsp.VadConfig.from_config(cfg)
     entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
-    for entry in entries:
-        try:
-            feats = dsp.features_from_wav(Path(args.corpus) / entry.path, fcfg, vcfg)
-        except LidkitError as exc:
-            print(f"warning: {entry.utt_id}: {exc}", file=sys.stderr)
-            feats = None
-        yield entry, feats
+    return harness.iter_features(args.corpus, entries, cfg)
 
 
 def _cmd_extract(args, cfg):
     params = _load_model(args.model)
-    lines = []
-    for entry, feats in _split_features(args, cfg):
-        if feats is None:
-            continue
-        xvec = net.extract_xvector(params, feats, entry.utt_id)
-        lines.append(entry.utt_id + " " + " ".join(f"{v:.9g}" for v in xvec.values))
-    _write_output(args.out, "\n".join(lines) + "\n", _stamp(cfg, args.seed))
-    print(f"{len(lines)} x-vectors written to {args.out}")
+    records = [
+        submission.ScoreRecord(entry.utt_id, net.extract_xvector(params, feats).values)
+        for entry, feats in _split_features(args, cfg)
+    ]
+    harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(records))
+    print(f"{len(records)} x-vectors written to {args.out}")
     return EXIT_OK
+
+
+def _read_refs(path) -> list[harness.ManifestEntry]:
+    """'language wav-path' lines as manifest entries (path is the id)."""
+    entries = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split(None, 1)
+            if len(tokens) != 2:
+                raise MalformedLine("expected 'language wav-path'", line_no, str(path))
+            language, wav_path = tokens
+            entries.append(harness.ManifestEntry(wav_path, language, wav_path, "reference"))
+    return entries
 
 
 def _cmd_enroll(args, cfg):
     params = _load_model(args.model)
-    fcfg = dsp.FeatureConfig.from_config(cfg)
-    vcfg = dsp.VadConfig.from_config(cfg)
-    references: dict[str, list] = {}
-    with open(args.refs, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            language, wav_path = line.split(None, 1)
-            references.setdefault(language, [])
-            try:
-                references[language].append(dsp.features_from_wav(wav_path, fcfg, vcfg))
-            except LidkitError as exc:
-                print(f"warning: {wav_path}: {exc}", file=sys.stderr)
-    models = backend_mod.enroll_languages(params, references)
-    _write_output(args.out, backend_mod.write_models(models), _stamp(cfg, args.seed))
+    entries = _read_refs(args.refs)
+    languages = list(dict.fromkeys(e.language for e in entries))
+    models = harness.enroll_entries(params, "", entries, cfg, languages)
+    harness.write_atomic(args.out, _stamp(cfg, args.seed), backend_mod.write_models(models))
     print(f"enrolled {len(models.language_ids)} languages to {args.out}")
     return EXIT_OK
 
@@ -236,7 +214,6 @@ def _cmd_enroll(args, cfg):
 def _cmd_score(args, cfg):
     params = _load_model(args.model)
     key = submission.read_key_file(args.key)
-    records = []
     if args.mode == "closed":
         train_order = (
             [tok for tok in args.languages.split(",") if tok]
@@ -247,26 +224,32 @@ def _cmd_score(args, cfg):
             subset = [train_order.index(lang) for lang in key.language_list]
         except ValueError as exc:
             raise _UsageError(f"key language missing from --languages: {exc}")
-        for entry, feats in _split_features(args, cfg):
-            if feats is None:
-                scores = np.full(key.num_languages, -np.inf)
-            else:
-                scores = backend_mod.score_closed_set(params, feats, subset)
-            records.append(submission.ScoreRecord(entry.utt_id, scores))
+
+        def score(feats):
+            return backend_mod.score_closed_set(params, feats, subset)
     else:
         if not args.enrolled:
             raise _UsageError("zero mode requires --enrolled")
         with open(args.enrolled, "r", encoding="utf-8") as fh:
             models = backend_mod.parse_models(fh.read())
+        missing = [lang for lang in key.language_list if lang not in models.language_ids]
+        if missing:
+            raise InconsistentLanguageSet(
+                f"{args.enrolled}: key language(s) {', '.join(missing)} not enrolled"
+            )
         order = [models.language_ids.index(lang) for lang in key.language_list]
-        for entry, feats in _split_features(args, cfg):
-            if feats is None:
-                scores = np.full(key.num_languages, -np.inf)
-            else:
-                scores = backend_mod.score_zero_resource(models, feats, params)[order]
-            records.append(submission.ScoreRecord(entry.utt_id, scores))
-    _write_output(args.out, submission.write_scores(records), _stamp(cfg, args.seed))
-    print(f"{len(records)} segments scored to {args.out}")
+
+        def score(feats):
+            return backend_mod.score_zero_resource(models, feats, params)[order]
+    records = [
+        submission.ScoreRecord(entry.utt_id, score(feats))
+        for entry, feats in _split_features(args, cfg)
+    ]
+    fill = submission.fill_missing(records, key)
+    _warn_fill(fill)
+    text = submission.write_scores(fill.records)
+    harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
+    print(f"{len(fill.records)} segments scored to {args.out}")
     return EXIT_OK
 
 
@@ -274,13 +257,10 @@ def _cmd_validate(args, cfg):
     key = submission.read_key_file(args.key)
     records = submission.read_score_file(args.scores, key.language_list)
     fill = submission.fill_missing(records, key)
-    for seg in fill.dropped_ids:
-        print(f"warning: segment {seg!r} not in key, dropped", file=sys.stderr)
-    if fill.num_filled:
-        noun = "trial" if fill.num_filled == 1 else "trials"
-        print(f"warning: {fill.num_filled} lost {noun} filled with -inf", file=sys.stderr)
+    _warn_fill(fill)
     if args.out:
-        _write_output(args.out, submission.write_scores(fill.records), _stamp(cfg, args.seed))
+        text = submission.write_scores(fill.records)
+        harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
     print(f"{len(fill.records)} segments valid against {key.num_languages} languages")
     return EXIT_OK
 
@@ -289,9 +269,7 @@ def _cmd_evaluate(args, cfg):
     key = submission.read_key_file(args.key)
     records = submission.read_score_file(args.scores, key.language_list)
     fill = submission.fill_missing(records, key)
-    if fill.num_filled:
-        noun = "trial" if fill.num_filled == 1 else "trials"
-        print(f"warning: {fill.num_filled} lost {noun} filled with -inf", file=sys.stderr)
+    _warn_lost(fill)
     # both policies are always reported; --policy picks the headline number
     reports = {}
     for policy in (metrics.FIXED, metrics.MIN_SWEEP):
@@ -307,9 +285,10 @@ def _cmd_evaluate(args, cfg):
     print(f"Cavg[fixed threshold={args.threshold:g}] {fixed.cavg:.4f}")
     print(f"Cavg[min_sweep threshold={swept.threshold_used:g}] {swept.cavg:.4f}")
     if args.report:
-        _write_output(args.report, metrics.report_text(report), _stamp(cfg, args.seed))
+        harness.write_atomic(args.report, _stamp(cfg, args.seed), metrics.report_text(report))
     if args.det:
-        _write_output(args.det, metrics.det_text(report.det_points), _stamp(cfg, args.seed))
+        text = metrics.det_text(report.det_points)
+        harness.write_atomic(args.det, _stamp(cfg, args.seed), text)
     return EXIT_OK
 
 

@@ -147,6 +147,8 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
         if expected_rate and rate != expected_rate:
             raise AudioFormatError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
         raw = fh.readframes(fh.getnframes())
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: sample data ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 

@@ -14,6 +14,7 @@ generation can never change the output.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,13 +23,7 @@ import numpy as np
 from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
-from .errors import (
-    AllFramesRemoved,
-    InvalidPlan,
-    InvalidSpec,
-    TooFewFrames,
-    TooShort,
-)
+from .errors import AllFramesRemoved, AudioFormatError, InvalidPlan, InvalidSpec, TooShort
 
 log = logging.getLogger(__name__)
 
@@ -316,11 +311,60 @@ def _cfg(config: dict[str, str] | None) -> dict[str, str]:
     return merged
 
 
-def _load_features(corpus_dir, entry, fcfg, vcfg, transform=None):
-    wave = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
-    if transform is not None:
-        wave = dsp.Waveform(transform(wave.samples), wave.sample_rate)
-    return dsp.features_from_waveform(wave, fcfg, vcfg)
+# Errors that condemn one segment rather than the run. Anything else (an
+# invalid config, a missing file) propagates.
+SEGMENT_ERRORS = (AudioFormatError, TooShort, AllFramesRemoved)
+
+
+def iter_features(corpus_dir, entries, config, transform=None):
+    """Yield ``(entry, features)`` for every entry whose WAV makes features.
+
+    ``transform(i, samples)``, if given, rewrites the samples of
+    ``entries[i]`` before the front end. A segment failing with one of
+    ``SEGMENT_ERRORS`` is logged and skipped; callers that owe it a score
+    row get one from ``submission.fill_missing``.
+    """
+    fcfg = dsp.FeatureConfig.from_config(config)
+    vcfg = dsp.VadConfig.from_config(config)
+    for i, entry in enumerate(entries):
+        try:
+            wave = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
+            if transform is not None:
+                wave = dsp.Waveform(transform(i, wave.samples), wave.sample_rate)
+            feats = dsp.features_from_waveform(wave, fcfg, vcfg)
+        except SEGMENT_ERRORS as exc:
+            log.warning("skipping %s (%s)", entry.utt_id, exc)
+            continue
+        yield entry, feats
+
+
+def enroll_entries(
+    params: net.NetworkParams, corpus_dir, entries, config, languages
+) -> backend_mod.LanguageModelSet:
+    """Enroll each of ``languages``, in that order, from its entries;
+    entries of other languages are ignored."""
+    references: dict[str, list] = {lang: [] for lang in languages}
+    wanted = [e for e in entries if e.language in references]
+    for entry, feats in iter_features(corpus_dir, wanted, config):
+        references[entry.language].append(feats)
+    return backend_mod.enroll_languages(params, references)
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write ``chunks`` (all str or all bytes) to ``path`` through a
+    temporary file, so a failure never leaves a partial file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    binary = isinstance(chunks[0], bytes)
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def train_network(
@@ -336,25 +380,16 @@ def train_network(
     SGD step. Utterances the front end rejects are skipped with a warning.
     """
     cfg = _cfg(config)
-    fcfg = dsp.FeatureConfig.from_config(cfg)
-    vcfg = dsp.VadConfig.from_config(cfg)
     label_of = {lang: i for i, lang in enumerate(languages)}
-    dataset = []
-    for entry in entries:
-        if entry.language not in label_of:
-            continue
-        try:
-            feats = _load_features(corpus_dir, entry, fcfg, vcfg)
-        except (TooShort, AllFramesRemoved) as exc:
-            log.warning("training: skipping %s (%s)", entry.utt_id, exc)
-            continue
-        dataset.append((feats, label_of[entry.language]))
+    wanted = [e for e in entries if e.language in label_of]
+    dataset = [(feats, label_of[entry.language])
+               for entry, feats in iter_features(corpus_dir, wanted, cfg)]
     if not dataset:
         raise InvalidPlan("no usable training utterances")
     params = net.init_network(
         num_classes=len(languages),
         seed=[seed, 1],
-        feat_dim=fcfg.num_filters,
+        feat_dim=dataset[0][0].dim,
         frame_dim=cfgmod.get_int(cfg, "net.frame_dim", 16),
         stats_dim=cfgmod.get_int(cfg, "net.stats_dim", 24),
         embed_dim=cfgmod.get_int(cfg, "net.embed_dim", 16),
@@ -399,12 +434,6 @@ class TaskResult:
     params: net.NetworkParams
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def run_task(
     plan: ExperimentPlan,
     corpus_dir,
@@ -414,8 +443,9 @@ def run_task(
 ) -> TaskResult:
     """Run one task end to end: train (unless given a model), score, evaluate.
 
-    Failed utterances become -inf score rows; the run itself never aborts
-    on a bad segment. Outputs land in ``out_dir`` as scores_<task>.txt,
+    Segments that fail to load are skipped and then filled as lost trials
+    (all -inf rows after the scored ones); the run itself never aborts on a
+    bad segment. Outputs land in ``out_dir`` as scores_<task>.txt,
     report_<task>.txt, and det_<task>.txt.
     """
     cfg = _cfg(config)
@@ -423,8 +453,6 @@ def run_task(
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)
     plan.validate(entries)
-    fcfg = dsp.FeatureConfig.from_config(cfg)
-    vcfg = dsp.VadConfig.from_config(cfg)
     if params is None:
         train_entries = [e for e in entries if e.split == plan.train_split]
         params = train_network(
@@ -443,25 +471,19 @@ def run_task(
             ) from None
         crop_s = cfgmod.get_float(cfg, "crop.seconds", 1.0)
         test_entries = [e for e in entries if e.split == plan.test_split]
-        records = []
-        for i, entry in enumerate(test_entries):
+
+        def transform(i, samples):
             rng = np.random.default_rng([plan.seed, 3, i])
+            if plan.task == CROSS_CHANNEL:
+                samples = apply_channel(samples, plan.channel, rng)
+            return _crop_center(samples, crop_s)
 
-            def transform(samples, _rng=rng):
-                if plan.task == CROSS_CHANNEL:
-                    samples = apply_channel(samples, plan.channel, _rng)
-                return _crop_center(samples, crop_s)
-
-            try:
-                feats = _load_features(corpus_dir, entry, fcfg, vcfg, transform)
-            except (TooShort, AllFramesRemoved) as exc:
-                log.warning("scoring: %s scored -inf (%s)", entry.utt_id, exc)
-                records.append(
-                    submission.ScoreRecord(entry.utt_id, np.full(len(languages), -np.inf))
-                )
-                continue
-            scores = backend_mod.score_closed_set(params, feats, subset)
-            records.append(submission.ScoreRecord(entry.utt_id, scores))
+        records = [
+            submission.ScoreRecord(
+                entry.utt_id, backend_mod.score_closed_set(params, feats, subset)
+            )
+            for entry, feats in iter_features(corpus_dir, test_entries, cfg, transform)
+        ]
     else:
         key = submission.read_key_file(corpus_dir / f"key_{plan.zero_test_split}.txt")
         languages = key.language_list
@@ -469,34 +491,15 @@ def run_task(
             raise InvalidPlan(
                 f"zero-resource key languages {languages} != plan {plan.zero_languages}"
             )
-        references: dict[str, list] = {lang: [] for lang in languages}
-        for entry in entries:
-            if entry.split != plan.reference_split or entry.language not in references:
-                continue
-            try:
-                references[entry.language].append(
-                    _load_features(corpus_dir, entry, fcfg, vcfg)
-                )
-            except (TooShort, AllFramesRemoved) as exc:
-                log.warning("enrollment: skipping %s (%s)", entry.utt_id, exc)
-        models = backend_mod.enroll_languages(params, references)
-        records = []
-        for entry in entries:
-            if entry.split != plan.zero_test_split:
-                continue
-            try:
-                feats = _load_features(corpus_dir, entry, fcfg, vcfg)
-            except (TooShort, AllFramesRemoved) as exc:
-                log.warning("scoring: %s scored -inf (%s)", entry.utt_id, exc)
-                records.append(
-                    submission.ScoreRecord(entry.utt_id, np.full(len(languages), -np.inf))
-                )
-                continue
-            records.append(
-                submission.ScoreRecord(
-                    entry.utt_id, backend_mod.score_zero_resource(models, feats, params)
-                )
+        references = [e for e in entries if e.split == plan.reference_split]
+        models = enroll_entries(params, corpus_dir, references, cfg, languages)
+        test_entries = [e for e in entries if e.split == plan.zero_test_split]
+        records = [
+            submission.ScoreRecord(
+                entry.utt_id, backend_mod.score_zero_resource(models, feats, params)
             )
+            for entry, feats in iter_features(corpus_dir, test_entries, cfg)
+        ]
 
     fill = submission.fill_missing(records, key)
     if fill.num_filled:
@@ -512,9 +515,9 @@ def run_task(
     score_path = out_dir / f"scores_{plan.task}.txt"
     report_path = out_dir / f"report_{plan.task}.txt"
     det_path = out_dir / f"det_{plan.task}.txt"
-    _write_text(score_path, submission.write_scores(fill.records))
-    _write_text(report_path, metrics.report_text(report))
-    _write_text(det_path, metrics.det_text(report.det_points))
+    write_atomic(score_path, submission.write_scores(fill.records))
+    write_atomic(report_path, metrics.report_text(report))
+    write_atomic(det_path, metrics.det_text(report.det_points))
     return TaskResult(report, score_path, report_path, det_path, params)
 
 

@@ -427,7 +427,8 @@ class _Reader:
 
 
 def load_params(data: bytes, expected_num_classes: int | None = None) -> NetworkParams:
-    """Inverse of save_params, validating wiring and payload sizes."""
+    """Inverse of save_params, validating wiring, payload sizes and that
+    every weight and bias is finite."""
     reader = _Reader(data)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise CorruptModel("bad magic; not a model file")
@@ -460,6 +461,8 @@ def load_params(data: bytes, expected_num_classes: int | None = None) -> Network
             spec.out_dim, spec.in_dim
         ).copy()
         biases[spec.name] = np.frombuffer(reader.take(8 * spec.out_dim), dtype="<f8").copy()
+        if not (np.isfinite(weights[spec.name]).all() and np.isfinite(biases[spec.name]).all()):
+            raise CorruptModel(f"layer {spec.name!r} holds a non-finite weight or bias")
     if reader.pos != len(data):
         raise CorruptModel(f"{len(data) - reader.pos} trailing bytes after payload")
     params = NetworkParams(specs, weights, biases)

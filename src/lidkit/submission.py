@@ -121,10 +121,16 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
 
 
 def write_scores(records: Sequence[ScoreRecord]) -> str:
-    """Serialize records as score-file text (empty string for no records)."""
+    """Serialize records as score-file text (empty string for no records).
+
+    Raises NaNScore naming the segment rather than write a NaN, which
+    ``parse_scores`` would reject.
+    """
     lines = []
     for rec in records:
         cols = " ".join(format_score(v) for v in rec.scores)
+        if "nan" in cols:
+            raise NaNScore(f"segment {rec.segment_id!r} has a NaN score")
         lines.append(f"{rec.segment_id} {cols}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lidkit import harness, net
 from lidkit import submission as sub
 
 
@@ -35,3 +36,32 @@ def make_random_scorefile(rng, n_segments, languages, oos_fraction=0.0, tie_grid
 @pytest.fixture
 def score_factory():
     return make_random_scorefile
+
+
+# one segment per test split whose WAV is cut to 20 bytes (header only)
+TRUNCATED = {"test": "bravo-test-0001", "zr_test": "echo-zr_test-0002"}
+
+
+@pytest.fixture(scope="session")
+def damaged_corpus(tmp_path_factory):
+    """A small corpus with one unreadable WAV in each test split, plus the
+    path of a model trained on its (intact) training split."""
+    root = tmp_path_factory.mktemp("damaged")
+    corpus = root / "corpus"
+    train_langs = ["alpha", "bravo", "charlie"]
+    counts = {
+        "train": {lang: 8 for lang in train_langs},
+        "test": {lang: 4 for lang in train_langs},
+        "reference": {"delta": 3, "echo": 3},
+        "zr_test": {"delta": 4, "echo": 4},
+    }
+    specs = harness.default_training_specs() + harness.default_zero_resource_specs()
+    entries = harness.generate_corpus(specs, counts, seed=8, out_dir=corpus)
+    for utt_id in TRUNCATED.values():
+        wav = corpus / "wav" / f"{utt_id}.wav"
+        wav.write_bytes(wav.read_bytes()[:20])
+    train = [e for e in entries if e.split == "train"]
+    params = harness.train_network(corpus, train, train_langs, {"train.epochs": "2"}, seed=8)
+    model = root / "model.bin"
+    model.write_bytes(net.save_params(params))
+    return corpus, model

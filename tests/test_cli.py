@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidkit import cli, harness, submission as sub
+from conftest import TRUNCATED
+from lidkit import cli, harness, net, submission as sub
 
 TRAIN_LANGS = "alpha,bravo,charlie"
 
@@ -113,6 +114,14 @@ class TestUsageErrors:
         code, _, err = run(capsys, "generate", "--out", str(tmp_path), "--set", "nonsense")
         assert code == 1
         assert "KEY=VALUE" in err
+
+    def test_jobs_belongs_to_generate_only(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "generate", "--out", str(tmp_path / "c"), "--jobs", "2", *TINY)
+        assert code == 0 and (tmp_path / "c" / "manifest.txt").exists()
+        score = ["score", "--model", "m", "--corpus", "c", "--split", "test",
+                 "--key", "k", "--out", "o"]
+        assert run(capsys, *score, "--jobs", "2")[0] == 1
+        assert run(capsys, "--jobs", "2", *score)[0] == 1
 
 
 TINY = [
@@ -225,3 +234,98 @@ class TestPipeline:
         assert text.startswith("# stamp config=")
         key = sub.read_key_file(corpus / "key_test.txt")
         assert len(sub.parse_scores(text, key.language_list)) == len(key.entries)
+
+
+def data_lines(path):
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+
+class TestSegmentFailures:
+    """The CLI and ``run_task`` load segments through one path, so on a
+    corpus with an unreadable WAV they write the same score lines."""
+
+    def test_closed_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        scores = tmp_path / "scores.txt"
+        code, _, _ = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "test", "--key", str(corpus / "key_test.txt"),
+            "--languages", TRAIN_LANGS, "--out", str(scores),
+        )
+        assert code == 0
+        plan = harness.ExperimentPlan(
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=8
+        )
+        uncropped = {"crop.seconds": "100"}  # longer than any utterance
+        result = harness.run_task(
+            plan, corpus, tmp_path / "task", uncropped, params=net.load_params(model.read_bytes())
+        )
+        assert data_lines(scores) == data_lines(result.score_path)
+        assert data_lines(scores)[-1].split() == [TRUNCATED["test"]] + ["-inf"] * 3
+
+    def test_zero_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join(
+            f"{e.language} {corpus / e.path}\n"
+            for e in harness.read_manifest(corpus) if e.split == "reference"
+        ))
+        enrolled, scores = tmp_path / "enrolled.txt", tmp_path / "zscores.txt"
+        code, _, _ = run(
+            capsys, "enroll", "--model", str(model), "--refs", str(refs), "--out", str(enrolled)
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
+        )
+        assert code == 0
+        plan = harness.ExperimentPlan(
+            task=harness.ZERO_RESOURCE, train_languages=TRAIN_LANGS.split(","),
+            zero_languages=["delta", "echo"], seed=8,
+        )
+        result = harness.run_task(
+            plan, corpus, tmp_path / "task", params=net.load_params(model.read_bytes())
+        )
+        assert data_lines(scores) == data_lines(result.score_path)
+        assert data_lines(scores)[-1].split() == [TRUNCATED["zr_test"]] + ["-inf"] * 2
+
+    def test_invalid_front_end_config_exits_2_without_output(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, model = damaged_corpus
+        scores = tmp_path / "scores.txt"
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "test", "--key", str(corpus / "key_test.txt"),
+            "--languages", TRAIN_LANGS, "--out", str(scores), "--set", "feat.fft_size=128",
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+        assert not scores.exists()
+
+    def test_refs_line_without_path_exits_2_with_file_line(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, model = damaged_corpus
+        refs = tmp_path / "refs.txt"
+        refs.write_text(f"delta {corpus / 'wav' / 'delta-reference-0000.wav'}\necho\n")
+        code, _, err = run(
+            capsys, "enroll", "--model", str(model), "--refs", str(refs),
+            "--out", str(tmp_path / "enrolled.txt"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {refs}:2: ")
+
+    def test_key_language_not_enrolled_exits_2(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        enrolled = tmp_path / "enrolled.txt"
+        enrolled.write_text("delta 3 0.5 0.25\n")
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(tmp_path / "z.txt"),
+        )
+        assert code == 2
+        assert str(enrolled) in err and "echo" in err

@@ -158,6 +158,13 @@ class TestWavIo:
         with pytest.raises(AudioFormatError):
             dsp.read_wav(path)
 
+    def test_rejects_data_cut_mid_sample(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(AudioFormatError, match="mid-sample"):
+            dsp.read_wav(path)
+
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"plainly not RIFF data")

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidkit import dsp, harness, submission as sub
+from conftest import TRUNCATED
+from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import InvalidPlan, InvalidSpec
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -197,3 +198,17 @@ class TestRunTask:
         first = text.splitlines()[0].split()
         assert first[0] == "cavg"
         assert float(first[1]) == pytest.approx(result.report.cavg, abs=1e-9)
+
+    def test_unreadable_test_wav_is_filled_as_lost_trial(self, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        plan = harness.ExperimentPlan(
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS, seed=8
+        )
+        params = net.load_params(model.read_bytes())
+        result = harness.run_task(plan, corpus, tmp_path, FAST_CONFIG, params=params)
+        key = sub.read_key_file(corpus / "key_test.txt")
+        records = sub.read_score_file(result.score_path, key.language_list)
+        assert len(records) == len(key.entries)
+        assert records[-1].segment_id == TRUNCATED["test"]
+        assert np.all(records[-1].scores == -np.inf)
+        assert np.isfinite(result.report.cavg)

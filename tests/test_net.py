@@ -254,6 +254,14 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             net.load_params(b"NOTMODEL" + blob[8:])
 
+    def test_non_finite_weight_or_bias_is_corrupt(self):
+        for bad in (np.nan, np.inf):
+            for table in ("weights", "biases"):
+                params = tiny_net()
+                getattr(params, table)["frame2"].flat[1] = bad
+                with pytest.raises(CorruptModel, match="frame2"):
+                    net.load_params(net.save_params(params))
+
     def test_wrong_class_count_is_dim_mismatch(self):
         blob = net.save_params(tiny_net(num_classes=3))
         with pytest.raises(DimMismatch):

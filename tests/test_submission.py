@@ -67,6 +67,11 @@ class TestWriteScores:
         line = sub.write_scores([sub.ScoreRecord("s", [-np.inf, 1.0, 2.0, 3.0])])
         assert line.split()[1] == "-inf"
 
+    def test_nan_score_refused_with_segment_id(self):
+        records = [sub.ScoreRecord("s0", [0.1, 0.2]), sub.ScoreRecord("s1", [0.5, np.nan])]
+        with pytest.raises(NaNScore, match="s1"):
+            sub.write_scores(records)
+
     def test_parse_write_parse_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
