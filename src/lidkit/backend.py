@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .errors import NoUsableReferences, TooFewFrames, ZeroNormVector
+from .errors import MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector
 
 log = logging.getLogger(__name__)
 
@@ -138,24 +138,32 @@ def write_models(models: LanguageModelSet) -> str:
 
 
 def parse_models(text: str) -> LanguageModelSet:
+    """Parse ``write_models`` output. Raises MalformedLine with the line
+    number for a short line, a bad count or value, a non-finite value, or
+    a centroid whose dimension differs from the first one."""
     language_ids = []
     centroids = []
     counts = []
-    dim = None
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) < 3:
-            raise ValueError(f"bad enrolled-model line: {raw!r}")
+            raise MalformedLine("expected 'language count value...'", line_no)
+        try:
+            count = int(tokens[1])
+            vec = np.array([float(t) for t in tokens[2:]])
+        except ValueError as exc:
+            raise MalformedLine(f"bad count or value: {exc}", line_no) from None
+        if not np.all(np.isfinite(vec)):
+            raise MalformedLine(f"non-finite centroid value for {tokens[0]!r}", line_no)
+        if centroids and vec.size != centroids[0].size:
+            raise MalformedLine(
+                f"centroid dim {vec.size} != {centroids[0].size} for {tokens[0]!r}", line_no
+            )
         language_ids.append(tokens[0])
-        counts.append(int(tokens[1]))
-        vec = np.array([float(t) for t in tokens[2:]])
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ValueError(f"centroid dim {vec.size} != {dim} for {tokens[0]!r}")
+        counts.append(count)
         centroids.append(vec)
     if not language_ids:
         raise ValueError("no enrolled languages found")

@@ -11,10 +11,11 @@ One binary, subcommand style:
     lidkit evaluate  --scores scores.txt --key key.txt
 
 Config values come from an optional flat key-value file (--config) with
-command-line overrides via repeated --set key=value (last one wins).
-Every text output starts with a reproducibility stamp comment (config
-hash plus seed). Exit codes: 0 success, 1 usage error, 2 data/validation
-error, 3 numerical failure.
+command-line overrides via repeated --set key=value (last one wins), checked
+against ``harness.CONFIG_DEFAULTS``. Every text output starts with a stamp
+comment (hash of the effective config plus seed). Exit codes: 0 success,
+1 usage error, 2 data/validation error (an unknown or mistyped config key
+too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -110,19 +111,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _gather_config(args) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
-        cfg.update(cfgmod.load_config(args.config))
-    for item in getattr(args, "overrides", []):
+def _gather_config(args) -> dict[str, object]:
+    """The effective config: defaults, then --config, then each --set."""
+    overrides: dict[str, str] = {}
+    if args.config:
+        overrides.update(cfgmod.load_config(args.config))
+    for item in args.overrides:
         if "=" not in item:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
+        overrides[key.strip()] = value.strip()
+    return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides)
 
 
-def _stamp(cfg: dict[str, str], seed: int) -> str:
+def _stamp(cfg: dict[str, object], seed: int) -> str:
     return f"# stamp config={cfgmod.config_hash(cfg, seed)} seed={seed}\n"
 
 
@@ -144,11 +146,9 @@ def _warn_fill(fill: submission.FillResult) -> None:
 def _cmd_generate(args, cfg):
     specs = harness.default_training_specs() + harness.default_zero_resource_specs()
     counts = harness.desk_counts(
-        train_per_lang=cfgmod.get_int(cfg, "counts.train", 100),
-        dev_per_lang=cfgmod.get_int(cfg, "counts.dev", 10),
-        test_per_lang=cfgmod.get_int(cfg, "counts.test", 40),
-        reference_per_lang=cfgmod.get_int(cfg, "counts.reference", 10),
-        zero_test_per_lang=cfgmod.get_int(cfg, "counts.zr_test", 60),
+        train_per_lang=cfg["counts.train"], dev_per_lang=cfg["counts.dev"],
+        test_per_lang=cfg["counts.test"], reference_per_lang=cfg["counts.reference"],
+        zero_test_per_lang=cfg["counts.zr_test"],
     )
     harness.generate_corpus(specs, counts, args.seed, args.out, jobs=max(args.jobs, 1))
     print(f"corpus written to {args.out}")
@@ -231,7 +231,11 @@ def _cmd_score(args, cfg):
         if not args.enrolled:
             raise _UsageError("zero mode requires --enrolled")
         with open(args.enrolled, "r", encoding="utf-8") as fh:
-            models = backend_mod.parse_models(fh.read())
+            try:
+                models = backend_mod.parse_models(fh.read())
+            except MalformedLine as err:
+                err.path = args.enrolled
+                raise
         missing = [lang for lang in key.language_list if lang not in models.language_ids]
         if missing:
             raise InconsistentLanguageSet(
@@ -312,11 +316,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # log to this call's stderr; records still propagate to the root logger
+    pkg_log = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    saved_level = pkg_log.level
+    pkg_log.addHandler(handler)
+    pkg_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         cfg = _gather_config(args)
         # numerical failures surface as exit code 3 with one diagnostic line;
@@ -332,6 +338,9 @@ def main(argv=None) -> int:
     except (LidkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        pkg_log.removeHandler(handler)
+        pkg_log.setLevel(saved_level)
 
 
 if __name__ == "__main__":

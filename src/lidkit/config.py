@@ -1,9 +1,11 @@
-"""Flat key-value config files.
+"""Flat key-value config files and their resolution against a key table.
 
 Every tool in the kit reads the same trivial format: one ``key = value``
 pair per line, ``#`` starts a comment, later keys override earlier ones.
-Values are kept as strings; typed getters convert on access so a single
-dict can feed the feature, network, and harness configs.
+``resolve`` checks the parsed pairs against a table mapping every settable
+key to its default: an unknown key or a value that does not convert to its
+default's type is an ``InvalidConfig`` naming the key, and the result holds
+every key of the table with a typed value.
 """
 
 from __future__ import annotations
@@ -35,41 +37,35 @@ def load_config(path) -> dict[str, str]:
         return parse_config(fh.read())
 
 
-def get_str(cfg: dict[str, str], key: str, default: str) -> str:
-    return cfg.get(key, default)
+def _typed(key: str, value, default):
+    kind = type(default)
+    # exact type checks: a bool is an int but never a valid setting
+    if isinstance(value, str) or (kind is float and type(value) is int):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    elif type(value) is kind:
+        return value
+    raise InvalidConfig(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
-def get_float(cfg: dict[str, str], key: str, default: float) -> float:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise InvalidConfig(f"{key}: expected a number, got {raw!r}") from None
+def resolve(table: dict[str, object], overrides: dict[str, object] | None) -> dict[str, object]:
+    """The effective config: ``table``'s defaults with ``overrides`` applied.
+
+    An override may be a string (as parsed from a file or ``--set``) or a
+    value already of its default's type, so resolving a resolved config
+    returns it unchanged.
+    """
+    out = dict(table)
+    for key, value in (overrides or {}).items():
+        if key not in table:
+            raise InvalidConfig(f"unknown config key {key!r}")
+        out[key] = _typed(key, value, table[key])
+    return out
 
 
-def get_int(cfg: dict[str, str], key: str, default: int) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidConfig(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def get_floats(cfg: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise InvalidConfig(f"{key}: expected numbers, got {raw!r}") from None
-
-
-def config_hash(cfg: dict[str, str], seed: int | None = None) -> str:
+def config_hash(cfg: dict[str, object], seed: int | None = None) -> str:
     """Short stable digest of a config (plus seed), used in output stamps."""
     h = hashlib.sha256()
     for key in sorted(cfg):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import config as cfgmod
 from .errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort
 
 PCM_SCALE = 32768.0
@@ -95,34 +94,11 @@ class FeatureConfig:
     def frame_shift_samples(self) -> int:
         return int(round(self.frame_shift * self.sample_rate))
 
-    @classmethod
-    def from_config(cls, cfg: dict[str, str]) -> "FeatureConfig":
-        base = cls()
-        return cls(
-            sample_rate=cfgmod.get_int(cfg, "feat.sample_rate", base.sample_rate),
-            frame_len=cfgmod.get_float(cfg, "feat.frame_len", base.frame_len),
-            frame_shift=cfgmod.get_float(cfg, "feat.frame_shift", base.frame_shift),
-            fft_size=cfgmod.get_int(cfg, "feat.fft_size", base.fft_size),
-            num_filters=cfgmod.get_int(cfg, "feat.num_filters", base.num_filters),
-            low_freq=cfgmod.get_float(cfg, "feat.low_freq", base.low_freq),
-            high_freq=cfgmod.get_float(cfg, "feat.high_freq", base.high_freq),
-            preemphasis=cfgmod.get_float(cfg, "feat.preemphasis", base.preemphasis),
-            floor=cfgmod.get_float(cfg, "feat.floor", base.floor),
-        )
-
 
 @dataclass(frozen=True)
 class VadConfig:
     offset: float = -1.0  # nats relative to the mean log energy
     floor: float = 1e-10  # frames at the energy floor are always dropped
-
-    @classmethod
-    def from_config(cls, cfg: dict[str, str]) -> "VadConfig":
-        base = cls()
-        return cls(
-            offset=cfgmod.get_float(cfg, "vad.offset", base.offset),
-            floor=cfgmod.get_float(cfg, "vad.floor", base.floor),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class LineError(LidkitError):
 
 # score file / trial key validation
 
-class MalformedLine(LineError):
+class MalformedLine(LineError, ValueError):  # a ValueError, as before line numbers
     pass
 
 

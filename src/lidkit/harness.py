@@ -13,6 +13,7 @@ generation can never change the output.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 from dataclasses import dataclass, field
@@ -293,22 +294,30 @@ class ExperimentPlan:
                 raise InvalidPlan("zero-resource task needs zero_languages")
 
 
-DEFAULT_CONFIG: dict[str, str] = {
-    "net.frame_dim": "16",
-    "net.stats_dim": "24",
-    "net.embed_dim": "16",
-    "train.epochs": "8",
-    "train.batch_size": "8",
-    "train.learn_rate": "0.06",
-    "crop.seconds": "1.0",
+def _fields(prefix: str, cls) -> dict[str, object]:
+    """``prefix.field`` -> default for each field of a config dataclass."""
+    return {f"{prefix}.{f.name}": f.default for f in dataclasses.fields(cls)}
+
+
+def _section(prefix: str, cls, config):
+    """The dataclass built from the ``prefix.*`` values of an effective config."""
+    return cls(**{f.name: config[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+
+
+# Every settable config key and its default; a value's type is its
+# default's type. ``config.resolve(CONFIG_DEFAULTS, overrides)`` gives the
+# effective config that the functions below read by key.
+CONFIG_DEFAULTS: dict[str, object] = {
+    **_fields("feat", dsp.FeatureConfig),
+    **_fields("vad", dsp.VadConfig),
+    "net.frame_dim": 16, "net.stats_dim": 24, "net.embed_dim": 16,
+    "train.epochs": 8, "train.batch_size": 8, "train.learn_rate": 0.06,
+    "crop.seconds": 1.0,
+    "eval.p_target": metrics.DEFAULT_P_TARGET, "eval.policy": metrics.MIN_SWEEP,
+    "eval.threshold": 0.0,
+    "counts.train": 100, "counts.dev": 10, "counts.test": 40, "counts.reference": 10,
+    "counts.zr_test": 60,
 }
-
-
-def _cfg(config: dict[str, str] | None) -> dict[str, str]:
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return merged
 
 
 # Errors that condemn one segment rather than the run. Anything else (an
@@ -320,12 +329,13 @@ def iter_features(corpus_dir, entries, config, transform=None):
     """Yield ``(entry, features)`` for every entry whose WAV makes features.
 
     ``transform(i, samples)``, if given, rewrites the samples of
-    ``entries[i]`` before the front end. A segment failing with one of
+    ``entries[i]`` before the front end. ``config`` is an effective config
+    from ``config.resolve``. A segment failing with one of
     ``SEGMENT_ERRORS`` is logged and skipped; callers that owe it a score
     row get one from ``submission.fill_missing``.
     """
-    fcfg = dsp.FeatureConfig.from_config(config)
-    vcfg = dsp.VadConfig.from_config(config)
+    fcfg = _section("feat", dsp.FeatureConfig, config)
+    vcfg = _section("vad", dsp.VadConfig, config)
     for i, entry in enumerate(entries):
         try:
             wave = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
@@ -371,15 +381,16 @@ def train_network(
     corpus_dir,
     entries: list[ManifestEntry],
     languages: list[str],
-    config: dict[str, str] | None = None,
+    config: dict[str, object] | None = None,
     seed: int = 0,
 ) -> net.NetworkParams:
     """Train a classifier over ``languages`` on the given manifest entries.
 
     Label order follows ``languages``. Emits one 'step loss' log line per
     SGD step. Utterances the front end rejects are skipped with a warning.
+    ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
     """
-    cfg = _cfg(config)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config)
     label_of = {lang: i for i, lang in enumerate(languages)}
     wanted = [e for e in entries if e.language in label_of]
     dataset = [(feats, label_of[entry.language])
@@ -390,9 +401,9 @@ def train_network(
         num_classes=len(languages),
         seed=[seed, 1],
         feat_dim=dataset[0][0].dim,
-        frame_dim=cfgmod.get_int(cfg, "net.frame_dim", 16),
-        stats_dim=cfgmod.get_int(cfg, "net.stats_dim", 24),
-        embed_dim=cfgmod.get_int(cfg, "net.embed_dim", 16),
+        frame_dim=cfg["net.frame_dim"],
+        stats_dim=cfg["net.stats_dim"],
+        embed_dim=cfg["net.embed_dim"],
     )
     need = net.min_input_frames(params)
     usable = [(f, label) for f, label in dataset if f.num_frames >= need]
@@ -402,12 +413,11 @@ def train_network(
     if not usable:
         raise InvalidPlan("no usable training utterances")
     dataset = usable
-    hyper = net.TrainConfig(learn_rate=cfgmod.get_float(cfg, "train.learn_rate", 0.06))
-    epochs = cfgmod.get_int(cfg, "train.epochs", 8)
-    batch_size = cfgmod.get_int(cfg, "train.batch_size", 8)
+    hyper = net.TrainConfig(learn_rate=cfg["train.learn_rate"])
+    batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
     step = 0
-    for _ in range(epochs):
+    for _ in range(cfg["train.epochs"]):
         order = rng.permutation(len(dataset))
         for lo in range(0, len(order), batch_size):
             batch = [dataset[i] for i in order[lo : lo + batch_size]]
@@ -438,7 +448,7 @@ def run_task(
     plan: ExperimentPlan,
     corpus_dir,
     out_dir,
-    config: dict[str, str] | None = None,
+    config: dict[str, object] | None = None,
     params: net.NetworkParams | None = None,
 ) -> TaskResult:
     """Run one task end to end: train (unless given a model), score, evaluate.
@@ -446,9 +456,10 @@ def run_task(
     Segments that fail to load are skipped and then filled as lost trials
     (all -inf rows after the scored ones); the run itself never aborts on a
     bad segment. Outputs land in ``out_dir`` as scores_<task>.txt,
-    report_<task>.txt, and det_<task>.txt.
+    report_<task>.txt, and det_<task>.txt. ``config`` overrides
+    ``CONFIG_DEFAULTS`` (strings or typed values).
     """
-    cfg = _cfg(config)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config)
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)
@@ -469,14 +480,13 @@ def run_task(
                 f"test key languages {languages} not all in training set "
                 f"{plan.train_languages}"
             ) from None
-        crop_s = cfgmod.get_float(cfg, "crop.seconds", 1.0)
         test_entries = [e for e in entries if e.split == plan.test_split]
 
         def transform(i, samples):
             rng = np.random.default_rng([plan.seed, 3, i])
             if plan.task == CROSS_CHANNEL:
                 samples = apply_channel(samples, plan.channel, rng)
-            return _crop_center(samples, crop_s)
+            return _crop_center(samples, cfg["crop.seconds"])
 
         records = [
             submission.ScoreRecord(
@@ -506,9 +516,9 @@ def run_task(
         log.warning("%d lost trial(s) filled with -inf", fill.num_filled)
     eval_config = metrics.EvalConfig.for_key(
         key,
-        p_target=cfgmod.get_float(cfg, "eval.p_target", metrics.DEFAULT_P_TARGET),
-        threshold_policy=cfgmod.get_str(cfg, "eval.policy", metrics.MIN_SWEEP),
-        threshold=cfgmod.get_float(cfg, "eval.threshold", 0.0),
+        p_target=cfg["eval.p_target"],
+        threshold_policy=cfg["eval.policy"],
+        threshold=cfg["eval.threshold"],
     )
     report = metrics.compute_cavg(fill.records, key, eval_config)
 
@@ -521,14 +531,10 @@ def run_task(
     return TaskResult(report, score_path, report_path, det_path, params)
 
 
-def desk_counts(
-    train_per_lang: int = 100,
-    dev_per_lang: int = 10,
-    test_per_lang: int = 40,
-    reference_per_lang: int = 10,
-    zero_test_per_lang: int = 60,
-) -> dict[str, dict[str, int]]:
-    """Default split sizes for the desk-scale corpus (3 training + 2 unseen)."""
+def desk_counts(*, train_per_lang: int, dev_per_lang: int, test_per_lang: int,
+                reference_per_lang: int, zero_test_per_lang: int) -> dict[str, dict[str, int]]:
+    """Split sizes for the desk-scale corpus (3 training + 2 unseen); the
+    defaults are the ``counts.*`` entries of ``CONFIG_DEFAULTS``."""
     train_langs = [s.language_id for s in default_training_specs()]
     zero_langs = [s.language_id for s in default_zero_resource_specs()]
     return {

@@ -360,14 +360,12 @@ def compute_gradients(params: NetworkParams, batch):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learn_rate: float = 0.05
+    learn_rate: float
 
 
-def train_step(params: NetworkParams, batch, hyper: TrainConfig | None = None):
+def train_step(params: NetworkParams, batch, hyper: TrainConfig):
     """One SGD step; returns (updated params, batch loss). Params are not
     mutated in place."""
-    if hyper is None:
-        hyper = TrainConfig()
     loss, grads = compute_gradients(params, batch)
     updated = params.copy()
     for spec in params.specs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lidkit import backend, net
-from lidkit.errors import NoUsableReferences, ZeroNormVector
+from lidkit.errors import MalformedLine, NoUsableReferences, ZeroNormVector
 
 
 def seven_class_net(seed=2):
@@ -180,3 +180,17 @@ class TestModelSetSerialization:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             backend.parse_models("lang 3\n")
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("echo 3", "expected 'language count value...'"),
+        ("echo three 0.5 0.25", "bad count or value"),
+        ("echo 3 0.5 half", "bad count or value"),
+        ("echo 3 nan 0.25", "non-finite"),
+        ("echo 3 0.5 inf", "non-finite"),
+        ("echo 3 0.5 0.25 0.125", "centroid dim 3 != 2"),
+    ])
+    def test_bad_line_names_its_line(self, bad_line, message):
+        text = f"# enrolled\ndelta 4 0.5 -0.5\n{bad_line}\n"
+        with pytest.raises(MalformedLine, match=message) as err:
+            backend.parse_models(text)
+        assert err.value.line_no == 3

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -329,3 +332,68 @@ class TestSegmentFailures:
         )
         assert code == 2
         assert str(enrolled) in err and "echo" in err
+
+    def test_malformed_enrolled_file_exits_2_with_file_line(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, model = damaged_corpus
+        enrolled = tmp_path / "enrolled.txt"
+        enrolled.write_text("delta 3 0.5 0.25\necho 3 nan 0.25\n")
+        scores = tmp_path / "z.txt"
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {enrolled}:2: ")
+        assert not scores.exists()
+
+
+class TestLogging:
+    def score_argv(self, corpus, model, out):
+        return ["score", "--model", str(model), "--corpus", str(corpus), "--split", "test",
+                "--key", str(corpus / "key_test.txt"), "--languages", TRAIN_LANGS,
+                "--out", str(out)]
+
+    def test_each_call_logs_to_its_own_stderr(self, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        seen = []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                seen.append(record.getMessage())
+
+        root_handler = Collect(logging.WARNING)
+        logging.getLogger().addHandler(root_handler)
+        captures = [io.StringIO(), io.StringIO()]
+        try:
+            for i, err in enumerate(captures):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert cli.main(self.score_argv(corpus, model, tmp_path / f"s{i}.txt")) == 0
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        skip = f"skipping {TRUNCATED['test']} "
+        for err in captures:
+            assert err.getvalue().count(skip) == 1
+        # records still reach the root logger's handlers
+        assert sum(msg.startswith(skip) for msg in seen) == 2
+
+    def test_verbose_logs_training_steps_then_restores_level(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, _ = damaged_corpus
+        pkg_log = logging.getLogger("lidkit")
+        level = pkg_log.level
+        code, _, err = run(
+            capsys, "-v", "train", "--corpus", str(corpus), "--languages", TRAIN_LANGS,
+            "--out", str(tmp_path / "m.bin"), "--set", "train.epochs=1",
+        )
+        assert code == 0
+        assert "lidkit.harness: step 1 loss " in err
+        assert pkg_log.level == level and not pkg_log.handlers
+        code, _, err = run(
+            capsys, "train", "--corpus", str(corpus), "--languages", TRAIN_LANGS,
+            "--out", str(tmp_path / "m.bin"), "--set", "train.epochs=1",
+        )
+        assert code == 0 and "step 1 loss" not in err

@@ -178,6 +178,14 @@ class TestGradients:
                 worst = max(worst, oracles.relative_error(fd, gb[j]))
         assert worst < 1e-4
 
+    def test_learn_rate_and_hyper_are_required(self):
+        # the recipe's rate lives in the harness config table alone
+        with pytest.raises(TypeError):
+            net.TrainConfig()
+        rng = np.random.default_rng(5)
+        with pytest.raises(TypeError):
+            net.train_step(tiny_net(), [(random_features(rng), 1)])
+
     def test_zero_learn_rate_keeps_params(self):
         rng = np.random.default_rng(5)
         params = tiny_net()
