@@ -6,11 +6,10 @@ The zero-resource task enrolls each unseen language as the mean of its
 reference-utterance embeddings and scores test embeddings by cosine
 similarity against those centroids.
 
-Segments the front end rejects never reach a back-end: callers skip them
-and ``submission.fill_missing`` fills them as lost trials. A segment that
-loads but is too short for the network (too few frames after VAD) scores
--inf in every column here rather than aborting the run; a diagnostic is
-logged.
+Segments that fail to load, or that keep too few frames for the network,
+never reach a back-end: ``harness.iter_features`` skips them and
+``submission.fill_missing`` fills them as lost trials. Given such a
+segment directly, a back-end raises ``TooFewFrames`` from the network.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .errors import MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector
+from .errors import MalformedLine, NoUsableReferences, ZeroNormVector
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +55,7 @@ def score_closed_set(
         idx = np.asarray(subset, dtype=np.int64)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
             raise ValueError(f"subset indices must lie in [0, {n})")
-    try:
-        _, cache = net.forward(params, features)
-    except TooFewFrames as exc:
-        log.warning("closed-set scoring: %s; emitting -inf scores", exc)
-        return np.full(idx.size, -np.inf)
+    _, cache = net.forward(params, features)
     return cache.log_posteriors[idx].copy()
 
 
@@ -80,19 +75,15 @@ def enroll_languages(
 ) -> LanguageModelSet:
     """Average each language's reference-utterance embeddings into a centroid.
 
-    References that yield no embedding (too few frames) are skipped with a
-    diagnostic; a language with no usable reference at all is an error.
+    A reference too short for the network raises ``TooFewFrames``
+    (``harness.enroll_entries`` skips those first), and a language with no
+    reference at all is an error.
     """
     language_ids = []
     centroids = []
     counts = []
     for language, feature_list in references.items():
-        vectors = []
-        for features in feature_list:
-            try:
-                vectors.append(net.extract_xvector(params, features).values)
-            except TooFewFrames as exc:
-                log.warning("enrollment %s: skipping reference (%s)", language, exc)
+        vectors = [net.extract_xvector(params, features).values for features in feature_list]
         if not vectors:
             raise NoUsableReferences(f"no usable reference utterances for {language!r}")
         language_ids.append(language)
@@ -109,13 +100,8 @@ def score_zero_resource(
     Zero-norm centroids (or a zero-norm test embedding) produce -inf in the
     affected columns with a diagnostic, never an exception.
     """
-    n = len(models.language_ids)
-    try:
-        xvec = net.extract_xvector(params, features).values
-    except TooFewFrames as exc:
-        log.warning("zero-resource scoring: %s; emitting -inf scores", exc)
-        return np.full(n, -np.inf)
-    scores = np.full(n, -np.inf)
+    xvec = net.extract_xvector(params, features).values
+    scores = np.full(len(models.language_ids), -np.inf)
     for i, language in enumerate(models.language_ids):
         try:
             scores[i] = cosine_similarity(xvec, models.centroids[i])
@@ -140,7 +126,8 @@ def write_models(models: LanguageModelSet) -> str:
 def parse_models(text: str) -> LanguageModelSet:
     """Parse ``write_models`` output. Raises MalformedLine with the line
     number for a short line, a bad count or value, a non-finite value, or
-    a centroid whose dimension differs from the first one."""
+    a centroid whose dimension differs from the first one, and without one
+    for a text holding no model line."""
     language_ids = []
     centroids = []
     counts = []
@@ -166,5 +153,5 @@ def parse_models(text: str) -> LanguageModelSet:
         counts.append(count)
         centroids.append(vec)
     if not language_ids:
-        raise ValueError("no enrolled languages found")
+        raise MalformedLine("no enrolled languages found")
     return LanguageModelSet(language_ids, np.array(centroids), counts)

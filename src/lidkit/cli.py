@@ -102,10 +102,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--policy", choices=[metrics.MIN_SWEEP, metrics.FIXED],
-                   default=metrics.MIN_SWEEP)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--p-target", type=float, default=metrics.DEFAULT_P_TARGET)
     p.add_argument("--report", help="write the flat key-value report here")
     p.add_argument("--det", help="write DET points here")
     return parser
@@ -169,16 +165,16 @@ def _load_model(path) -> net.NetworkParams:
         return net.load_params(fh.read())
 
 
-def _split_features(args, cfg):
+def _split_features(params, args, cfg):
     entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
-    return harness.iter_features(args.corpus, entries, cfg)
+    return harness.iter_features(params, args.corpus, entries, cfg)
 
 
 def _cmd_extract(args, cfg):
     params = _load_model(args.model)
     records = [
         submission.ScoreRecord(entry.utt_id, net.extract_xvector(params, feats).values)
-        for entry, feats in _split_features(args, cfg)
+        for entry, feats in _split_features(params, args, cfg)
     ]
     harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(records))
     print(f"{len(records)} x-vectors written to {args.out}")
@@ -247,7 +243,7 @@ def _cmd_score(args, cfg):
             return backend_mod.score_zero_resource(models, feats, params)[order]
     records = [
         submission.ScoreRecord(entry.utt_id, score(feats))
-        for entry, feats in _split_features(args, cfg)
+        for entry, feats in _split_features(params, args, cfg)
     ]
     fill = submission.fill_missing(records, key)
     _warn_fill(fill)
@@ -274,19 +270,23 @@ def _cmd_evaluate(args, cfg):
     records = submission.read_score_file(args.scores, key.language_list)
     fill = submission.fill_missing(records, key)
     _warn_lost(fill)
-    # both policies are always reported; --policy picks the headline number
-    reports = {}
-    for policy in (metrics.FIXED, metrics.MIN_SWEEP):
-        eval_config = metrics.EvalConfig.for_key(
-            key, p_target=args.p_target, threshold_policy=policy, threshold=args.threshold
+    # both policies are always reported; eval.policy picks the headline
+    # number, and listing it last makes EvalConfig refuse an unknown one
+    eval_configs = {
+        policy: metrics.EvalConfig.for_key(
+            key, p_target=cfg["eval.p_target"], threshold_policy=policy,
+            threshold=cfg["eval.threshold"],
         )
-        reports[policy] = metrics.compute_cavg(fill.records, key, eval_config)
-    report = reports[args.policy]
+        for policy in (metrics.FIXED, metrics.MIN_SWEEP, cfg["eval.policy"])
+    }
+    reports = {policy: metrics.compute_cavg(fill.records, key, eval_config)
+               for policy, eval_config in eval_configs.items()}
+    report = reports[cfg["eval.policy"]]
     print(f"Cavg {report.cavg:.4f}")
     print(f"EER% {report.eer * 100:.2f}")
     fixed = reports[metrics.FIXED]
     swept = reports[metrics.MIN_SWEEP]
-    print(f"Cavg[fixed threshold={args.threshold:g}] {fixed.cavg:.4f}")
+    print(f"Cavg[fixed threshold={cfg['eval.threshold']:g}] {fixed.cavg:.4f}")
     print(f"Cavg[min_sweep threshold={swept.threshold_used:g}] {swept.cavg:.4f}")
     if args.report:
         harness.write_atomic(args.report, _stamp(cfg, args.seed), metrics.report_text(report))

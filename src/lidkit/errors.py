@@ -12,7 +12,8 @@ class LidkitError(Exception):
 class LineError(LidkitError):
     """Error tied to a specific line of a text input (1-based).
 
-    Renders as ``file:line: message`` once a path is attached.
+    Renders as ``file:line: message`` once a path is attached, or as
+    ``file: message`` when the error belongs to no one line.
     """
 
     def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
@@ -22,10 +23,10 @@ class LineError(LidkitError):
 
     def __str__(self) -> str:
         base = super().__str__()
-        if self.line_no is None:
-            return base
         if self.path is None:
-            return f"line {self.line_no}: {base}"
+            return base if self.line_no is None else f"line {self.line_no}: {base}"
+        if self.line_no is None:
+            return f"{self.path}: {base}"
         return f"{self.path}:{self.line_no}: {base}"
 
 

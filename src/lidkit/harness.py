@@ -24,7 +24,10 @@ import numpy as np
 from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
-from .errors import AllFramesRemoved, AudioFormatError, InvalidPlan, InvalidSpec, TooShort
+from .errors import (
+    AllFramesRemoved, AudioFormatError, InvalidPlan, InvalidSpec, LineError, MalformedLine,
+    TooFewFrames, TooShort,
+)
 
 log = logging.getLogger(__name__)
 
@@ -178,20 +181,25 @@ def write_manifest(entries: list[ManifestEntry]) -> str:
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
     entries = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) != 4:
-            raise InvalidPlan(f"bad manifest line: {raw!r}")
+            raise MalformedLine("expected 'utt_id language path split'", line_no)
         entries.append(ManifestEntry(*tokens))
     return entries
 
 
 def read_manifest(corpus_dir) -> list[ManifestEntry]:
-    with open(Path(corpus_dir) / "manifest.txt", "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    path = Path(corpus_dir) / "manifest.txt"
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_manifest(fh.read())
+        except LineError as err:
+            err.path = str(path)
+            raise
 
 
 def _synth_job(spec: SyntheticLanguageSpec, seed_key) -> np.ndarray:
@@ -322,17 +330,19 @@ CONFIG_DEFAULTS: dict[str, object] = {
 
 # Errors that condemn one segment rather than the run. Anything else (an
 # invalid config, a missing file) propagates.
-SEGMENT_ERRORS = (AudioFormatError, TooShort, AllFramesRemoved)
+SEGMENT_ERRORS = (AudioFormatError, TooShort, AllFramesRemoved, TooFewFrames)
 
 
-def iter_features(corpus_dir, entries, config, transform=None):
-    """Yield ``(entry, features)`` for every entry whose WAV makes features.
+def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transform=None):
+    """Yield ``(entry, features)`` for every entry whose WAV makes features
+    that ``params`` accepts.
 
     ``transform(i, samples)``, if given, rewrites the samples of
     ``entries[i]`` before the front end. ``config`` is an effective config
     from ``config.resolve``. A segment failing with one of
-    ``SEGMENT_ERRORS`` is logged and skipped; callers that owe it a score
-    row get one from ``submission.fill_missing``.
+    ``SEGMENT_ERRORS`` (unreadable, too short, all frames removed by VAD,
+    or too few frames left for the network) is logged and skipped; callers
+    that owe it a score row get one from ``submission.fill_missing``.
     """
     fcfg = _section("feat", dsp.FeatureConfig, config)
     vcfg = _section("vad", dsp.VadConfig, config)
@@ -342,6 +352,7 @@ def iter_features(corpus_dir, entries, config, transform=None):
             if transform is not None:
                 wave = dsp.Waveform(transform(i, wave.samples), wave.sample_rate)
             feats = dsp.features_from_waveform(wave, fcfg, vcfg)
+            net.require_frames(params, feats.num_frames)
         except SEGMENT_ERRORS as exc:
             log.warning("skipping %s (%s)", entry.utt_id, exc)
             continue
@@ -352,10 +363,11 @@ def enroll_entries(
     params: net.NetworkParams, corpus_dir, entries, config, languages
 ) -> backend_mod.LanguageModelSet:
     """Enroll each of ``languages``, in that order, from its entries;
-    entries of other languages are ignored."""
+    entries of other languages and segments ``iter_features`` skips are
+    ignored, and a language left with no reference is an error."""
     references: dict[str, list] = {lang: [] for lang in languages}
     wanted = [e for e in entries if e.language in references]
-    for entry, feats in iter_features(corpus_dir, wanted, config):
+    for entry, feats in iter_features(params, corpus_dir, wanted, config):
         references[entry.language].append(feats)
     return backend_mod.enroll_languages(params, references)
 
@@ -387,32 +399,25 @@ def train_network(
     """Train a classifier over ``languages`` on the given manifest entries.
 
     Label order follows ``languages``. Emits one 'step loss' log line per
-    SGD step. Utterances the front end rejects are skipped with a warning.
+    SGD step. Utterances ``iter_features`` skips (including those with too
+    few frames for the new network) are left out with a warning each.
     ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
     """
     cfg = cfgmod.resolve(CONFIG_DEFAULTS, config)
-    label_of = {lang: i for i, lang in enumerate(languages)}
-    wanted = [e for e in entries if e.language in label_of]
-    dataset = [(feats, label_of[entry.language])
-               for entry, feats in iter_features(corpus_dir, wanted, cfg)]
-    if not dataset:
-        raise InvalidPlan("no usable training utterances")
     params = net.init_network(
         num_classes=len(languages),
         seed=[seed, 1],
-        feat_dim=dataset[0][0].dim,
+        feat_dim=cfg["feat.num_filters"],
         frame_dim=cfg["net.frame_dim"],
         stats_dim=cfg["net.stats_dim"],
         embed_dim=cfg["net.embed_dim"],
     )
-    need = net.min_input_frames(params)
-    usable = [(f, label) for f, label in dataset if f.num_frames >= need]
-    if len(usable) < len(dataset):
-        log.warning("training: dropped %d utterance(s) under %d frames",
-                    len(dataset) - len(usable), need)
-    if not usable:
+    label_of = {lang: i for i, lang in enumerate(languages)}
+    wanted = [e for e in entries if e.language in label_of]
+    dataset = [(feats, label_of[entry.language])
+               for entry, feats in iter_features(params, corpus_dir, wanted, cfg)]
+    if not dataset:
         raise InvalidPlan("no usable training utterances")
-    dataset = usable
     hyper = net.TrainConfig(learn_rate=cfg["train.learn_rate"])
     batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
@@ -453,9 +458,9 @@ def run_task(
 ) -> TaskResult:
     """Run one task end to end: train (unless given a model), score, evaluate.
 
-    Segments that fail to load are skipped and then filled as lost trials
-    (all -inf rows after the scored ones); the run itself never aborts on a
-    bad segment. Outputs land in ``out_dir`` as scores_<task>.txt,
+    Segments ``iter_features`` skips are filled as lost trials (all -inf
+    rows after the scored ones); the run itself never aborts on a bad
+    segment. Outputs land in ``out_dir`` as scores_<task>.txt,
     report_<task>.txt, and det_<task>.txt. ``config`` overrides
     ``CONFIG_DEFAULTS`` (strings or typed values).
     """
@@ -492,7 +497,7 @@ def run_task(
             submission.ScoreRecord(
                 entry.utt_id, backend_mod.score_closed_set(params, feats, subset)
             )
-            for entry, feats in iter_features(corpus_dir, test_entries, cfg, transform)
+            for entry, feats in iter_features(params, corpus_dir, test_entries, cfg, transform)
         ]
     else:
         key = submission.read_key_file(corpus_dir / f"key_{plan.zero_test_split}.txt")
@@ -508,7 +513,7 @@ def run_task(
             submission.ScoreRecord(
                 entry.utt_id, backend_mod.score_zero_resource(models, feats, params)
             )
-            for entry, feats in iter_features(corpus_dir, test_entries, cfg)
+            for entry, feats in iter_features(params, corpus_dir, test_entries, cfg)
         ]
 
     fill = submission.fill_missing(records, key)

@@ -169,6 +169,13 @@ def min_input_frames(params: NetworkParams) -> int:
     return 1 + margin
 
 
+def require_frames(params: NetworkParams, num_frames: int) -> None:
+    """Raise TooFewFrames unless the frame stack accepts ``num_frames``."""
+    need = min_input_frames(params)
+    if num_frames < need:
+        raise TooFewFrames(f"need at least {need} frames, got {num_frames}")
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 
@@ -237,9 +244,7 @@ def forward(params: NetworkParams, features):
         raise DimMismatch(
             f"features have dim {x.shape[1]}, network expects {params.feat_dim}"
         )
-    need = min_input_frames(params)
-    if x.shape[0] < need:
-        raise TooFewFrames(f"need at least {need} frames, got {x.shape[0]}")
+    require_frames(params, x.shape[0])
     cache = ForwardCache()
     for spec in params.frame_specs:
         spliced, start, _ = _splice(x, spec.offsets)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lidkit import harness, net
+from lidkit import dsp, harness, net
 from lidkit import submission as sub
 
 
@@ -38,15 +38,9 @@ def score_factory():
     return make_random_scorefile
 
 
-# one segment per test split whose WAV is cut to 20 bytes (header only)
-TRUNCATED = {"test": "bravo-test-0001", "zr_test": "echo-zr_test-0002"}
-
-
-@pytest.fixture(scope="session")
-def damaged_corpus(tmp_path_factory):
-    """A small corpus with one unreadable WAV in each test split, plus the
-    path of a model trained on its (intact) training split."""
-    root = tmp_path_factory.mktemp("damaged")
+def corpus_and_model(root, seed, damage):
+    """A small corpus under ``root`` with ``damage(corpus_dir)`` applied,
+    plus the path of a model trained on its training split."""
     corpus = root / "corpus"
     train_langs = ["alpha", "bravo", "charlie"]
     counts = {
@@ -56,12 +50,45 @@ def damaged_corpus(tmp_path_factory):
         "zr_test": {"delta": 4, "echo": 4},
     }
     specs = harness.default_training_specs() + harness.default_zero_resource_specs()
-    entries = harness.generate_corpus(specs, counts, seed=8, out_dir=corpus)
-    for utt_id in TRUNCATED.values():
-        wav = corpus / "wav" / f"{utt_id}.wav"
-        wav.write_bytes(wav.read_bytes()[:20])
+    entries = harness.generate_corpus(specs, counts, seed=seed, out_dir=corpus)
+    damage(corpus)
     train = [e for e in entries if e.split == "train"]
-    params = harness.train_network(corpus, train, train_langs, {"train.epochs": "2"}, seed=8)
+    params = harness.train_network(corpus, train, train_langs, {"train.epochs": "2"}, seed=seed)
     model = root / "model.bin"
     model.write_bytes(net.save_params(params))
     return corpus, model
+
+
+# one segment per test split whose WAV is cut to 20 bytes (header only)
+TRUNCATED = {"test": "bravo-test-0001", "zr_test": "echo-zr_test-0002"}
+
+
+@pytest.fixture(scope="session")
+def damaged_corpus(tmp_path_factory):
+    """A small corpus with one unreadable WAV in each test split, plus the
+    path of a model trained on its (intact) training split."""
+    def truncate(corpus):
+        for utt_id in TRUNCATED.values():
+            wav = corpus / "wav" / f"{utt_id}.wav"
+            wav.write_bytes(wav.read_bytes()[:20])
+    return corpus_and_model(tmp_path_factory.mktemp("damaged"), 8, truncate)
+
+
+# one segment per split cut to its central 0.1 s: 8 frames before VAD,
+# under the 15 the network needs at the default contexts
+SHORT = {"train": "alpha-train-0001", "test": "alpha-test-0001",
+         "reference": "delta-reference-0001", "zr_test": "delta-zr_test-0001"}
+
+
+@pytest.fixture(scope="session")
+def short_corpus(tmp_path_factory):
+    """A small corpus with one too-short WAV in each split, plus the path
+    of a model trained on its training split (which skips the short one)."""
+    def shorten(corpus):
+        for utt_id in SHORT.values():
+            path = corpus / "wav" / f"{utt_id}.wav"
+            wave = dsp.read_wav(path)
+            mid = wave.samples.size // 2
+            dsp.write_wav(path, dsp.Waveform(wave.samples[mid - 800 : mid + 800],
+                                             wave.sample_rate))
+    return corpus_and_model(tmp_path_factory.mktemp("short"), 9, shorten)

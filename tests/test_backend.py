@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lidkit import backend, net
-from lidkit.errors import MalformedLine, NoUsableReferences, ZeroNormVector
+from lidkit.errors import MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector
 
 
 def seven_class_net(seed=2):
@@ -31,10 +31,11 @@ class TestClosedSet:
         assert partial.shape == (6,)
         assert np.array_equal(partial, full[subset])
 
-    def test_too_few_frames_scores_neg_inf(self):
+    def test_too_few_frames_raises(self):
+        # harness.iter_features skips such a segment before it gets here
         rng = np.random.default_rng(3)
-        scores = backend.score_closed_set(seven_class_net(), feats(rng, t=5))
-        assert np.all(scores == -np.inf)
+        with pytest.raises(TooFewFrames):
+            backend.score_closed_set(seven_class_net(), feats(rng, t=5))
 
     def test_bad_subset_rejected(self):
         rng = np.random.default_rng(4)
@@ -90,18 +91,13 @@ class TestEnrollment:
             )
             np.testing.assert_allclose(row, direct, atol=1e-12)
 
-    def test_unusable_references_are_skipped(self):
+    def test_too_short_reference_raises(self):
+        # harness.enroll_entries skips such a reference before it gets here
         rng = np.random.default_rng(9)
-        params = seven_class_net()
-        usable = feats(rng)
-        models = backend.enroll_languages(params, {"lang": [feats(rng, t=3), usable]})
-        assert models.num_reference_utts == [1]
-        assert np.array_equal(models.centroids[0], net.extract_xvector(params, usable).values)
+        with pytest.raises(TooFewFrames):
+            backend.enroll_languages(seven_class_net(), {"lang": [feats(rng, t=3), feats(rng)]})
 
     def test_no_usable_references_raises(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(NoUsableReferences):
-            backend.enroll_languages(seven_class_net(), {"lang": [feats(rng, t=3)]})
         with pytest.raises(NoUsableReferences):
             backend.enroll_languages(seven_class_net(), {"lang": []})
 
@@ -145,12 +141,12 @@ class TestZeroResource:
         scores = backend.score_zero_resource(models, f, params)
         assert scores[0] == -np.inf and scores[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_too_few_frames_scores_neg_inf(self):
+    def test_too_few_frames_raises(self):
         rng = np.random.default_rng(15)
         params = seven_class_net()
         models = self._models(params, rng)
-        scores = backend.score_zero_resource(models, feats(rng, t=4), params)
-        assert np.all(scores == -np.inf)
+        with pytest.raises(TooFewFrames):
+            backend.score_zero_resource(models, feats(rng, t=4), params)
 
     def test_argmax_invariant_under_positive_scaling_of_xvectors(self):
         rng = np.random.default_rng(16)

@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps lidkit functions by name; a rename or
-deletion here would make its ``--trace 1`` runs fail, so check that every
-function it names still exists."""
+"""The benchmark calls into lidkit: its tracer wraps functions by name and
+its own tests call back-end and network functions directly. A rename,
+deletion or signature change here would make benchmark runs fail, so
+check both from the test suite."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+TRACING = BENCHMARK / "tracing.py"
 
 
 def test_every_traced_function_exists():
@@ -20,3 +24,11 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"lidkit.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_benchmark_checks_pass():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "test_checks.py", "-q", "-p", "no:cacheprovider"],
+        cwd=BENCHMARK, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

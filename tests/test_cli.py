@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TRUNCATED
+from conftest import SHORT, TRUNCATED
 from lidkit import cli, harness, net, submission as sub
 
 TRAIN_LANGS = "alpha,bravo,charlie"
@@ -31,7 +31,7 @@ class TestEvaluateCommand:
         scores, key = worked_example
         code, out, _ = run(
             capsys, "evaluate", "--scores", str(scores), "--key", str(key),
-            "--policy", "fixed", "--threshold", "0",
+            "--set", "eval.policy=fixed", "--set", "eval.threshold=0",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -101,6 +101,19 @@ class TestEvaluateCommand:
         assert code == 0
         assert "Cavg[fixed threshold=0]" in out
         assert "Cavg[min_sweep threshold=" in out
+
+    def test_eval_settings_come_from_the_config(self, capsys, worked_example, tmp_path):
+        scores, key = worked_example
+        report = tmp_path / "report.txt"
+        argv = ["evaluate", "--scores", str(scores), "--key", str(key), "--report", str(report)]
+        code, out, _ = run(capsys, *argv, "--set", "eval.policy=fixed",
+                           "--set", "eval.threshold=1.5")
+        assert code == 0
+        assert "threshold_policy fixed" in report.read_text()
+        assert "Cavg[fixed threshold=1.5]" in out
+        code, _, err = run(capsys, *argv, "--set", "eval.policy=best")
+        assert code == 2 and "'best'" in err
+        assert run(capsys, *argv, "--policy", "fixed")[0] == 1
 
 
 class TestUsageErrors:
@@ -348,6 +361,115 @@ class TestSegmentFailures:
         assert code == 2
         assert err.startswith(f"error: {enrolled}:2: ")
         assert not scores.exists()
+
+    def test_enrolled_file_without_models_exits_2_naming_it(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, model = damaged_corpus
+        enrolled = tmp_path / "enrolled.txt"
+        enrolled.write_text("# stamp config=0 seed=0\n")
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(tmp_path / "z.txt"),
+        )
+        assert code == 2
+        assert err == f"error: {enrolled}: no enrolled languages found\n"
+
+    def test_bad_manifest_line_exits_2_with_file_line(self, capsys, damaged_corpus, tmp_path):
+        corpus, _ = damaged_corpus
+        lines = (corpus / "manifest.txt").read_text().splitlines()
+        (tmp_path / "manifest.txt").write_text(f"{lines[0]}\n{lines[1].rsplit(' ', 1)[0]}\n")
+        code, _, err = run(
+            capsys, "train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS,
+            "--out", str(tmp_path / "m.bin"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'manifest.txt'}:2: ")
+
+
+class TestTooFewFrames:
+    """A segment that keeps too few frames for the network is skipped like
+    an unreadable one: every command leaves it out, and ``score`` and
+    ``run_task`` fill it as a lost trial."""
+
+    def test_closed_score_fills_it_last_like_run_task(self, capsys, short_corpus, tmp_path):
+        corpus, model = short_corpus
+        scores = tmp_path / "scores.txt"
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "test", "--key", str(corpus / "key_test.txt"),
+            "--languages", TRAIN_LANGS, "--out", str(scores),
+        )
+        assert code == 0
+        assert f"skipping {SHORT['test']} (need at least 15 frames" in err
+        plan = harness.ExperimentPlan(
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=9
+        )
+        uncropped = {"crop.seconds": "100"}  # longer than any utterance
+        result = harness.run_task(
+            plan, corpus, tmp_path / "task", uncropped, params=net.load_params(model.read_bytes())
+        )
+        assert data_lines(scores) == data_lines(result.score_path)
+        assert data_lines(scores)[-1].split() == [SHORT["test"]] + ["-inf"] * 3
+
+    def refs(self, corpus, path, skip=None):
+        path.write_text("".join(
+            f"{e.language} {corpus / e.path}\n" for e in harness.read_manifest(corpus)
+            if e.split == "reference" and e.utt_id != skip
+        ))
+        return path
+
+    def test_zero_score_fills_it_last_like_run_task(self, capsys, short_corpus, tmp_path):
+        corpus, model = short_corpus
+        enrolled, scores = tmp_path / "enrolled.txt", tmp_path / "zscores.txt"
+        refs = self.refs(corpus, tmp_path / "refs.txt")
+        code, _, _ = run(
+            capsys, "enroll", "--model", str(model), "--refs", str(refs), "--out", str(enrolled)
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
+        )
+        assert code == 0
+        plan = harness.ExperimentPlan(
+            task=harness.ZERO_RESOURCE, train_languages=TRAIN_LANGS.split(","),
+            zero_languages=["delta", "echo"], seed=9,
+        )
+        result = harness.run_task(
+            plan, corpus, tmp_path / "task", params=net.load_params(model.read_bytes())
+        )
+        assert data_lines(scores) == data_lines(result.score_path)
+        assert data_lines(scores)[-1].split() == [SHORT["zr_test"]] + ["-inf"] * 2
+
+    def test_extract_leaves_it_out(self, capsys, short_corpus, tmp_path):
+        corpus, model = short_corpus
+        xvecs = tmp_path / "xvec.txt"
+        code, _, _ = run(
+            capsys, "extract", "--model", str(model), "--corpus", str(corpus),
+            "--split", "test", "--out", str(xvecs),
+        )
+        assert code == 0
+        key = sub.read_key_file(corpus / "key_test.txt")
+        ids = [line.split()[0] for line in data_lines(xvecs)]
+        assert ids == [seg for seg in key.entries if seg != SHORT["test"]]
+
+    def test_enroll_matches_enrolling_without_it(self, capsys, short_corpus, tmp_path):
+        corpus, model = short_corpus
+        short_wav = corpus / "wav" / f"{SHORT['reference']}.wav"
+        outputs = []
+        for name, skip in (("all", None), ("without", SHORT["reference"])):
+            refs = self.refs(corpus, tmp_path / f"refs_{name}.txt", skip)
+            outputs.append(tmp_path / f"enrolled_{name}.txt")
+            code, _, err = run(
+                capsys, "enroll", "--model", str(model), "--refs", str(refs),
+                "--out", str(outputs[-1]),
+            )
+            assert code == 0
+            assert (f"skipping {short_wav} (need at least 15 frames" in err) == (skip is None)
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 class TestLogging:

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TRUNCATED
+from conftest import SHORT, TRUNCATED
 from lidkit import dsp, harness, net, submission as sub
-from lidkit.errors import InvalidPlan, InvalidSpec
+from lidkit.errors import InvalidPlan, InvalidSpec, NoUsableReferences
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
 
@@ -212,3 +212,25 @@ class TestRunTask:
         assert records[-1].segment_id == TRUNCATED["test"]
         assert np.all(records[-1].scores == -np.inf)
         assert np.isfinite(result.report.cavg)
+
+
+class TestTooFewFrames:
+    def test_training_skips_it_and_matches_training_without_it(
+        self, short_corpus, caplog
+    ):
+        corpus, model = short_corpus
+        train = [e for e in harness.read_manifest(corpus) if e.split == "train"]
+        config = {"train.epochs": "2"}
+        with caplog.at_level("WARNING", logger="lidkit"):
+            params = harness.train_network(corpus, train, TRAIN_LANGS, config, seed=9)
+        assert f"skipping {SHORT['train']} (need at least 15 frames" in caplog.text
+        without = [e for e in train if e.utt_id != SHORT["train"]]
+        expected = harness.train_network(corpus, without, TRAIN_LANGS, config, seed=9)
+        assert net.save_params(params) == net.save_params(expected) == model.read_bytes()
+
+    def test_language_with_only_a_short_reference_cannot_enroll(self, short_corpus):
+        corpus, model = short_corpus
+        short = [e for e in harness.read_manifest(corpus) if e.utt_id == SHORT["reference"]]
+        params = net.load_params(model.read_bytes())
+        with pytest.raises(NoUsableReferences):
+            harness.enroll_entries(params, corpus, short, harness.CONFIG_DEFAULTS, ["delta"])
