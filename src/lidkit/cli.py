@@ -117,7 +117,7 @@ def _gather_config(args) -> dict[str, object]:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides)
+    return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides, harness.CONFIG_CHOICES)
 
 
 def _stamp(cfg: dict[str, object], seed: int) -> str:
@@ -270,14 +270,13 @@ def _cmd_evaluate(args, cfg):
     records = submission.read_score_file(args.scores, key.language_list)
     fill = submission.fill_missing(records, key)
     _warn_lost(fill)
-    # both policies are always reported; eval.policy picks the headline
-    # number, and listing it last makes EvalConfig refuse an unknown one
+    # both policies are always reported; eval.policy picks the headline number
     eval_configs = {
         policy: metrics.EvalConfig.for_key(
             key, p_target=cfg["eval.p_target"], threshold_policy=policy,
             threshold=cfg["eval.threshold"],
         )
-        for policy in (metrics.FIXED, metrics.MIN_SWEEP, cfg["eval.policy"])
+        for policy in metrics.THRESHOLD_POLICIES
     }
     reports = {policy: metrics.compute_cavg(fill.records, key, eval_config)
                for policy, eval_config in eval_configs.items()}

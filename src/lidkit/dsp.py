@@ -7,16 +7,22 @@ with floor ``1e-10``. Voice activity detection thresholds per-frame log
 energy against the utterance mean; frames sitting exactly at the energy
 floor are always dropped.
 
-All transforms are deterministic and per-utterance.
+``features_from_waveform`` frames each utterance once, as a read-only
+strided view of its samples, and takes both the log-mel features and the
+VAD log energy from those frames. The mel filterbank is built once per
+``FeatureConfig`` and the Hamming window once per length; both are cached
+read-only arrays. All transforms are deterministic and per-utterance.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import wave as wavefile
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort
 
@@ -108,7 +114,11 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
     """Load a RIFF WAV file, rejecting anything but 16-bit mono PCM."""
     try:
         handle = wavefile.open(str(path), "rb")
-    except (wavefile.Error, EOFError) as exc:
+    except EOFError:  # raised without a message
+        raise AudioFormatError(
+            f"{path}: not a readable WAV file (file ends inside the WAV header)"
+        ) from None
+    except wavefile.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file ({exc})") from None
     with contextlib.closing(handle) as fh:
         if fh.getcomptype() != "NONE":
@@ -142,15 +152,24 @@ def write_wav(path, wave: Waveform) -> None:
 # framing and mel filterbank
 
 def frame_signal(samples: np.ndarray, frame_len: int, frame_shift: int) -> np.ndarray:
-    """Slice a signal into overlapping frames (T x frame_len)."""
+    """Overlapping frames (T x frame_len) as a read-only view of the signal,
+    T = 1 + floor((num_samples - frame_len) / frame_shift)."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < frame_len:
         raise TooShort(
             f"signal of {samples.size} samples is shorter than one {frame_len}-sample frame"
         )
-    num_frames = 1 + (samples.size - frame_len) // frame_shift
-    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(num_frames)[:, None]
-    return samples[idx]
+    return sliding_window_view(samples, frame_len)[::frame_shift]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
+def _hamming(length: int) -> np.ndarray:
+    return _read_only(np.hamming(length))
 
 
 def hz_to_mel(freq):
@@ -173,8 +192,10 @@ def mel_center_frequencies(config: FeatureConfig) -> np.ndarray:
     return mel_edge_frequencies(config)[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
-    """Triangular filters as a (num_filters x num_bins) weight matrix.
+    """Triangular filters as a read-only (num_filters x num_bins) weight
+    matrix, built once per config.
 
     Filters are built on a shared mel grid, so their responses form a
     partition of unity between the first and last center frequency.
@@ -187,7 +208,36 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return weights
+    return _read_only(weights)
+
+
+def _checked(wave: Waveform, config: FeatureConfig | None) -> FeatureConfig:
+    if config is None:
+        config = FeatureConfig()
+    config.validate()
+    if wave.sample_rate != config.sample_rate:
+        raise InvalidConfig(
+            f"waveform at {wave.sample_rate} Hz, config expects {config.sample_rate} Hz"
+        )
+    return config
+
+
+def _frames(wave: Waveform, config: FeatureConfig) -> np.ndarray:
+    return frame_signal(wave.samples, config.frame_len_samples, config.frame_shift_samples)
+
+
+def _log_mel(frames: np.ndarray, config: FeatureConfig) -> FeatureMatrix:
+    emphasized = np.empty(frames.shape)
+    emphasized[:, 1:] = frames[:, 1:] - config.preemphasis * frames[:, :-1]
+    emphasized[:, 0] = frames[:, 0] - config.preemphasis * frames[:, 0]
+    emphasized *= _hamming(frames.shape[1])
+    spectrum = np.abs(np.fft.rfft(emphasized, n=config.fft_size, axis=1))
+    energies = spectrum @ mel_filterbank(config).T
+    return FeatureMatrix(np.log(np.maximum(energies, config.floor)), config.frame_shift)
+
+
+def _log_energy(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    return np.log(np.maximum(np.mean(frames**2, axis=1), config.floor))
 
 
 def extract_filterbanks(wave: Waveform, config: FeatureConfig | None = None) -> FeatureMatrix:
@@ -197,24 +247,8 @@ def extract_filterbanks(wave: Waveform, config: FeatureConfig | None = None) -> 
     pre-emphasized, windowed, and projected through the mel filterbank,
     then floored and logged.
     """
-    if config is None:
-        config = FeatureConfig()
-    config.validate()
-    if wave.sample_rate != config.sample_rate:
-        raise InvalidConfig(
-            f"waveform at {wave.sample_rate} Hz, config expects {config.sample_rate} Hz"
-        )
-    frames = frame_signal(
-        wave.samples, config.frame_len_samples, config.frame_shift_samples
-    )
-    emphasized = frames.copy()
-    emphasized[:, 1:] -= config.preemphasis * frames[:, :-1]
-    emphasized[:, 0] -= config.preemphasis * frames[:, 0]
-    window = np.hamming(config.frame_len_samples)
-    spectrum = np.abs(np.fft.rfft(emphasized * window, n=config.fft_size, axis=1))
-    energies = spectrum @ mel_filterbank(config).T
-    feats = np.log(np.maximum(energies, config.floor))
-    return FeatureMatrix(feats, config.frame_shift, vad_mask_applied=False)
+    config = _checked(wave, config)
+    return _log_mel(_frames(wave, config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +258,7 @@ def frame_log_energy(wave: Waveform, config: FeatureConfig | None = None) -> np.
     """Per-frame log of mean squared amplitude, floored, aligned with features."""
     if config is None:
         config = FeatureConfig()
-    frames = frame_signal(
-        wave.samples, config.frame_len_samples, config.frame_shift_samples
-    )
-    return np.log(np.maximum(np.mean(frames**2, axis=1), config.floor))
+    return _log_energy(_frames(wave, config), config)
 
 
 def energy_vad(log_energy: np.ndarray, config: VadConfig | None = None) -> np.ndarray:
@@ -257,10 +288,12 @@ def features_from_waveform(
     feat_config: FeatureConfig | None = None,
     vad_config: VadConfig | None = None,
 ) -> FeatureMatrix:
-    """Full front end: filterbanks, energy VAD, row filtering."""
-    feats = extract_filterbanks(wave, feat_config)
-    mask = energy_vad(frame_log_energy(wave, feat_config), vad_config)
-    return apply_vad(feats, mask)
+    """Full front end: filterbanks, energy VAD, row filtering, all from
+    one framing of the signal."""
+    config = _checked(wave, feat_config)
+    frames = _frames(wave, config)
+    mask = energy_vad(_log_energy(frames, config), vad_config)
+    return apply_vad(_log_mel(frames, config), mask)
 
 
 def features_from_wav(

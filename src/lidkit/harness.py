@@ -110,7 +110,16 @@ def _band_profile(freqs: np.ndarray, spec: SyntheticLanguageSpec) -> np.ndarray:
 def synth_utterance(
     spec: SyntheticLanguageSpec, duration_s: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """One utterance: band-shaped noise under harmonic tone bursts."""
+    """One utterance: band-shaped noise under harmonic tone bursts.
+
+    A burst at pitch f0 sums the harmonics k*f0 below 7.6 kHz whose
+    amplitude a_k (the band profile at k*f0 over sqrt(k)) exceeds 1e-4,
+    each at a random phase phi_k. With c_k = a_k e^{i phi_k} and the phasor
+    z = e^{i 2 pi f0 t}, that sum is the imaginary part of the polynomial
+    sum_k c_k z^k, evaluated by Horner's rule from the highest harmonic
+    used: one complex exponential per burst instead of one sine per
+    harmonic. The phases are drawn in one call, in harmonic order.
+    """
     spec.validate()
     n = max(int(round(duration_s * SAMPLE_RATE)), SAMPLE_RATE // 10)
     freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
@@ -127,14 +136,22 @@ def synth_utterance(
         length = min(length, n)
         start = int(rng.uniform(0, max(n - length, 1)))
         f0 = rng.uniform(*spec.pitch_range_hz)
-        t = np.arange(length) / SAMPLE_RATE
+        ks = np.arange(1, int(7600.0 / f0) + 2)
+        ks = ks[ks * f0 < 7600.0]
+        amps = profile[np.searchsorted(freqs, ks * f0)] / np.sqrt(ks)
+        used = amps > 1e-4
+        coefs = np.zeros(ks.size, dtype=np.complex128)
+        coefs[used] = amps[used] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=used.sum()))
         tone = np.zeros(length)
-        k = 1
-        while k * f0 < 7600.0:
-            amp = profile[np.searchsorted(freqs, k * f0)] / np.sqrt(k)
-            if amp > 1e-4:
-                tone += amp * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
-            k += 1
+        if used.any():
+            z = np.exp(1j * (2 * np.pi * f0 * (np.arange(length) / SAMPLE_RATE)))
+            top = np.flatnonzero(used)[-1]
+            acc = z * coefs[top]
+            for c in coefs[:top][::-1]:
+                if c:  # an unused harmonic would only add zero
+                    acc += c
+                acc *= z
+            tone = acc.imag
         tone_rms = np.sqrt(np.mean(tone**2))
         if tone_rms > 0:
             tone = tone / tone_rms * 0.25
@@ -313,8 +330,9 @@ def _section(prefix: str, cls, config):
 
 
 # Every settable config key and its default; a value's type is its
-# default's type. ``config.resolve(CONFIG_DEFAULTS, overrides)`` gives the
-# effective config that the functions below read by key.
+# default's type, and a key in CONFIG_CHOICES takes only the values listed
+# there. ``config.resolve(CONFIG_DEFAULTS, overrides, CONFIG_CHOICES)``
+# gives the effective config that the functions below read by key.
 CONFIG_DEFAULTS: dict[str, object] = {
     **_fields("feat", dsp.FeatureConfig),
     **_fields("vad", dsp.VadConfig),
@@ -326,6 +344,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "counts.train": 100, "counts.dev": 10, "counts.test": 40, "counts.reference": 10,
     "counts.zr_test": 60,
 }
+CONFIG_CHOICES: dict[str, tuple] = {"eval.policy": metrics.THRESHOLD_POLICIES}
 
 
 # Errors that condemn one segment rather than the run. Anything else (an
@@ -403,7 +422,7 @@ def train_network(
     few frames for the new network) are left out with a warning each.
     ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
     """
-    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_CHOICES)
     params = net.init_network(
         num_classes=len(languages),
         seed=[seed, 1],
@@ -464,7 +483,7 @@ def run_task(
     report_<task>.txt, and det_<task>.txt. ``config`` overrides
     ``CONFIG_DEFAULTS`` (strings or typed values).
     """
-    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_CHOICES)
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)

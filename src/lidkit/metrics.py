@@ -49,6 +49,7 @@ from .submission import OUT_OF_SET, ScoreRecord, TrialKey
 
 FIXED = "fixed"
 MIN_SWEEP = "min_sweep"
+THRESHOLD_POLICIES = (FIXED, MIN_SWEEP)
 
 DEFAULT_P_TARGET = 0.5
 
@@ -67,7 +68,7 @@ class EvalConfig:
             raise ValueError(f"p_target must lie in (0, 1), got {self.p_target}")
         if self.num_languages < 2:
             raise ValueError(f"need at least 2 languages, got {self.num_languages}")
-        if self.threshold_policy not in (FIXED, MIN_SWEEP):
+        if self.threshold_policy not in THRESHOLD_POLICIES:
             raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
 
     @property

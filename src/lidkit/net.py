@@ -441,7 +441,10 @@ def load_params(data: bytes, expected_num_classes: int | None = None) -> Network
     specs = []
     for _ in range(num_layers):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptModel(f"layer {len(specs) + 1} has a name that is not UTF-8") from None
         (flags,) = reader.unpack("<B")
         (n_offsets,) = reader.unpack("<H")
         offsets = tuple(reader.unpack("<i")[0] for _ in range(n_offsets))

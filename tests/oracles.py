@@ -2,7 +2,7 @@
 
 Everything here recomputes results the dumb way: explicit trial counting,
 exhaustive threshold enumeration, straight-line network evaluation,
-two-pass statistics. None of it shares code with the implementation under
+two-pass statistics, one sine per harmonic, index-matrix framing. None of it shares code with the implementation under
 test beyond the data types.
 """
 
@@ -234,3 +234,113 @@ def min_kink_distance(params, batch) -> float:
         for pre in cache.frame_preacts + cache.dense_preacts[:-1]:
             closest = min(closest, float(np.min(np.abs(pre))))
     return closest
+
+
+# ---------------------------------------------------------------------------
+# synthesis oracle: one np.sin per harmonic, one phase draw per harmonic
+
+SAMPLE_RATE = 16000
+
+
+def _band_profile(freqs, spec):
+    profile = np.zeros_like(freqs)
+    for center, width in zip(spec.band_centers_hz, spec.bandwidths_hz):
+        profile += np.exp(-(((freqs - center) / width) ** 2))
+    return profile
+
+
+def synth_utterance_per_harmonic(spec, duration_s, rng):
+    """The harmonic-loop synthesis that ``harness.synth_utterance`` replaced."""
+    spec.validate()
+    n = max(int(round(duration_s * SAMPLE_RATE)), SAMPLE_RATE // 10)
+    freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
+    profile = _band_profile(freqs, spec)
+
+    shaped = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * profile, n)
+    rms = np.sqrt(np.mean(shaped**2))
+    shaped = shaped / max(rms, 1e-12) * 0.05
+
+    bursts = np.zeros(n)
+    num_bursts = max(2, int(round(duration_s * 4)))
+    for _ in range(num_bursts):
+        length = int(rng.uniform(0.20, 0.32) * SAMPLE_RATE)
+        length = min(length, n)
+        start = int(rng.uniform(0, max(n - length, 1)))
+        f0 = rng.uniform(*spec.pitch_range_hz)
+        t = np.arange(length) / SAMPLE_RATE
+        tone = np.zeros(length)
+        k = 1
+        while k * f0 < 7600.0:
+            amp = profile[np.searchsorted(freqs, k * f0)] / np.sqrt(k)
+            if amp > 1e-4:
+                tone += amp * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
+            k += 1
+        tone_rms = np.sqrt(np.mean(tone**2))
+        if tone_rms > 0:
+            tone = tone / tone_rms * 0.25
+        bursts[start : start + length] += np.hanning(length) * tone
+
+    signal = bursts + shaped + rng.standard_normal(n) * spec.noise_level
+    peak = np.max(np.abs(signal))
+    return signal / peak * 0.5 if peak > 0 else signal
+
+
+def pcm16(samples):
+    """The int16 samples a WAV writer stores for float samples in [-1, 1]."""
+    return np.clip(np.rint(np.asarray(samples) * 32768.0), -32768, 32767).astype(np.int16)
+
+
+# ---------------------------------------------------------------------------
+# front-end oracle: an index matrix per framing, a filterbank per call
+
+def frame_by_index_matrix(samples, frame_len, frame_shift):
+    samples = np.asarray(samples, dtype=np.float64)
+    num_frames = 1 + (samples.size - frame_len) // frame_shift
+    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(num_frames)[:, None]
+    return samples[idx]
+
+
+def _hz_to_mel(freq):
+    return 2595.0 * np.log10(1.0 + np.asarray(freq, dtype=np.float64) / 700.0)
+
+
+def _mel_to_hz(mel):
+    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
+
+
+def uncached_mel_filterbank(config):
+    edges_mel = np.linspace(
+        _hz_to_mel(config.low_freq), _hz_to_mel(config.high_freq), config.num_filters + 2
+    )
+    edges = _mel_to_hz(edges_mel)
+    bin_freqs = np.arange(config.fft_size // 2 + 1) * config.sample_rate / config.fft_size
+    weights = np.zeros((config.num_filters, bin_freqs.size))
+    for j in range(config.num_filters):
+        lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return weights
+
+
+def features_framed_twice(samples, config, vad_offset=-1.0, vad_floor=1e-10):
+    """The front end that ``dsp.features_from_waveform`` replaced: log-mel
+    frames and VAD log energy each from their own index-matrix framing,
+    kept rows only."""
+    frames = frame_by_index_matrix(
+        samples, config.frame_len_samples, config.frame_shift_samples
+    )
+    emphasized = frames.copy()
+    emphasized[:, 1:] -= config.preemphasis * frames[:, :-1]
+    emphasized[:, 0] -= config.preemphasis * frames[:, 0]
+    window = np.hamming(config.frame_len_samples)
+    spectrum = np.abs(np.fft.rfft(emphasized * window, n=config.fft_size, axis=1))
+    energies = spectrum @ uncached_mel_filterbank(config).T
+    feats = np.log(np.maximum(energies, config.floor))
+
+    frames = frame_by_index_matrix(
+        samples, config.frame_len_samples, config.frame_shift_samples
+    )
+    log_energy = np.log(np.maximum(np.mean(frames**2, axis=1), config.floor))
+    keep = (log_energy > log_energy.mean() + vad_offset) & (log_energy > np.log(vad_floor))
+    return feats[keep]

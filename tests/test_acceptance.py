@@ -187,7 +187,7 @@ def desk_corpus(tmp_path_factory):
         train_per_lang=60, dev_per_lang=5, test_per_lang=30,
         reference_per_lang=10, zero_test_per_lang=50,
     )
-    harness.generate_corpus(specs, counts, seed=101, out_dir=corpus)
+    harness.generate_corpus(specs, counts, seed=101, out_dir=corpus, jobs=2)
     return corpus
 
 
@@ -225,7 +225,7 @@ def _channel_pair(seed, workdir, channel):
         "train": {lang: 40 for lang in TRAIN_LANGS},
         "test": {lang: 24 for lang in TRAIN_LANGS},
     }
-    harness.generate_corpus(specs, counts, seed=seed, out_dir=corpus)
+    harness.generate_corpus(specs, counts, seed=seed, out_dir=corpus, jobs=2)
     matched_plan = harness.ExperimentPlan(
         task=harness.CROSS_CHANNEL, train_languages=TRAIN_LANGS, seed=seed,
         channel=harness.ChannelSpec(),

@@ -81,6 +81,13 @@ class TestResolve:
         with pytest.raises(InvalidConfig, match=key):
             config.resolve(harness.CONFIG_DEFAULTS, {key: value})
 
+    def test_value_outside_its_choices_named(self):
+        choices = harness.CONFIG_CHOICES
+        assert config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "fixed"}, choices)[
+            "eval.policy"] == "fixed"
+        with pytest.raises(InvalidConfig, match="^eval.policy: .* got 'best'$"):
+            config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "best"}, choices)
+
 
 class TestUnknownKeys:
     def test_set_exits_2_naming_key_and_writes_nothing(self, capsys, tmp_path):
@@ -112,6 +119,22 @@ class TestUnknownKeys:
         plan = harness.ExperimentPlan(task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS)
         with pytest.raises(InvalidConfig, match="'train.epoch'"):
             harness.run_task(plan, corpus, tmp_path / "out", {"train.epoch": "3"})
+        assert not (tmp_path / "out").exists()
+
+    def test_value_outside_its_choices_exits_2_naming_key(self, capsys, damaged_corpus, tmp_path):
+        scores, key, report = (tmp_path / name for name in ("s.txt", "k.txt", "r.txt"))
+        scores.write_text("s1 1 2\ns2 -1 1\n")
+        key.write_text("A B\ns1 A\ns2 B\n")
+        code = cli.main(["evaluate", "--scores", str(scores), "--key", str(key),
+                         "--report", str(report), "--set", "eval.policy=best"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: eval.policy: expected one of 'fixed', 'min_sweep', got 'best'\n"
+        assert not report.exists()
+        corpus, _ = damaged_corpus
+        plan = harness.ExperimentPlan(task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS)
+        with pytest.raises(InvalidConfig, match="^eval.policy: expected one of"):
+            harness.run_task(plan, corpus, tmp_path / "out", {"eval.policy": "best"})
         assert not (tmp_path / "out").exists()
 
     def test_wrong_type_from_set_exits_2(self, capsys, tmp_path):

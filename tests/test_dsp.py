@@ -4,7 +4,8 @@ import wave as wavefile
 import numpy as np
 import pytest
 
-from lidkit import dsp
+import oracles
+from lidkit import dsp, harness
 from lidkit.errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort
 
 CFG = dsp.FeatureConfig()
@@ -165,6 +166,13 @@ class TestWavIo:
         with pytest.raises(AudioFormatError, match="mid-sample"):
             dsp.read_wav(path)
 
+    def test_header_only_file_gives_a_reason(self, tmp_path):
+        path = tmp_path / "header.wav"
+        dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(AudioFormatError, match=r"\(file ends inside the WAV header\)$"):
+            dsp.read_wav(path)
+
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"plainly not RIFF data")
@@ -180,3 +188,36 @@ class TestPipeline:
         assert feats.vad_mask_applied
         full = dsp.extract_filterbanks(wave, CFG)
         assert 0 < feats.num_frames < full.num_frames
+
+
+class TestFramedOnce:
+    """The one-framing front end against the index-matrix front end that
+    framed each signal twice: identical bytes, not just close values."""
+
+    @pytest.mark.parametrize("config", [
+        CFG, dsp.FeatureConfig(preemphasis=0.9), dsp.FeatureConfig(frame_shift=0.0125),
+    ], ids=["default", "preemphasis", "frame_shift"])
+    def test_features_match_the_twice_framed_oracle_bytes(self, config):
+        specs = harness.default_training_specs() + harness.default_zero_resource_specs()
+        for i, spec in enumerate(specs):
+            rng = np.random.default_rng([17, i])
+            samples = oracles.pcm16(harness.synth_utterance(spec, 1.7, rng)) / 32768.0
+            feats = dsp.features_from_waveform(dsp.Waveform(samples), config)
+            expected = oracles.features_framed_twice(samples, config)
+            assert feats.frames.shape == expected.shape
+            assert feats.frames.tobytes() == expected.tobytes()
+
+    def test_frames_are_a_read_only_view_of_the_index_matrix_frames(self):
+        samples = np.random.default_rng(4).uniform(-1, 1, 5000)
+        frames = dsp.frame_signal(samples, 400, 160)
+        assert np.array_equal(frames, oracles.frame_by_index_matrix(samples, 400, 160))
+        assert np.shares_memory(frames, samples)
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+
+    def test_cached_filterbank_is_shared_and_refuses_writes(self):
+        weights = dsp.mel_filterbank(CFG)
+        assert dsp.mel_filterbank(dsp.FeatureConfig()) is weights
+        assert np.array_equal(weights, oracles.uncached_mel_filterbank(CFG))
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0

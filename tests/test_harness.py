@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import SHORT, TRUNCATED
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import InvalidPlan, InvalidSpec, NoUsableReferences
@@ -55,6 +56,24 @@ class TestSynthesis:
             means.append(np.mean(rows, axis=0))
         argmaxes = [int(np.argmax(m)) for m in means]
         assert len(set(argmaxes)) == len(specs)
+
+    @pytest.mark.parametrize("seed", [5, 101, 3001])
+    def test_phasor_sum_gives_the_per_harmonic_oracle_samples(self, seed):
+        # the last spec has no harmonic above the amplitude floor: silent bursts
+        specs = all_specs() + [harness.SyntheticLanguageSpec("hiss", (7950.0,), (10.0,))]
+        for lang_idx, spec in enumerate(specs):
+            for i in range(3):
+                rng = np.random.default_rng([seed, lang_idx, i])
+                oracle_rng = np.random.default_rng([seed, lang_idx, i])
+                duration = rng.uniform(*spec.length_range_s)
+                assert oracle_rng.uniform(*spec.length_range_s) == duration
+                samples = harness.synth_utterance(spec, duration, rng)
+                expected = oracles.synth_utterance_per_harmonic(spec, duration, oracle_rng)
+                assert np.array_equal(oracles.pcm16(samples), oracles.pcm16(expected))
+                # float64 rounding over at most ~80 Horner steps on unit phasors,
+                # with two orders of magnitude of headroom
+                np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-11)
+                assert rng.random() == oracle_rng.random()  # the same draws were taken
 
     def test_invalid_spec_rejected(self):
         bad = harness.SyntheticLanguageSpec("x", (9000.0,), (100.0,))

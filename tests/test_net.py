@@ -262,6 +262,12 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             net.load_params(b"NOTMODEL" + blob[8:])
 
+    def test_layer_name_that_is_not_utf8_is_corrupt(self):
+        blob = bytearray(net.save_params(tiny_net()))
+        blob[blob.index(b"frame2")] = 0xFF
+        with pytest.raises(CorruptModel, match="layer 2 .* not UTF-8"):
+            net.load_params(bytes(blob))
+
     def test_non_finite_weight_or_bias_is_corrupt(self):
         for bad in (np.nan, np.inf):
             for table in ("weights", "biases"):
