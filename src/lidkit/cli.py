@@ -29,7 +29,9 @@ import numpy as np
 from . import backend as backend_mod
 from . import config as cfgmod
 from . import harness, metrics, net, submission
-from .errors import InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss
+from .errors import (
+    CorruptModel, InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss, parse_file,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,7 +164,11 @@ def _cmd_train(args, cfg):
 
 def _load_model(path) -> net.NetworkParams:
     with open(path, "rb") as fh:
-        return net.load_params(fh.read())
+        data = fh.read()
+    try:
+        return net.load_params(data)
+    except CorruptModel as exc:
+        raise CorruptModel(f"{path}: {exc}") from None
 
 
 def _split_features(params, args, cfg):
@@ -181,25 +187,24 @@ def _cmd_extract(args, cfg):
     return EXIT_OK
 
 
-def _read_refs(path) -> list[harness.ManifestEntry]:
+def _parse_refs(text: str) -> list[harness.ManifestEntry]:
     """'language wav-path' lines as manifest entries (path is the id)."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split(None, 1)
-            if len(tokens) != 2:
-                raise MalformedLine("expected 'language wav-path'", line_no, str(path))
-            language, wav_path = tokens
-            entries.append(harness.ManifestEntry(wav_path, language, wav_path, "reference"))
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(None, 1)
+        if len(tokens) != 2:
+            raise MalformedLine("expected 'language wav-path'", line_no)
+        language, wav_path = tokens
+        entries.append(harness.ManifestEntry(wav_path, language, wav_path, "reference"))
     return entries
 
 
 def _cmd_enroll(args, cfg):
     params = _load_model(args.model)
-    entries = _read_refs(args.refs)
+    entries = parse_file(args.refs, _parse_refs)
     languages = list(dict.fromkeys(e.language for e in entries))
     models = harness.enroll_entries(params, "", entries, cfg, languages)
     harness.write_atomic(args.out, _stamp(cfg, args.seed), backend_mod.write_models(models))
@@ -226,12 +231,7 @@ def _cmd_score(args, cfg):
     else:
         if not args.enrolled:
             raise _UsageError("zero mode requires --enrolled")
-        with open(args.enrolled, "r", encoding="utf-8") as fh:
-            try:
-                models = backend_mod.parse_models(fh.read())
-            except MalformedLine as err:
-                err.path = args.enrolled
-                raise
+        models = parse_file(args.enrolled, backend_mod.parse_models)
         missing = [lang for lang in key.language_list if lang not in models.language_ids]
         if missing:
             raise InconsistentLanguageSet(
@@ -271,15 +271,10 @@ def _cmd_evaluate(args, cfg):
     fill = submission.fill_missing(records, key)
     _warn_lost(fill)
     # both policies are always reported; eval.policy picks the headline number
-    eval_configs = {
-        policy: metrics.EvalConfig.for_key(
-            key, p_target=cfg["eval.p_target"], threshold_policy=policy,
-            threshold=cfg["eval.threshold"],
-        )
+    reports = {
+        policy: metrics.compute_cavg(fill.records, key, harness.eval_config(cfg, key, policy))
         for policy in metrics.THRESHOLD_POLICIES
     }
-    reports = {policy: metrics.compute_cavg(fill.records, key, eval_config)
-               for policy, eval_config in eval_configs.items()}
     report = reports[cfg["eval.policy"]]
     print(f"Cavg {report.cavg:.4f}")
     print(f"EER% {report.eer * 100:.2f}")

@@ -4,16 +4,16 @@ Every tool in the kit reads the same trivial format: one ``key = value``
 pair per line, ``#`` starts a comment, later keys override earlier ones.
 ``resolve`` checks the parsed pairs against a table mapping every settable
 key to its default: an unknown key, a value that does not convert to its
-default's type, or one outside the key's choices is an ``InvalidConfig``
-naming the key, and the result holds every key of the table with a typed
-value.
+default's type, a NaN, or a value outside the key's choices is an
+``InvalidConfig`` naming the key, and the result holds every key of the
+table with a typed value.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, parse_file
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -24,18 +24,17 @@ def parse_config(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidConfig(f"line {line_no}: expected 'key = value', got {raw!r}")
+            raise InvalidConfig(f"expected 'key = value', got {raw!r}", line_no)
         key, value = line.split("=", 1)
         key = key.strip()
         if not key:
-            raise InvalidConfig(f"line {line_no}: empty key")
+            raise InvalidConfig("empty key", line_no)
         out[key] = value.strip()
     return out
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_file(path, parse_config)
 
 
 def _typed(key: str, value, default):
@@ -43,12 +42,14 @@ def _typed(key: str, value, default):
     # exact type checks: a bool is an int but never a valid setting
     if isinstance(value, str) or (kind is float and type(value) is int):
         try:
-            return kind(value)
+            value = kind(value)
         except ValueError:
             pass
-    elif type(value) is kind:
-        return value
-    raise InvalidConfig(f"{key}: expected {kind.__name__}, got {value!r}")
+    if type(value) is not kind:
+        raise InvalidConfig(f"{key}: expected {kind.__name__}, got {value!r}")
+    if value != value:
+        raise InvalidConfig(f"{key}: expected {kind.__name__}, got NaN")
+    return value
 
 
 def resolve(

@@ -41,10 +41,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class FeatureMatrix:
@@ -52,7 +48,6 @@ class FeatureMatrix:
 
     frames: np.ndarray
     frame_shift: float
-    vad_mask_applied: bool = False
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -280,7 +275,7 @@ def apply_vad(features: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
         )
     if not mask.any():
         raise AllFramesRemoved("energy VAD removed every frame")
-    return replace(features, frames=features.frames[mask], vad_mask_applied=True)
+    return replace(features, frames=features.frames[mask])
 
 
 def features_from_waveform(

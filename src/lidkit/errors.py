@@ -1,8 +1,11 @@
 """Exception types shared across the toolkit.
 
 Errors raised while parsing line-oriented text carry the offending line
-number so callers can emit ``file:line: message`` diagnostics.
+number; ``parse_file`` attaches the file, so they render as
+``file:line: message``.
 """
+
+from pathlib import Path
 
 
 class LidkitError(Exception):
@@ -52,6 +55,23 @@ class UnknownLanguage(LineError):
     pass
 
 
+def parse_file(path, parse):
+    """``parse(text)`` of the UTF-8 text file at ``path``, with ``path``
+    attached to any LineError it raises. Text that is not UTF-8 is a
+    MalformedLine at the first line that does not decode."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine("not valid UTF-8", line_no, str(path)) from None
+    try:
+        return parse(text)
+    except LineError as err:
+        err.path = str(path)
+        raise
+
+
 # metrics
 
 class EmptyTrialSet(LidkitError):
@@ -76,7 +96,7 @@ class TooShort(LidkitError):
     pass
 
 
-class InvalidConfig(LidkitError):
+class InvalidConfig(LineError):  # tied to a line only when from a config file
     pass
 
 

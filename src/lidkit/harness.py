@@ -25,8 +25,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
-    AllFramesRemoved, AudioFormatError, InvalidPlan, InvalidSpec, LineError, MalformedLine,
-    TooFewFrames, TooShort,
+    AllFramesRemoved, AudioFormatError, InvalidConfig, InvalidPlan, InvalidSpec, MalformedLine,
+    TooFewFrames, TooShort, parse_file,
 )
 
 log = logging.getLogger(__name__)
@@ -46,10 +46,6 @@ class ChannelSpec:
     cutoff_hz: float | None = None
     snr_db: float | None = None
     num_taps: int = 101
-
-    @property
-    def is_identity(self) -> bool:
-        return self.cutoff_hz is None and self.snr_db is None
 
 
 @dataclass(frozen=True)
@@ -210,13 +206,7 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
 
 
 def read_manifest(corpus_dir) -> list[ManifestEntry]:
-    path = Path(corpus_dir) / "manifest.txt"
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_manifest(fh.read())
-        except LineError as err:
-            err.path = str(path)
-            raise
+    return parse_file(Path(corpus_dir) / "manifest.txt", parse_manifest)
 
 
 def _synth_job(spec: SyntheticLanguageSpec, seed_key) -> np.ndarray:
@@ -299,10 +289,13 @@ class ExperimentPlan:
     zero_test_split: str = "zr_test"
     seed: int = 0
     channel: ChannelSpec = field(default_factory=ChannelSpec)
+    crop_seconds: float = 1.0  # centre crop of short-utterance and cross-channel tests
 
     def validate(self, entries: list[ManifestEntry]) -> None:
         if self.task not in TASKS:
             raise InvalidPlan(f"unknown task {self.task!r}")
+        if not self.crop_seconds > 0.0:
+            raise InvalidPlan(f"crop_seconds must be positive, got {self.crop_seconds!r}")
         splits_by_utt: dict[str, set[str]] = {}
         for e in entries:
             splits_by_utt.setdefault(e.utt_id, set()).add(e.split)
@@ -338,13 +331,25 @@ CONFIG_DEFAULTS: dict[str, object] = {
     **_fields("vad", dsp.VadConfig),
     "net.frame_dim": 16, "net.stats_dim": 24, "net.embed_dim": 16,
     "train.epochs": 8, "train.batch_size": 8, "train.learn_rate": 0.06,
-    "crop.seconds": 1.0,
     "eval.p_target": metrics.DEFAULT_P_TARGET, "eval.policy": metrics.MIN_SWEEP,
     "eval.threshold": 0.0,
     "counts.train": 100, "counts.dev": 10, "counts.test": 40, "counts.reference": 10,
     "counts.zr_test": 60,
 }
 CONFIG_CHOICES: dict[str, tuple] = {"eval.policy": metrics.THRESHOLD_POLICIES}
+
+
+def eval_config(cfg: dict[str, object], key, policy: str) -> metrics.EvalConfig:
+    """The evaluation of ``key`` under ``policy`` that the ``eval.*`` values
+    of the effective config ``cfg`` set; a value ``EvalConfig`` refuses is
+    an InvalidConfig naming its key."""
+    try:
+        return metrics.EvalConfig.for_key(
+            key, p_target=cfg["eval.p_target"], threshold_policy=policy,
+            threshold=cfg["eval.threshold"],
+        )
+    except InvalidConfig as exc:  # "<field>: ...", and the key is eval.<field>
+        raise InvalidConfig(f"eval.{exc}") from None
 
 
 # Errors that condemn one segment rather than the run. Anything else (an
@@ -479,24 +484,30 @@ def run_task(
 
     Segments ``iter_features`` skips are filled as lost trials (all -inf
     rows after the scored ones); the run itself never aborts on a bad
-    segment. Outputs land in ``out_dir`` as scores_<task>.txt,
-    report_<task>.txt, and det_<task>.txt. ``config`` overrides
-    ``CONFIG_DEFAULTS`` (strings or typed values).
+    segment. Short-utterance and cross-channel test segments are cropped
+    to their central ``plan.crop_seconds``. Outputs land in ``out_dir`` as
+    scores_<task>.txt, report_<task>.txt, and det_<task>.txt. ``config``
+    overrides ``CONFIG_DEFAULTS`` (strings or typed values); its
+    ``eval.*`` values are checked against the key before any training.
     """
     cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_CHOICES)
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)
     plan.validate(entries)
+    closed_set = plan.task in (SHORT_UTTERANCE, CROSS_CHANNEL)
+    test_split = plan.test_split if closed_set else plan.zero_test_split
+    key = submission.read_key_file(corpus_dir / f"key_{test_split}.txt")
+    evaluation = eval_config(cfg, key, cfg["eval.policy"])
+    languages = key.language_list
+    test_entries = [e for e in entries if e.split == test_split]
     if params is None:
         train_entries = [e for e in entries if e.split == plan.train_split]
         params = train_network(
             corpus_dir, train_entries, plan.train_languages, cfg, plan.seed
         )
 
-    if plan.task in (SHORT_UTTERANCE, CROSS_CHANNEL):
-        key = submission.read_key_file(corpus_dir / f"key_{plan.test_split}.txt")
-        languages = key.language_list
+    if closed_set:
         try:
             subset = [plan.train_languages.index(lang) for lang in languages]
         except ValueError:
@@ -504,13 +515,12 @@ def run_task(
                 f"test key languages {languages} not all in training set "
                 f"{plan.train_languages}"
             ) from None
-        test_entries = [e for e in entries if e.split == plan.test_split]
 
         def transform(i, samples):
             rng = np.random.default_rng([plan.seed, 3, i])
             if plan.task == CROSS_CHANNEL:
                 samples = apply_channel(samples, plan.channel, rng)
-            return _crop_center(samples, cfg["crop.seconds"])
+            return _crop_center(samples, plan.crop_seconds)
 
         records = [
             submission.ScoreRecord(
@@ -519,15 +529,12 @@ def run_task(
             for entry, feats in iter_features(params, corpus_dir, test_entries, cfg, transform)
         ]
     else:
-        key = submission.read_key_file(corpus_dir / f"key_{plan.zero_test_split}.txt")
-        languages = key.language_list
         if set(languages) != set(plan.zero_languages):
             raise InvalidPlan(
                 f"zero-resource key languages {languages} != plan {plan.zero_languages}"
             )
         references = [e for e in entries if e.split == plan.reference_split]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
-        test_entries = [e for e in entries if e.split == plan.zero_test_split]
         records = [
             submission.ScoreRecord(
                 entry.utt_id, backend_mod.score_zero_resource(models, feats, params)
@@ -538,13 +545,7 @@ def run_task(
     fill = submission.fill_missing(records, key)
     if fill.num_filled:
         log.warning("%d lost trial(s) filled with -inf", fill.num_filled)
-    eval_config = metrics.EvalConfig.for_key(
-        key,
-        p_target=cfg["eval.p_target"],
-        threshold_policy=cfg["eval.policy"],
-        threshold=cfg["eval.threshold"],
-    )
-    report = metrics.compute_cavg(fill.records, key, eval_config)
+    report = metrics.compute_cavg(fill.records, key, evaluation)
 
     score_path = out_dir / f"scores_{plan.task}.txt"
     report_path = out_dir / f"report_{plan.task}.txt"

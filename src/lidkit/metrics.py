@@ -27,25 +27,33 @@ Fixed conventions, documented rather than configurable:
 * out-of-set segments are non-target trials for every hypothesis
   language and never target trials; for the average cost they form one
   extra non-target group per target language, weighted ``p_nontarget``;
-* the equal error rate linearly interpolates between the two sweep
+* the equal error rate linearly interpolates between the two DET
   points flanking the miss/false-alarm crossing.
+
+Every count comes from one table of sorted trial pools that
+``compute_cavg`` builds once: per target language, its own segments'
+scores and each non-target group's scores (every other language, then
+the out-of-set group), all in the target's column, plus the pooled target
+and non-target trials. One rule counts them: ``k = searchsorted(pool,
+theta, side="left")`` scores lie below ``theta``, so k/n of a target
+pool's trials are missed and (n - k)/n of a non-target pool's are false
+alarms. The min-sweep cost curve, the pair terms at the chosen threshold
+and the pooled DET, a (K, 2) float64 array of ``(p_miss, p_fa)`` rows,
+all read it. ``compute_cavg`` needs a segment of every key language
+(``EmptyTrialSet`` otherwise), and ``EvalConfig`` refuses a NaN threshold.
 
 All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyTrialSet,
-    InconsistentLanguageSet,
-    MissingSegment,
-    UnknownLanguage,
-)
-from .submission import OUT_OF_SET, ScoreRecord, TrialKey
+from .errors import EmptyTrialSet, InconsistentLanguageSet, InvalidConfig, MissingSegment
+from .submission import OUT_OF_SET, TrialKey
 
 FIXED = "fixed"
 MIN_SWEEP = "min_sweep"
@@ -64,8 +72,12 @@ class EvalConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
+        # the two settings are refused as InvalidConfig naming the field,
+        # which harness.eval_config turns into the name of the config key
         if not 0.0 < self.p_target < 1.0:
-            raise ValueError(f"p_target must lie in (0, 1), got {self.p_target}")
+            raise InvalidConfig(f"p_target: expected a value in (0, 1), got {self.p_target!r}")
+        if math.isnan(self.threshold):
+            raise InvalidConfig("threshold: expected a number, got nan")
         if self.num_languages < 2:
             raise ValueError(f"need at least 2 languages, got {self.num_languages}")
         if self.threshold_policy not in THRESHOLD_POLICIES:
@@ -98,7 +110,7 @@ class EvalReport:
     cavg: float
     eer: float
     pairwise: list[PairwiseLoss] = field(default_factory=list)
-    det_points: list[tuple[float, float]] = field(default_factory=list)
+    det_points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     threshold_used: float = 0.0
     threshold_policy: str = MIN_SWEEP
 
@@ -140,48 +152,117 @@ def _score_matrix(records, key: TrialKey, num_languages: int):
     return matrix, true_idx
 
 
-def _rows_for(matrix, true_idx, lang_idx: int, column: int) -> np.ndarray:
-    return matrix[true_idx == lang_idx, column]
+# ---------------------------------------------------------------------------
+# the sorted-trial table: every count below is read from it
+
+def _below(pool: np.ndarray, thetas):
+    """The one counting rule: how many scores of the sorted ``pool`` fall
+    strictly below each threshold. Of a target pool's n trials, k/n are
+    missed at that threshold; of a non-target pool's, (n - k)/n are false
+    alarms (a score equal to the threshold is a detection)."""
+    return np.searchsorted(pool, thetas, side="left")
+
+
+@dataclass(frozen=True)
+class _TrialTable:
+    """Sorted trial pools.
+
+    ``columns`` holds, per target language in key order, ``(target, own,
+    others)``: ``own`` is the target's segments' scores in its column and
+    ``others`` lists ``(group, pool)`` for every other language and then the
+    out-of-set group (if any), each group's scores in the target's column.
+    ``targets`` and ``nontargets`` are the pooled (segment, hypothesis)
+    trials and ``scores`` their distinct values.
+    """
+
+    columns: list[tuple[str, np.ndarray, list[tuple[str, np.ndarray]]]]
+    targets: np.ndarray
+    nontargets: np.ndarray
+    scores: np.ndarray
+
+
+def _pooled(matrix, true_idx):
+    """Sorted target and non-target pools of all (segment, hypothesis)
+    trials, and the distinct scores."""
+    is_target = (true_idx[:, None] == np.arange(matrix.shape[1])[None, :]).ravel()
+    flat = matrix.ravel()
+    targets, nontargets = np.sort(flat[is_target]), np.sort(flat[~is_target])
+    if targets.size == 0:
+        raise EmptyTrialSet("no target trials")
+    if nontargets.size == 0:
+        raise EmptyTrialSet("no nontarget trials")
+    return targets, nontargets, np.unique(matrix)
+
+
+def _trial_table(matrix, true_idx, key: TrialKey) -> _TrialTable:
+    """Build the table, raising EmptyTrialSet for a key language that has
+    no segment."""
+    groups = [(lang, true_idx == i) for i, lang in enumerate(key.language_list)]
+    for lang, rows in groups:
+        if not rows.any():
+            raise EmptyTrialSet(f"no trials for language {lang!r}")
+    if np.any(true_idx == -1):
+        groups.append((OUT_OF_SET, true_idx == -1))
+    columns = []
+    for t, target in enumerate(key.language_list):
+        pools = [(group, np.sort(matrix[rows, t])) for group, rows in groups]
+        own = pools.pop(t)[1]
+        columns.append((target, own, pools))
+    return _TrialTable(columns, *_pooled(matrix, true_idx))
+
+
+def _cavg_curve(table: _TrialTable, config: EvalConfig, thetas) -> np.ndarray:
+    """Average cost at every threshold in ``thetas`` (vectorized sweep)."""
+    total = np.zeros(thetas.shape, dtype=np.float64)
+    for _, own, others in table.columns:
+        term = config.p_target * (_below(own, thetas) / own.size)
+        for _, pool in others:
+            fa = (pool.size - _below(pool, thetas)) / pool.size
+            term = term + config.p_nontarget * fa
+        total += term
+    return total / config.num_languages
+
+
+def _pairwise_at(table: _TrialTable, config: EvalConfig, theta: float):
+    pairs = []
+    for target, own, others in table.columns:
+        p_miss = float(_below(own, theta) / own.size)
+        for nontarget, pool in others:
+            p_fa = float((pool.size - _below(pool, theta)) / pool.size)
+            cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
+            pairs.append(PairwiseLoss(target, nontarget, p_miss, p_fa, cost))
+    return pairs
+
+
+def _det(targets, nontargets, scores) -> np.ndarray:
+    """(K, 2) array of (p_miss, p_fa): (0, 1), one row per distinct score
+    in increasing order, then (1, 0)."""
+    det = np.empty((scores.size + 2, 2), dtype=np.float64)
+    det[0] = (0.0, 1.0)
+    det[1:-1, 0] = _below(targets, scores) / targets.size
+    det[1:-1, 1] = (nontargets.size - _below(nontargets, scores)) / nontargets.size
+    det[-1] = (1.0, 0.0)
+    return det
+
+
+def _eer(det: np.ndarray) -> float:
+    """Crossing of p_miss and p_fa along the DET, linearly interpolated.
+
+    The difference p_miss - p_fa is nondecreasing along the DET and spans
+    [-1, 1] thanks to the endpoints, so the first nonnegative entry
+    locates the crossing.
+    """
+    miss, fa = det[:, 0], det[:, 1]
+    diff = miss - fa
+    i = int(np.argmax(diff >= 0.0))
+    if diff[i] == 0.0:
+        return float(miss[i])
+    w = diff[i - 1] / (diff[i - 1] - diff[i])
+    return float(miss[i - 1] + w * (miss[i] - miss[i - 1]))
 
 
 # ---------------------------------------------------------------------------
-# pair-wise loss
-
-def compute_pairwise_loss(
-    records,
-    key: TrialKey,
-    target: str,
-    nontarget: str,
-    threshold: float,
-    config: EvalConfig | None = None,
-) -> PairwiseLoss:
-    """Miss/false-alarm rates and detection cost for one language pair.
-
-    ``nontarget`` may be the out-of-set marker, in which case the
-    false-alarm pool is the key's out-of-set segments.
-    """
-    if config is None:
-        config = EvalConfig.for_key(key)
-    if target == nontarget:
-        raise ValueError("target and nontarget languages must differ")
-    index = {lang: i for i, lang in enumerate(key.language_list)}
-    if target not in index:
-        raise UnknownLanguage(f"target language {target!r} not in key")
-    if nontarget != OUT_OF_SET and nontarget not in index:
-        raise UnknownLanguage(f"nontarget language {nontarget!r} not in key")
-    matrix, true_idx = _score_matrix(records, key, config.num_languages)
-    t = index[target]
-    target_scores = _rows_for(matrix, true_idx, t, t)
-    nontarget_scores = _rows_for(matrix, true_idx, index.get(nontarget, -1), t)
-    if target_scores.size == 0:
-        raise EmptyTrialSet(f"no trials for target language {target!r}")
-    if nontarget_scores.size == 0:
-        raise EmptyTrialSet(f"no trials for nontarget language {nontarget!r}")
-    p_miss = float(np.count_nonzero(target_scores < threshold) / target_scores.size)
-    p_fa = float(np.count_nonzero(nontarget_scores >= threshold) / nontarget_scores.size)
-    cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
-    return PairwiseLoss(target, nontarget, p_miss, p_fa, cost)
-
+# evaluation
 
 def cavg_from_pairwise(
     pairwise: list[PairwiseLoss], p_target: float, num_languages: int
@@ -208,64 +289,6 @@ def cavg_from_pairwise(
     return total / num_languages
 
 
-# ---------------------------------------------------------------------------
-# average cost
-
-def _nontarget_groups(key: TrialKey, true_idx) -> list[tuple[str, int]]:
-    groups = [(lang, i) for i, lang in enumerate(key.language_list)]
-    if np.any(true_idx == -1):
-        groups.append((OUT_OF_SET, -1))
-    return groups
-
-
-def _sweep_candidates(matrix) -> np.ndarray:
-    values = np.unique(matrix)
-    return np.unique(np.concatenate([values, [-np.inf, np.inf]]))
-
-
-def _cavg_curve(matrix, true_idx, key: TrialKey, config: EvalConfig, thetas) -> np.ndarray:
-    """Average cost at every threshold in ``thetas`` (vectorized sweep)."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    n = config.num_languages
-    groups = _nontarget_groups(key, true_idx)
-    total = np.zeros(thetas.shape, dtype=np.float64)
-    for t in range(n):
-        target_scores = np.sort(_rows_for(matrix, true_idx, t, t))
-        if target_scores.size == 0:
-            raise EmptyTrialSet(
-                f"no trials for target language {key.language_list[t]!r}"
-            )
-        miss = np.searchsorted(target_scores, thetas, side="left") / target_scores.size
-        term = config.p_target * miss
-        for _, g in groups:
-            if g == t:
-                continue
-            pool = np.sort(matrix[true_idx == g, t])
-            if pool.size == 0:
-                lang = key.language_list[g] if g >= 0 else OUT_OF_SET
-                raise EmptyTrialSet(f"no trials for nontarget language {lang!r}")
-            fa = (pool.size - np.searchsorted(pool, thetas, side="left")) / pool.size
-            term = term + config.p_nontarget * fa
-        total += term
-    return total / n
-
-
-def _pairwise_at(matrix, true_idx, key: TrialKey, config: EvalConfig, theta: float):
-    pairs = []
-    groups = _nontarget_groups(key, true_idx)
-    for t, target in enumerate(key.language_list):
-        target_scores = _rows_for(matrix, true_idx, t, t)
-        p_miss = float(np.count_nonzero(target_scores < theta) / target_scores.size)
-        for nontarget, g in groups:
-            if g == t:
-                continue
-            pool = matrix[true_idx == g, t]
-            p_fa = float(np.count_nonzero(pool >= theta) / pool.size)
-            cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
-            pairs.append(PairwiseLoss(target, nontarget, p_miss, p_fa, cost))
-    return pairs
-
-
 def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> EvalReport:
     """Evaluate a score file: average cost, pooled EER, and the DET curve.
 
@@ -273,27 +296,23 @@ def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> Ev
     Under ``min_sweep`` one global threshold is swept over every distinct
     score value plus +/-inf and the minimizing cost is reported;
     ``threshold_used`` records the minimizer (first one on ties, scanning
-    thresholds in increasing order).
+    thresholds in increasing order). Raises EmptyTrialSet when a key
+    language has no segment.
     """
     if config is None:
         config = EvalConfig.for_key(key)
     matrix, true_idx = _score_matrix(records, key, config.num_languages)
+    table = _trial_table(matrix, true_idx, key)
     if config.threshold_policy == FIXED:
         theta = config.threshold
-        # single-point sweep keeps the EmptyTrialSet checks in one place
-        _cavg_curve(matrix, true_idx, key, config, [theta])
     else:
-        candidates = _sweep_candidates(matrix)
-        curve = _cavg_curve(matrix, true_idx, key, config, candidates)
-        theta = float(candidates[int(np.argmin(curve))])
-    pairwise = _pairwise_at(matrix, true_idx, key, config, theta)
-    cavg = cavg_from_pairwise(pairwise, config.p_target, config.num_languages)
-    target_pool, nontarget_pool = _pooled_trials(matrix, true_idx)
-    det = _det_from_pools(target_pool, nontarget_pool)
-    eer = _eer_from_det(det)
+        thetas = np.union1d(table.scores, (-np.inf, np.inf))
+        theta = float(thetas[int(np.argmin(_cavg_curve(table, config, thetas)))])
+    pairwise = _pairwise_at(table, config, theta)
+    det = _det(table.targets, table.nontargets, table.scores)
     return EvalReport(
-        cavg=cavg,
-        eer=eer,
+        cavg=cavg_from_pairwise(pairwise, config.p_target, config.num_languages),
+        eer=_eer(det),
         pairwise=pairwise,
         det_points=det,
         threshold_used=theta,
@@ -301,65 +320,16 @@ def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> Ev
     )
 
 
-# ---------------------------------------------------------------------------
-# pooled trials: DET curve and equal error rate
-
-def _pooled_trials(matrix, true_idx):
-    """Split all (segment, hypothesis) trial scores into target/nontarget pools."""
-    n_lang = matrix.shape[1]
-    hyp = np.arange(n_lang)
-    target_mask = true_idx[:, None] == hyp[None, :]
-    flat = matrix.ravel()
-    mask = target_mask.ravel()
-    return flat[mask], flat[~mask]
-
-
-def _det_from_pools(target_pool, nontarget_pool) -> list[tuple[float, float]]:
-    if target_pool.size == 0:
-        raise EmptyTrialSet("no target trials")
-    if nontarget_pool.size == 0:
-        raise EmptyTrialSet("no nontarget trials")
-    targets = np.sort(target_pool)
-    nontargets = np.sort(nontarget_pool)
-    candidates = np.unique(np.concatenate([target_pool, nontarget_pool]))
-    miss = np.searchsorted(targets, candidates, side="left") / targets.size
-    fa = (
-        nontargets.size - np.searchsorted(nontargets, candidates, side="left")
-    ) / nontargets.size
-    points = [(0.0, 1.0)]
-    points.extend((float(m), float(f)) for m, f in zip(miss, fa))
-    points.append((1.0, 0.0))
-    return points
-
-
-def _eer_from_det(points) -> float:
-    """Crossing of p_miss and p_fa along the sweep, linearly interpolated.
-
-    The difference p_miss - p_fa is nondecreasing along the sweep and spans
-    [-1, 1] thanks to the infinite endpoints, so the first nonnegative
-    entry locates the crossing.
-    """
-    miss = np.array([p[0] for p in points])
-    fa = np.array([p[1] for p in points])
-    diff = miss - fa
-    i = int(np.argmax(diff >= 0.0))
-    if diff[i] == 0.0:
-        return float(miss[i])
-    w = diff[i - 1] / (diff[i - 1] - diff[i])
-    return float(miss[i - 1] + w * (miss[i] - miss[i - 1]))
-
-
-def det_curve(records, key: TrialKey) -> list[tuple[float, float]]:
+def det_curve(records, key: TrialKey) -> np.ndarray:
     """DET points over the pooled trial set, one per distinct score plus
-    the (0,1) and (1,0) endpoints, in threshold order."""
+    the (0,1) and (1,0) endpoints, in threshold order, as a (K, 2) array."""
     matrix, true_idx = _score_matrix(records, key, key.num_languages)
-    target_pool, nontarget_pool = _pooled_trials(matrix, true_idx)
-    return _det_from_pools(target_pool, nontarget_pool)
+    return _det(*_pooled(matrix, true_idx))
 
 
 def compute_eer(records, key: TrialKey) -> float:
     """Pooled equal error rate (see module docstring for the trial set)."""
-    return _eer_from_det(det_curve(records, key))
+    return _eer(det_curve(records, key))
 
 
 # ---------------------------------------------------------------------------
@@ -382,5 +352,7 @@ def report_text(report: EvalReport) -> str:
 
 
 def det_text(points) -> str:
-    """Two-column DET rendering: 'p_miss p_fa' per line, 9 significant digits."""
-    return "\n".join(f"{m:.9g} {f:.9g}" for m, f in points) + "\n"
+    """Two-column DET rendering of (K, 2) points: 'p_miss p_fa' per line,
+    9 significant digits."""
+    miss, fa = np.asarray(points, dtype=np.float64).T.tolist()
+    return "\n".join(f"{m:.9g} {f:.9g}" for m, f in zip(miss, fa)) + "\n"

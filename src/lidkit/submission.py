@@ -29,10 +29,10 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DuplicateSegment,
-    LineError,
     MalformedLine,
     NaNScore,
     UnknownLanguage,
+    parse_file,
 )
 
 OUT_OF_SET = "OOS"
@@ -77,9 +77,6 @@ class TrialKey:
     @property
     def num_languages(self) -> int:
         return len(self.language_list)
-
-    def is_out_of_set(self, segment_id: str) -> bool:
-        return self.entries[segment_id] == OUT_OF_SET
 
 
 def _data_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -198,18 +195,8 @@ def fill_missing(records: Sequence[ScoreRecord], key: TrialKey) -> FillResult:
 
 
 def read_score_file(path, expected_languages: Sequence[str]) -> list[ScoreRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_scores(fh.read(), expected_languages)
-        except LineError as err:
-            err.path = str(path)
-            raise
+    return parse_file(path, lambda text: parse_scores(text, expected_languages))
 
 
 def read_key_file(path) -> TrialKey:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_key(fh.read())
-        except LineError as err:
-            err.path = str(path)
-            raise
+    return parse_file(path, parse_key)

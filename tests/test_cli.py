@@ -18,15 +18,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestEvaluateCommand:
-    @pytest.fixture
-    def worked_example(self, tmp_path):
-        scores = tmp_path / "scores.txt"
-        key = tmp_path / "key.txt"
-        scores.write_text("s1 1 2\ns3 -2 -1\ns2 -1 1\n")
-        key.write_text("A B\ns1 A\ns3 A\ns2 B\n")
-        return scores, key
+@pytest.fixture
+def worked_example(tmp_path):
+    scores = tmp_path / "scores.txt"
+    key = tmp_path / "key.txt"
+    scores.write_text("s1 1 2\ns3 -2 -1\ns2 -1 1\n")
+    key.write_text("A B\ns1 A\ns3 A\ns2 B\n")
+    return scores, key
 
+
+class TestEvaluateCommand:
     def test_worked_example_prints_cavg(self, capsys, worked_example):
         scores, key = worked_example
         code, out, _ = run(
@@ -270,11 +271,11 @@ class TestSegmentFailures:
         )
         assert code == 0
         plan = harness.ExperimentPlan(
-            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=8
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=8,
+            crop_seconds=100.0,  # longer than any utterance
         )
-        uncropped = {"crop.seconds": "100"}  # longer than any utterance
         result = harness.run_task(
-            plan, corpus, tmp_path / "task", uncropped, params=net.load_params(model.read_bytes())
+            plan, corpus, tmp_path / "task", params=net.load_params(model.read_bytes())
         )
         assert data_lines(scores) == data_lines(result.score_path)
         assert data_lines(scores)[-1].split() == [TRUNCATED["test"]] + ["-inf"] * 3
@@ -388,6 +389,54 @@ class TestSegmentFailures:
         assert err.startswith(f"error: {tmp_path / 'manifest.txt'}:2: ")
 
 
+class TestFilesNamed:
+    """A text input that is not UTF-8, and a corrupt model, name their file."""
+
+    BAD_LINE_2 = b"# first line\n\xff\xfe\n"
+
+    def test_scores_key_and_config(self, capsys, worked_example, tmp_path):
+        scores, key = worked_example
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.BAD_LINE_2)
+        for argv in (["--scores", str(bad), "--key", str(key)],
+                     ["--scores", str(scores), "--key", str(bad)],
+                     ["--scores", str(scores), "--key", str(key), "--config", str(bad)]):
+            code, _, err = run(capsys, "evaluate", *argv)
+            assert code == 2
+            assert err == f"error: {bad}:2: not valid UTF-8\n"
+
+    def test_manifest_refs_and_enrolled(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.BAD_LINE_2)
+        (tmp_path / "manifest.txt").write_bytes(self.BAD_LINE_2)
+        out = str(tmp_path / "out.txt")
+        commands = [
+            (["train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS, "--out", out],
+             tmp_path / "manifest.txt"),
+            (["enroll", "--model", str(model), "--refs", str(bad), "--out", out], bad),
+            (["score", "--model", str(model), "--corpus", str(corpus), "--split", "zr_test",
+              "--key", str(corpus / "key_zr_test.txt"), "--mode", "zero",
+              "--enrolled", str(bad), "--out", out], bad),
+        ]
+        for argv, named in commands:
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"error: {named}:2: not valid UTF-8\n"
+        assert not Path(out).exists()
+
+    def test_corrupt_model(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(model.read_bytes()[:100])
+        code, _, err = run(
+            capsys, "extract", "--model", str(cut), "--corpus", str(corpus),
+            "--split", "test", "--out", str(tmp_path / "x.txt"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {cut}: ") and len(err.splitlines()) == 1
+
+
 class TestTooFewFrames:
     """A segment that keeps too few frames for the network is skipped like
     an unreadable one: every command leaves it out, and ``score`` and
@@ -404,11 +453,11 @@ class TestTooFewFrames:
         assert code == 0
         assert f"skipping {SHORT['test']} (need at least 15 frames" in err
         plan = harness.ExperimentPlan(
-            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=9
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=9,
+            crop_seconds=100.0,  # longer than any utterance
         )
-        uncropped = {"crop.seconds": "100"}  # longer than any utterance
         result = harness.run_task(
-            plan, corpus, tmp_path / "task", uncropped, params=net.load_params(model.read_bytes())
+            plan, corpus, tmp_path / "task", params=net.load_params(model.read_bytes())
         )
         assert data_lines(scores) == data_lines(result.score_path)
         assert data_lines(scores)[-1].split() == [SHORT["test"]] + ["-inf"] * 3

@@ -26,14 +26,13 @@ class TestParseConfig:
 
 
 class TestResolve:
-    def test_table_has_the_26_settable_keys(self):
+    def test_table_has_the_25_settable_keys(self):
         assert sorted(harness.CONFIG_DEFAULTS) == sorted(
             [f"feat.{name}" for name in (
                 "sample_rate", "frame_len", "frame_shift", "fft_size", "num_filters",
                 "low_freq", "high_freq", "preemphasis", "floor")]
             + ["vad.offset", "vad.floor", "net.frame_dim", "net.stats_dim", "net.embed_dim",
-               "train.epochs", "train.batch_size", "train.learn_rate", "crop.seconds",
-               "eval.p_target", "eval.policy", "eval.threshold"]
+               "train.epochs", "train.batch_size", "train.learn_rate", "eval.p_target", "eval.policy", "eval.threshold"]
             + [f"counts.{split}" for split in ("train", "dev", "test", "reference", "zr_test")]
         )
 
@@ -45,16 +44,16 @@ class TestResolve:
         cfg = config.resolve(
             harness.CONFIG_DEFAULTS,
             {"train.epochs": "3", "train.learn_rate": "0.1", "eval.policy": "fixed",
-             "crop.seconds": "2"},
+             "feat.low_freq": "2"},
         )
         assert cfg["train.epochs"] == 3 and type(cfg["train.epochs"]) is int
         assert cfg["train.learn_rate"] == 0.1
         assert cfg["eval.policy"] == "fixed"
-        assert cfg["crop.seconds"] == 2.0 and type(cfg["crop.seconds"]) is float
+        assert cfg["feat.low_freq"] == 2.0 and type(cfg["feat.low_freq"]) is float
 
     def test_string_and_typed_overrides_agree(self):
-        strings = {"train.epochs": "3", "crop.seconds": "2", "feat.floor": "1e-8"}
-        typed = {"train.epochs": 3, "crop.seconds": 2, "feat.floor": 1e-8}
+        strings = {"train.epochs": "3", "feat.low_freq": "2", "feat.floor": "1e-8"}
+        typed = {"train.epochs": 3, "feat.low_freq": 2, "feat.floor": 1e-8}
         resolved = config.resolve(harness.CONFIG_DEFAULTS, strings)
         assert resolved == config.resolve(harness.CONFIG_DEFAULTS, typed)
         assert config.resolve(harness.CONFIG_DEFAULTS, resolved) == resolved
@@ -67,6 +66,9 @@ class TestResolve:
     def test_unknown_key_named(self):
         with pytest.raises(InvalidConfig, match="'train.epoch'"):
             config.resolve(harness.CONFIG_DEFAULTS, {"train.epoch": "3"})
+        # the crop is ExperimentPlan.crop_seconds, not a setting
+        with pytest.raises(InvalidConfig, match="'crop.seconds'"):
+            config.resolve(harness.CONFIG_DEFAULTS, {"crop.seconds": "1"})
 
     @pytest.mark.parametrize("key, value", [
         ("train.epochs", "three"),
@@ -76,6 +78,8 @@ class TestResolve:
         ("train.learn_rate", "fast"),
         ("train.learn_rate", None),
         ("eval.policy", 1),
+        ("feat.preemphasis", "nan"),
+        ("eval.threshold", float("nan")),
     ])
     def test_wrong_type_named(self, key, value):
         with pytest.raises(InvalidConfig, match=key):
@@ -111,6 +115,19 @@ class TestUnknownKeys:
         assert "train.epoch" in err
         assert not report.exists()
 
+    def test_config_file_line_without_equals_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "recipe.cfg"
+        cfg.write_text("train.epochs = 3\ntrain.epochs 5\n")
+        scores, key = tmp_path / "s.txt", tmp_path / "k.txt"
+        scores.write_text("s1 1 2\ns2 -1 1\n")
+        key.write_text("A B\ns1 A\ns2 B\n")
+        code = cli.main(["evaluate", "--scores", str(scores), "--key", str(key),
+                         "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: expected 'key = value', got 'train.epochs 5'\n"
+        )
+
     def test_harness_raises_naming_key_and_writes_nothing(self, damaged_corpus, tmp_path):
         corpus, _ = damaged_corpus
         entries = [e for e in harness.read_manifest(corpus) if e.split == "train"]
@@ -143,6 +160,33 @@ class TestUnknownKeys:
         assert code == 2
         assert "counts.train" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestEvalSettings:
+    """NaN settings and a p_target outside (0, 1) exit 2 naming the key."""
+
+    @pytest.mark.parametrize("setting, message", [
+        ("eval.threshold=nan", "eval.threshold: expected float, got NaN"),
+        ("feat.preemphasis=nan", "feat.preemphasis: expected float, got NaN"),
+        ("eval.p_target=2", "eval.p_target: expected a value in (0, 1), got 2.0"),
+        ("eval.p_target=0", "eval.p_target: expected a value in (0, 1), got 0.0"),
+    ])
+    def test_evaluate_exits_2_naming_the_key(self, capsys, tmp_path, setting, message):
+        scores, key, report = (tmp_path / name for name in ("s.txt", "k.txt", "r.txt"))
+        scores.write_text("s1 1 2\ns2 -1 1\n")
+        key.write_text("A B\ns1 A\ns2 B\n")
+        code = cli.main(["evaluate", "--scores", str(scores), "--key", str(key),
+                         "--report", str(report), "--set", setting])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
+    def test_run_task_refuses_p_target_before_training(self, damaged_corpus, tmp_path):
+        corpus, _ = damaged_corpus
+        plan = harness.ExperimentPlan(task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS)
+        with pytest.raises(InvalidConfig, match=r"^eval.p_target: expected a value in \(0, 1\)"):
+            harness.run_task(plan, corpus, tmp_path / "out", {"eval.p_target": "1"})
+        assert not (tmp_path / "out").exists()
 
 
 class TestStamp:

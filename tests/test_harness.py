@@ -157,6 +157,14 @@ class TestPlan:
         with pytest.raises(InvalidPlan):
             plan.validate([])
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+    def test_crop_must_be_positive(self, seconds):
+        plan = harness.ExperimentPlan(
+            task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS, crop_seconds=seconds
+        )
+        with pytest.raises(InvalidPlan, match="crop_seconds"):
+            plan.validate([])
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):

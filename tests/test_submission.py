@@ -100,7 +100,7 @@ class TestParseKey:
 
     def test_out_of_set_entry(self):
         key = sub.parse_key("A B C\ns2 OOS\n")
-        assert key.is_out_of_set("s2")
+        assert key.entries == {"s2": sub.OUT_OF_SET}
 
     def test_duplicate_segment(self):
         with pytest.raises(DuplicateSegment):
