@@ -40,7 +40,18 @@ pool's trials are missed and (n - k)/n of a non-target pool's are false
 alarms. The min-sweep cost curve, the pair terms at the chosen threshold
 and the pooled DET, a (K, 2) float64 array of ``(p_miss, p_fa)`` rows,
 all read it. ``compute_cavg`` needs a segment of every key language
-(``EmptyTrialSet`` otherwise), and ``EvalConfig`` refuses a NaN threshold.
+(``EmptyTrialSet`` otherwise), refuses a NaN score (``NaNScore``, as the
+score reader and writer do), and ``EvalConfig`` refuses a NaN threshold.
+
+The min sweep runs over each column's own steps. A target column's
+counts change only at that column's distinct scores, so for ``steps``,
+those scores plus +/-inf, every count is constant for thresholds in
+``(steps[j-1], steps[j]]``. Each column's cost term is therefore computed
+on its (at most one per segment) steps, with the same integer counts and
+the same float operations in the same order as at every threshold, and
+read at ``j = searchsorted(steps, theta, side="left")``: one search over
+the thresholds per column instead of one per pool, and a curve equal bit
+for bit to evaluating every pool at every threshold.
 
 All operations are pure functions of their inputs.
 """
@@ -52,8 +63,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrialSet, InconsistentLanguageSet, InvalidConfig, MissingSegment
-from .submission import OUT_OF_SET, TrialKey
+from .errors import (
+    EmptyTrialSet,
+    InconsistentLanguageSet,
+    InvalidConfig,
+    MissingSegment,
+    NaNScore,
+)
+from .submission import OUT_OF_SET, SCORE_FORMAT, TrialKey, format_lines
 
 FIXED = "fixed"
 MIN_SWEEP = "min_sweep"
@@ -123,31 +140,35 @@ def _score_matrix(records, key: TrialKey, num_languages: int):
 
     True indices follow key.language_list order; out-of-set entries get -1.
     Records not named by the key are ignored (fill_missing drops and
-    reports them upstream).
+    reports them upstream); of two records of one segment the last counts.
+    A NaN score is refused, as the score reader and writer refuse it.
     """
     if num_languages != key.num_languages:
         raise InconsistentLanguageSet(
             f"config declares {num_languages} languages, key has {key.num_languages}"
         )
-    by_id: dict[str, np.ndarray] = {}
     for rec in records:
         if rec.scores.shape != (num_languages,):
             raise InconsistentLanguageSet(
                 f"segment {rec.segment_id!r} has {rec.scores.shape[0]} scores, "
                 f"expected {num_languages}"
             )
-        by_id[rec.segment_id] = rec.scores
-    missing = [seg for seg in key.entries if seg not in by_id]
+    position = {rec.segment_id: i for i, rec in enumerate(records)}
+    missing = [seg for seg in key.entries if seg not in position]
     if missing:
         raise MissingSegment(
             f"{len(missing)} key segment(s) absent from scores, first {missing[0]!r}; "
             "run fill_missing first"
         )
-    segment_ids = list(key.entries)
-    matrix = np.array([by_id[seg] for seg in segment_ids], dtype=np.float64)
+    order = np.fromiter(map(position.__getitem__, key.entries), np.intp, len(key.entries))
+    scores = np.array([rec.scores for rec in records], dtype=np.float64)
+    matrix = scores.reshape(len(records), num_languages)[order]
+    nan_rows = np.isnan(matrix).any(axis=1)
+    if nan_rows.any():
+        raise NaNScore(f"segment {list(key.entries)[int(np.argmax(nan_rows))]!r} has a NaN score")
     index = {lang: i for i, lang in enumerate(key.language_list)}
-    true_idx = np.array(
-        [index.get(key.entries[seg], -1) for seg in segment_ids], dtype=np.int64
+    true_idx = np.fromiter(
+        (index.get(lang, -1) for lang in key.entries.values()), np.int64, len(key.entries)
     )
     return matrix, true_idx
 
@@ -212,14 +233,18 @@ def _trial_table(matrix, true_idx, key: TrialKey) -> _TrialTable:
 
 
 def _cavg_curve(table: _TrialTable, config: EvalConfig, thetas) -> np.ndarray:
-    """Average cost at every threshold in ``thetas`` (vectorized sweep)."""
+    """Average cost at every threshold in ``thetas``: each column's term
+    is computed once per step of the column and read at ``j = _below(steps,
+    theta)`` (see the module docstring)."""
     total = np.zeros(thetas.shape, dtype=np.float64)
     for _, own, others in table.columns:
-        term = config.p_target * (_below(own, thetas) / own.size)
+        steps = np.union1d(np.concatenate([own, *(pool for _, pool in others)]),
+                           (-np.inf, np.inf))
+        term = config.p_target * (_below(own, steps) / own.size)
         for _, pool in others:
-            fa = (pool.size - _below(pool, thetas)) / pool.size
+            fa = (pool.size - _below(pool, steps)) / pool.size
             term = term + config.p_nontarget * fa
-        total += term
+        total += term[_below(steps, thetas)]
     return total / config.num_languages
 
 
@@ -354,5 +379,5 @@ def report_text(report: EvalReport) -> str:
 def det_text(points) -> str:
     """Two-column DET rendering of (K, 2) points: 'p_miss p_fa' per line,
     9 significant digits."""
-    miss, fa = np.asarray(points, dtype=np.float64).T.tolist()
-    return "\n".join(f"{m:.9g} {f:.9g}" for m, f in zip(miss, fa)) + "\n"
+    line = f"{SCORE_FORMAT} {SCORE_FORMAT}"
+    return format_lines(line, np.asarray(points, dtype=np.float64)) + "\n"

@@ -1,9 +1,11 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results the dumb way: explicit trial counting,
-exhaustive threshold enumeration, straight-line network evaluation,
-two-pass statistics, one sine per harmonic, index-matrix framing. None of it shares code with the implementation under
-test beyond the data types.
+exhaustive threshold enumeration, one search per pool and threshold,
+line-by-line text parsing, one f-string per score, straight-line network
+evaluation, two-pass statistics, one sine per harmonic, index-matrix
+framing. None of it shares code with the implementation under test
+beyond the data types and error classes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ import math
 
 import numpy as np
 
-from lidkit.submission import OUT_OF_SET
+from lidkit.errors import (
+    ArityMismatch,
+    DuplicateSegment,
+    MalformedLine,
+    NaNScore,
+    UnknownLanguage,
+)
+from lidkit.submission import OUT_OF_SET, ScoreRecord, TrialKey
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +148,96 @@ def eer_by_enumeration(records, key):
             return prev_m + w * (m - prev_m)
         prev_m, prev_f = m, f
     raise AssertionError("no crossing found")
+
+
+def cavg_curve_per_threshold(table, config, thetas):
+    """The sweep that ``metrics._cavg_curve`` replaced: every pool of the
+    trial table searched at every threshold."""
+    total = np.zeros(thetas.shape, dtype=np.float64)
+    for _, own, others in table.columns:
+        term = config.p_target * (np.searchsorted(own, thetas, side="left") / own.size)
+        for _, pool in others:
+            fa = (pool.size - np.searchsorted(pool, thetas, side="left")) / pool.size
+            term = term + config.p_nontarget * fa
+        total += term
+    return total / config.num_languages
+
+
+# ---------------------------------------------------------------------------
+# text oracles: the line-by-line readers and per-value writers that the
+# block readers and writers replaced
+
+def _data_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield line_no, line
+
+
+def parse_scores_by_line(text, expected_languages):
+    n = len(expected_languages)
+    records = []
+    seen = set()
+    for line_no, line in _data_lines(text):
+        tokens = line.split()
+        segment_id, raw_scores = tokens[0], tokens[1:]
+        if len(raw_scores) != n:
+            raise ArityMismatch(
+                f"segment {segment_id!r}: expected {n} scores, got {len(raw_scores)}",
+                line_no,
+            )
+        try:
+            values = [float(tok) for tok in raw_scores]
+        except ValueError as exc:
+            raise MalformedLine(f"bad score token: {exc}", line_no) from None
+        if any(math.isnan(v) for v in values):
+            raise NaNScore(f"segment {segment_id!r} has a NaN score", line_no)
+        if segment_id in seen:
+            raise DuplicateSegment(f"segment {segment_id!r} appears twice", line_no)
+        seen.add(segment_id)
+        records.append(ScoreRecord(segment_id, np.array(values)))
+    return records
+
+
+def parse_key_by_line(text):
+    lines = list(_data_lines(text))
+    if not lines:
+        raise MalformedLine("missing language header line", 1)
+    header_no, header = lines[0]
+    languages = header.split()
+    if len(set(languages)) != len(languages):
+        raise MalformedLine("duplicate language in header", header_no)
+    if OUT_OF_SET in languages:
+        raise MalformedLine(f"{OUT_OF_SET!r} is reserved and cannot name a language", header_no)
+    known = set(languages)
+    entries = {}
+    for line_no, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise MalformedLine("expected 'segment_id language'", line_no)
+        segment_id, language = tokens
+        if language != OUT_OF_SET and language not in known:
+            raise UnknownLanguage(f"language {language!r} not in header", line_no)
+        if segment_id in entries:
+            raise DuplicateSegment(f"segment {segment_id!r} appears twice", line_no)
+        entries[segment_id] = language
+    return TrialKey(languages, entries)
+
+
+def write_scores_by_record(records):
+    lines = []
+    for rec in records:
+        cols = " ".join(f"{v:.9g}" for v in rec.scores)
+        if "nan" in cols:
+            raise NaNScore(f"segment {rec.segment_id!r} has a NaN score")
+        lines.append(f"{rec.segment_id} {cols}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def det_text_by_row(points):
+    miss, fa = np.asarray(points, dtype=np.float64).T.tolist()
+    return "\n".join(f"{m:.9g} {f:.9g}" for m, f in zip(miss, fa)) + "\n"
 
 
 # ---------------------------------------------------------------------------

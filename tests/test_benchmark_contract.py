@@ -1,13 +1,16 @@
-"""The benchmark calls into lidkit: its tracer wraps functions by name and
-its own tests call back-end and network functions directly. A rename,
-deletion or signature change here would make benchmark runs fail, so
-check both from the test suite."""
+"""The benchmark calls into lidkit: its tracer wraps functions by name,
+it captures what ``lidkit evaluate`` computes by patching
+``metrics.compute_cavg``, and its own tests call back-end and network
+functions directly. A rename, deletion or signature change here would make
+benchmark runs fail, so check them from the test suite."""
 
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from lidkit import cli, metrics
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 TRACING = BENCHMARK / "tracing.py"
@@ -24,6 +27,23 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"lidkit.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_evaluate_computes_each_policy_once_through_the_module(tmp_path, monkeypatch):
+    key, scores = tmp_path / "key.txt", tmp_path / "scores.txt"
+    key.write_text("A B\ns1 A\ns2 B\ns3 OOS\n")
+    scores.write_text("s1 1 -1\ns2 -1 1\ns3 0.5 0.25\n")
+    policies = []
+    compute_cavg = metrics.compute_cavg
+
+    def capture(*args, **kwargs):
+        report = compute_cavg(*args, **kwargs)
+        policies.append(report.threshold_policy)
+        return report
+
+    monkeypatch.setattr(metrics, "compute_cavg", capture)
+    assert cli.main(["evaluate", "--scores", str(scores), "--key", str(key)]) == 0
+    assert sorted(policies) == sorted(metrics.THRESHOLD_POLICIES)
 
 
 def test_benchmark_checks_pass():

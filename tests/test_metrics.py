@@ -10,6 +10,7 @@ from lidkit.errors import (
     InconsistentLanguageSet,
     InvalidConfig,
     MissingSegment,
+    NaNScore,
 )
 
 
@@ -363,6 +364,58 @@ class TestMetricProperties:
         assert miss(lost, lost_key) >= miss(recs, key)
 
 
+TENTHS = st.integers(-12, 12).map(lambda k: k / 10)
+# every float64 but NaN: -0.0, subnormals, 1e308 and +/-inf included
+FLOAT64 = st.floats(allow_nan=False)
+
+
+@st.composite
+def sweep_files(draw):
+    """Records and key for the step sweep: scores tied on a 0.1 grid, half
+    of them -inf, or any float64; some rows all -inf; 2-4 languages plus
+    out-of-set segments."""
+    values = draw(st.sampled_from([TENTHS, st.one_of(st.just(-np.inf), TENTHS), FLOAT64]))
+    langs = [f"L{i}" for i in range(draw(st.integers(2, 4)))]
+    extra = draw(st.lists(st.sampled_from(langs + [sub.OUT_OF_SET]), max_size=25))
+    truths = draw(st.permutations(langs + extra))
+    rows = [draw(st.lists(values, min_size=len(langs), max_size=len(langs))) for _ in truths]
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=4)):
+        rows[i] = [-np.inf] * len(langs)
+    key = sub.TrialKey(langs, {f"s{i}": lang for i, lang in enumerate(truths)})
+    return _records(key, [(f"s{i}", row) for i, row in enumerate(rows)]), key
+
+
+class TestStepSweep:
+    """The sweep reads each column's term at its own steps; the oracle
+    searches every pool at every threshold. The counts are the same
+    integers, so the curves must be equal bit for bit."""
+
+    @PROPERTY
+    @given(sweep_files(), st.sampled_from([0.5, 0.1, 0.9]), st.lists(FLOAT64, max_size=4))
+    def test_curve_equals_a_search_per_threshold(self, data, p_target, extra):
+        recs, key = data
+        cfg = metrics.EvalConfig.for_key(key, p_target=p_target)
+        matrix, true_idx = metrics._score_matrix(recs, key, key.num_languages)
+        table = metrics._trial_table(matrix, true_idx, key)
+        # thresholds between and beyond the scores read the same steps
+        thetas = np.union1d(table.scores, [-np.inf, np.inf, *extra])
+        curve = metrics._cavg_curve(table, cfg, thetas)
+        assert np.array_equal(curve, oracles.cavg_curve_per_threshold(table, cfg, thetas))
+
+        swept_thetas = np.union1d(table.scores, (-np.inf, np.inf))
+        want = oracles.cavg_curve_per_threshold(table, cfg, swept_thetas)
+        report = metrics.compute_cavg(recs, key, cfg)
+        assert report.threshold_used == swept_thetas[int(np.argmin(want))]
+
+    def test_nan_score_refused_with_segment_id(self):
+        key = two_lang_key({"s1": "A", "s2": "B", "s3": "A"})
+        recs = _records(key, [("s3", [np.nan, 0.0]), ("s1", [1.0, 0.0]), ("s2", [0.0, np.nan])])
+        for policy in metrics.THRESHOLD_POLICIES:
+            cfg = metrics.EvalConfig.for_key(key, threshold_policy=policy)
+            with pytest.raises(NaNScore, match="'s2'"):
+                metrics.compute_cavg(recs, key, cfg)
+
+
 class TestReportText:
     def test_flat_key_value_shape(self):
         key = two_lang_key({"s1": "A", "s2": "B"})
@@ -378,3 +431,16 @@ class TestReportText:
         lines = metrics.det_text(points).strip().splitlines()
         assert lines[1] == "0.123456789 0.5"
         assert all(len(line.split()) == 2 for line in lines)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(FLOAT64, FLOAT64), max_size=40))
+    def test_det_text_bytes_equal_a_format_per_row(self, rows):
+        points = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        assert metrics.det_text(points) == oracles.det_text_by_row(points)
+
+    def test_det_text_across_blocks_of_random_bits(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64 - 1, size=(2 * sub.BLOCK_ROWS + 3, 2), dtype=np.uint64,
+                            endpoint=True)
+        points = bits.view(np.float64)
+        assert metrics.det_text(points) == oracles.det_text_by_row(points)

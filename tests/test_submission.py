@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lidkit import submission as sub
 from lidkit.errors import (
     ArityMismatch,
@@ -173,3 +176,134 @@ class TestValidationIsTotal:
                 sub.parse_key(text)
             except LineError as err:
                 assert err.line_no is not None
+
+
+# ---------------------------------------------------------------------------
+# the block readers and writers against the line-by-line oracles
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+# every float64 but NaN: -0.0, subnormals, 1e308 and +/-inf included
+FLOAT64 = st.floats(allow_nan=False)
+IDS = ["s1", "s2", "7", "1_0", "#x", "٣"] + [f"u{i}" for i in range(20)]
+# tokens float() accepts, then tokens it refuses or reads as NaN
+SCORES = (["0.5", "-1", "-0", "1_0", "+inf", "-inf", "Infinity", "1e400", "5e-324", "٣"],
+          ["nan", "-NaN", "zap", "0x1p3", "#"])
+KEY_HEADERS = ["A B C\n", "A B\r\n", "# stamp\n\nA  B\tC\n", "A A\n", "A OOS\n", ""]
+LANGUAGES = (["A", "B", "C", "OOS"], ["D", "s1"])
+# spaces and line endings, then odd ones: \x0b and \x85 end a line as
+# well, \x1f and \xa0 are whitespace to str.split but end no line
+SPACES = ([" ", "\t", "  "], [" \t\x0b", "\x1f", "\xa0"])
+ENDINGS = (["\n", "\r\n"], ["\r", "\x85", "\x0b", ""])
+
+
+@st.composite
+def texts(draw, tokens, width, headers=("",)):
+    """Line-oriented text after one of ``headers``: blank lines, comments
+    and data lines of an id and ``width`` tokens. A text drawn ragged has
+    other token counts too, one drawn dirty the second kind of ``tokens``
+    and one drawn odd the second kind of spaces and line endings."""
+    ragged, dirty, odd = (draw(st.sampled_from([False, False, True])) for _ in range(3))
+
+    def pick(kinds, other):
+        return draw(st.sampled_from(kinds[0] + kinds[1] if other else kinds[0]))
+
+    lines = [draw(st.sampled_from(headers))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(6 * ["data"] + ["blank", "comment"]))
+        if kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "comment":
+            body = draw(st.sampled_from(["# stamp seed=1", "  #x 1 2"]))
+        else:
+            count = draw(st.integers(0, width + 2)) if ragged else width
+            row = [draw(st.sampled_from(IDS))]
+            row += [pick(tokens, dirty) for _ in range(count)]
+            body = pick(SPACES, odd).join(row) + draw(st.sampled_from(["", " "]))
+        lines.append(draw(st.sampled_from(["", " "])) + body + pick(ENDINGS, odd))
+    return "".join(lines)
+
+
+def outcome(parse, *args):
+    """What a parser made of its input: its result in a comparable form,
+    or the LineError it raised. Any other exception escapes."""
+    try:
+        result = parse(*args)
+    except LineError as err:
+        return type(err), err.line_no, str(err)
+    if isinstance(result, sub.TrialKey):
+        return result.language_list, list(result.entries.items())
+    return [(r.segment_id, r.scores.shape, r.scores.tobytes()) for r in result]
+
+
+def bits_records(rng, count, width):
+    """Records whose scores are random float64 bit patterns, NaN replaced."""
+    bits = rng.integers(0, 2**64 - 1, size=(count, width), dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    values[np.isnan(values)] = -0.0
+    return [sub.ScoreRecord(f"u{i:05d}", row) for i, row in enumerate(values)]
+
+
+# (id, scores) rows: any ids and score counts, zero included; or one count
+RAGGED_ROWS = st.lists(
+    st.tuples(st.text(min_size=1, max_size=6), st.lists(FLOAT64, max_size=4)), max_size=12
+)
+UNIFORM_ROWS = st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.sampled_from(IDS), st.lists(FLOAT64, min_size=width, max_size=width)),
+    max_size=12,
+))
+
+
+class TestBlockParsers:
+    @PROPERTY
+    @given(st.one_of(texts(SCORES, len(FOUR_LANGS)), st.text(max_size=60)))
+    def test_scores_as_the_line_parser_reads_them(self, text):
+        got = outcome(sub.parse_scores, text, FOUR_LANGS)
+        assert got == outcome(oracles.parse_scores_by_line, text, FOUR_LANGS)
+
+    @PROPERTY
+    @given(st.one_of(texts(LANGUAGES, 1, KEY_HEADERS), st.text(max_size=60)))
+    def test_key_as_the_line_parser_reads_it(self, text):
+        assert outcome(sub.parse_key, text) == outcome(oracles.parse_key_by_line, text)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("u00003 1 2 3 4", DuplicateSegment),
+        ("v 1 2 nan 4", NaNScore),
+        ("v 1 2 3", ArityMismatch),
+        ("v 1 2 zap 4", MalformedLine),
+    ])
+    def test_defect_in_a_late_block_found_at_its_line(self, bad, error):
+        lines = [f"u{i:05d} {i} -inf {i / 7:.9g} 1e-300" for i in range(2 * sub.BLOCK_ROWS + 5)]
+        text = "# stamp\n" + "\n".join(lines) + "\n"
+        assert outcome(sub.parse_scores, text, FOUR_LANGS) == outcome(
+            oracles.parse_scores_by_line, text, FOUR_LANGS)
+        lines[-2] = bad
+        text = "# stamp\n" + "\n".join(lines) + "\n"
+        with pytest.raises(error) as err:
+            sub.parse_scores(text, FOUR_LANGS)
+        assert err.value.line_no == len(lines)  # lines[-2] follows the stamp line
+        assert outcome(sub.parse_scores, text, FOUR_LANGS) == outcome(
+            oracles.parse_scores_by_line, text, FOUR_LANGS)
+
+
+class TestBlockWriter:
+    @PROPERTY
+    @given(st.one_of(RAGGED_ROWS, UNIFORM_ROWS))
+    def test_bytes_equal_a_format_per_score(self, rows):
+        records = [sub.ScoreRecord(seg, np.array(values, dtype=np.float64))
+                   for seg, values in rows]
+        assert sub.write_scores(records) == oracles.write_scores_by_record(records)
+
+    def test_random_bits_across_blocks(self):
+        records = bits_records(np.random.default_rng(4), 2 * sub.BLOCK_ROWS + 3, 10)
+        assert sub.write_scores(records) == oracles.write_scores_by_record(records)
+
+    def test_nan_in_a_late_record_named(self):
+        records = bits_records(np.random.default_rng(6), 10_000, 10)
+        records[9_000].scores[4] = np.nan
+        records[9_500].scores[0] = np.nan
+        with pytest.raises(NaNScore) as err:
+            sub.write_scores(records)
+        assert str(err.value) == "segment 'u09000' has a NaN score"
+        with pytest.raises(NaNScore) as want:
+            oracles.write_scores_by_record(records)
+        assert str(err.value) == str(want.value)
