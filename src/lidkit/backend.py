@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .errors import MalformedLine, NoUsableReferences, ZeroNormVector
+from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines
 
 log = logging.getLogger(__name__)
 
@@ -131,10 +131,7 @@ def parse_models(text: str) -> LanguageModelSet:
     language_ids = []
     centroids = []
     counts = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text):
         tokens = line.split()
         if len(tokens) < 3:
             raise MalformedLine("expected 'language count value...'", line_no)

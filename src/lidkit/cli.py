@@ -30,7 +30,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import harness, metrics, net, submission
 from .errors import (
-    CorruptModel, InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss, parse_file,
+    CorruptModel, InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss, data_lines,
+    parse_file,
 )
 
 EXIT_OK = 0
@@ -190,10 +191,7 @@ def _cmd_extract(args, cfg):
 def _parse_refs(text: str) -> list[harness.ManifestEntry]:
     """'language wav-path' lines as manifest entries (path is the id)."""
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text):
         tokens = line.split(None, 1)
         if len(tokens) != 2:
             raise MalformedLine("expected 'language wav-path'", line_no)

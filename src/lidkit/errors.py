@@ -1,8 +1,9 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the reading of text files.
 
 Errors raised while parsing line-oriented text carry the offending line
 number; ``parse_file`` attaches the file, so they render as
-``file:line: message``.
+``file:line: message``. ``data_lines`` owns the data-line rule of every
+text reader but the config file's, which strips inline comments.
 """
 
 from pathlib import Path
@@ -70,6 +71,15 @@ def parse_file(path, parse):
     except LineError as err:
         err.path = str(path)
         raise
+
+
+def data_lines(text):
+    """``(line_no, line)``, 1-based and stripped, for each line of ``text``
+    that is neither blank nor a comment (first non-blank character ``#``)."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 # metrics

@@ -26,7 +26,7 @@ from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
     AllFramesRemoved, AudioFormatError, InvalidConfig, InvalidPlan, InvalidSpec, MalformedLine,
-    TooFewFrames, TooShort, parse_file,
+    TooFewFrames, TooShort, data_lines, parse_file,
 )
 
 log = logging.getLogger(__name__)
@@ -194,10 +194,7 @@ def write_manifest(entries: list[ManifestEntry]) -> str:
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text):
         tokens = line.split()
         if len(tokens) != 4:
             raise MalformedLine("expected 'utt_id language path split'", line_no)
@@ -445,12 +442,13 @@ def train_network(
     hyper = net.TrainConfig(learn_rate=cfg["train.learn_rate"])
     batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
+    grads = net.zero_gradients(params)  # reused by every step
     step = 0
     for _ in range(cfg["train.epochs"]):
         order = rng.permutation(len(dataset))
         for lo in range(0, len(order), batch_size):
             batch = [dataset[i] for i in order[lo : lo + batch_size]]
-            params, loss = net.train_step(params, batch, hyper)
+            params, loss = net.train_step(params, batch, hyper, grads)
             step += 1
             log.info("step %d loss %.6f", step, loss)
     return params

@@ -106,13 +106,6 @@ class NetworkParams:
         first = self.specs[0]
         return first.in_dim // first.splice_width
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            list(self.specs),
-            {k: v.copy() for k, v in self.weights.items()},
-            {k: v.copy() for k, v in self.biases.items()},
-        )
-
 
 def validate_specs(specs: list[LayerSpec]) -> None:
     """Check the layer chain is wired consistently (raises DimMismatch)."""
@@ -124,6 +117,8 @@ def validate_specs(specs: list[LayerSpec]) -> None:
         if spec.is_frame_layer:
             if pooled:
                 raise DimMismatch(f"{spec.name}: frame layer after pooling")
+            if not spec.offsets:
+                raise DimMismatch(f"{spec.name}: frame layer with no splice offsets")
             if prev_out is not None and spec.in_dim != spec.splice_width * prev_out:
                 raise DimMismatch(
                     f"{spec.name}: in_dim {spec.in_dim} != "
@@ -287,8 +282,9 @@ def extract_xvector(params: NetworkParams, features, segment_id: str = "") -> XV
 # ---------------------------------------------------------------------------
 # gradients and training
 
-def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, grads):
-    """Accumulate parameter gradients for one example into ``grads``."""
+def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, grads, scratch):
+    """Accumulate parameter gradients for one example into ``grads``, each
+    weight term formed in ``scratch`` rather than in a new array."""
     dense = params.dense_specs
     g = d_logits
     for i in range(len(dense) - 1, -1, -1):
@@ -296,7 +292,7 @@ def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, 
         if spec.has_nonlinearity:
             g = g * (cache.dense_preacts[i] > 0.0)
         gw, gb = grads[spec.name]
-        gw += np.outer(g, cache.dense_inputs[i])
+        gw += np.multiply.outer(g, cache.dense_inputs[i], out=scratch[: gw.size].reshape(gw.shape))
         gb += g
         g = params.weights[spec.name].T @ g
     # statistics pooling
@@ -312,7 +308,7 @@ def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, 
         if spec.has_nonlinearity:
             g_time = g_time * (cache.frame_preacts[i] > 0.0)
         gw, gb = grads[spec.name]
-        gw += g_time.T @ cache.frame_inputs[i]
+        gw += np.matmul(g_time.T, cache.frame_inputs[i], out=scratch[: gw.size].reshape(gw.shape))
         gb += g_time.sum(axis=0)
         if i == 0:
             break
@@ -329,22 +325,29 @@ def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, 
         g_time = g_prev
 
 
-def compute_gradients(params: NetworkParams, batch):
+def zero_gradients(params: NetworkParams) -> dict:
+    """A zero (weight, bias) gradient pair per layer name."""
+    return {name: (np.zeros_like(w), np.zeros_like(params.biases[name]))
+            for name, w in params.weights.items()}
+
+
+def compute_gradients(params: NetworkParams, batch, grads=None):
     """Mean cross-entropy loss and its parameter gradients over a batch.
 
     ``batch`` is a list of (features, label) pairs; examples are processed
-    in list order so repeated runs accumulate identically.
+    in list order so repeated runs accumulate identically. ``grads`` (from
+    ``zero_gradients``) is zeroed and refilled instead of allocating anew.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     n_classes = params.num_classes
-    grads = {
-        spec.name: (
-            np.zeros_like(params.weights[spec.name]),
-            np.zeros_like(params.biases[spec.name]),
-        )
-        for spec in params.specs
-    }
+    if grads is None:
+        grads = zero_gradients(params)
+    else:
+        for gw, gb in grads.values():
+            gw.fill(0.0)
+            gb.fill(0.0)
+    scratch = np.empty(max(w.size for w in params.weights.values()))
     total = 0.0
     scale = 1.0 / len(batch)
     for features, label in batch:
@@ -356,7 +359,7 @@ def compute_gradients(params: NetworkParams, batch):
         d_logits = cache.posteriors.copy()
         d_logits[label] -= 1.0
         d_logits *= scale
-        _backprop(params, cache, d_logits, grads)
+        _backprop(params, cache, d_logits, grads, scratch)
     loss = total * scale
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss}")
@@ -368,16 +371,15 @@ class TrainConfig:
     learn_rate: float
 
 
-def train_step(params: NetworkParams, batch, hyper: TrainConfig):
-    """One SGD step; returns (updated params, batch loss). Params are not
-    mutated in place."""
-    loss, grads = compute_gradients(params, batch)
-    updated = params.copy()
+def train_step(params: NetworkParams, batch, hyper: TrainConfig, grads=None):
+    """One SGD step, made on ``params`` in place; returns (params, batch
+    loss). ``grads`` goes to ``compute_gradients``; it ends up holding the step."""
+    loss, grads = compute_gradients(params, batch, grads)
     for spec in params.specs:
         gw, gb = grads[spec.name]
-        updated.weights[spec.name] -= hyper.learn_rate * gw
-        updated.biases[spec.name] -= hyper.learn_rate * gb
-    return updated, loss
+        params.weights[spec.name] -= np.multiply(gw, hyper.learn_rate, out=gw)
+        params.biases[spec.name] -= np.multiply(gb, hyper.learn_rate, out=gb)
+    return params, loss
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,10 @@ def load_params(data: bytes, expected_num_classes: int | None = None) -> Network
                 bool(flags & _FLAG_NONLINEARITY),
             )
         )
-    validate_specs(specs)
+    try:
+        validate_specs(specs)
+    except DimMismatch as exc:
+        raise CorruptModel(str(exc)) from None
     weights = {}
     biases = {}
     for spec in specs:

@@ -7,21 +7,21 @@ column order fixed by the trial key:
     seg_1 0.5 -0.2 -0.3 0.1
     seg_2 -0.1 -0.3 0.5 0.3
 
-``inf`` and ``-inf`` are legal score tokens; NaN is rejected. Score files
-carry no header line; lines starting with ``#`` are skipped so tools can
-stamp their outputs. The writer emits pure data lines at 9 significant
-digits, which round-trips decimal text exactly.
+A score token is a decimal number in ASCII digits without ``_``, and only
+``inf`` and ``-inf`` read as infinite; NaN is refused. Score files carry
+no header line; lines starting with ``#`` are skipped so tools can stamp
+their outputs. The writer emits pure data lines at 9 significant digits,
+which round-trips decimal text exactly.
 
 Score files and keys run to 10^5 lines, so the readers split each line
-once and check the text in bulk. The score reader converts the scores of
-a block of ``BLOCK_ROWS`` lines with one ``float`` pass into a numpy
-array, checks arity and NaN per block and duplicate ids over the file;
-the key reader checks arity, languages and duplicates over all entries.
-The writers format a block of rows with one ``%`` operation. The block
-bound keeps the transient lists of Python floats small. Text that any
-check would refuse is read again line by line, so every diagnostic names
-the first offending line exactly as that scan finds it; the scan runs
-only to report an error.
+once and check it in one pass: the score reader converts a block of
+``BLOCK_ROWS`` lines with one ``float`` pass into a numpy array and checks
+arity, tokens, NaN and duplicate ids in that order, each on the rows the
+earlier checks pass, so the first refused row fails its first check; the
+key reader does the same for arity, languages and duplicates. Only a
+refused row has its line number looked up. The writers format a block of
+rows with one ``%`` operation. The block bound keeps the transient lists
+of Python floats small.
 
 A trial key is the ground truth. Its first line declares the language
 order (authoritative for score columns everywhere); each following line
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain, compress, count, groupby, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import (
     MalformedLine,
     NaNScore,
     UnknownLanguage,
+    data_lines,
     parse_file,
 )
 
@@ -52,6 +53,7 @@ OUT_OF_SET = "OOS"
 SCORE_DIGITS = 9
 # ``"%.9g" % x`` renders exactly as ``f"{x:.9g}"``: -0, inf, -inf, nan
 SCORE_FORMAT = f"%.{SCORE_DIGITS}g"
+INF_TOKENS = frozenset({"inf", "-inf"})
 
 BLOCK_ROWS = 8192
 
@@ -104,19 +106,39 @@ class TrialKey:
         return len(self.language_list)
 
 
-def _data_lines(text: str) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line
-
-
 def _data_rows(lines: Iterable[str]) -> list[list[str]]:
     """The tokens of each data line among ``lines``. ``str.split`` drops
-    the whitespace that ``_data_lines`` strips, so a line is blank or a
+    the whitespace that ``data_lines`` strips, so a line is blank or a
     comment exactly when it has no token or its first starts with ``#``."""
     return [row for row in map(str.split, lines) if row and not row[0].startswith("#")]
+
+
+def _line_of(text: str, row: int) -> int:
+    """The line number of the data row at 0-based index ``row`` of ``text``."""
+    return next(islice(data_lines(text), row, None))[0]
+
+
+def _first(flags: Iterable[bool], default: int) -> int:
+    """The index of the first true flag, else ``default``."""
+    return next(compress(count(), flags), default)
+
+
+def _refuse_repeat(text: str, ids: Sequence[str], first: int) -> None:
+    """Raise DuplicateSegment at the first of ``ids``, the ids of the data
+    rows from index ``first`` on, that repeats an earlier one."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        i = next(i for i, seg in enumerate(ids) if seg in seen or seen.add(seg))
+        raise DuplicateSegment(f"segment {ids[i]!r} appears twice", _line_of(text, first + i))
+
+
+def _bad_token(token: str) -> bool:
+    """Whether a score token breaks the token rule (see the module doc)."""
+    try:
+        return not token.isascii() or "_" in token or (
+            math.isinf(float(token)) and token not in INF_TOKENS)
+    except ValueError:
+        return True
 
 
 def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreRecord]:
@@ -126,53 +148,40 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
     the offending 1-based line number. An empty stream yields an empty list.
     """
     n = len(expected_languages)
-    records = _scores_in_bulk(text, n)
-    return _scores_by_line(text, n) if records is None else records
-
-
-def _scores_in_bulk(text: str, n: int) -> list[ScoreRecord] | None:
-    """The records of text that every check accepts, or None."""
     records: list[ScoreRecord] = []
     for block in blocks(text.splitlines()):
         rows = _data_rows(block)
-        if any(len(row) != n + 1 for row in rows):
-            return None
-        tokens = chain.from_iterable(row[1:] for row in rows)
+        arity = _first((len(row) != n + 1 for row in rows), len(rows))
+        tokens = list(chain.from_iterable(rows[:arity]))
+        ids = tokens[::n + 1]
+        del tokens[::n + 1]
         try:
-            values = np.fromiter(map(float, tokens), np.float64, len(rows) * n)
-        except ValueError:
-            return None
-        if np.isnan(values).any():
-            return None
-        values = values.reshape(len(rows), n)
-        records.extend(ScoreRecord(row[0], scores) for row, scores in zip(rows, values))
-    if len({rec.segment_id for rec in records}) != len(records):
-        return None
-    return records
-
-
-def _scores_by_line(text: str, n: int) -> list[ScoreRecord]:
-    """The line scan: the first refused line raises its diagnostic."""
-    records: list[ScoreRecord] = []
-    seen: set[str] = set()
-    for line_no, line in _data_lines(text):
-        tokens = line.split()
-        segment_id, raw_scores = tokens[0], tokens[1:]
-        if len(raw_scores) != n:
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            joined = "".join(tokens)
+            strict = joined.isascii() and "_" not in joined and INF_TOKENS.issuperset(
+                tokens[i] for i in np.flatnonzero(np.isinf(values)).tolist())
+        except ValueError:  # from float
+            strict = False
+        token = arity
+        if not strict:
+            token = _first(map(_bad_token, tokens), len(tokens)) // n
+            values = np.array([float(tok) for tok in tokens[:token * n]])
+        values = values.reshape(token, n)
+        nan = _first(np.isnan(values).any(axis=1).tolist(), token)
+        records.extend(map(ScoreRecord, ids, values[:nan]))
+        if nan < len(rows):
+            # a repeat among the rows before wins, then the checks in order
+            _refuse_repeat(text, [rec.segment_id for rec in records], 0)
+            row, line_no = rows[nan], _line_of(text, len(records))
+            if nan < token:
+                raise NaNScore(f"segment {row[0]!r} has a NaN score", line_no)
+            if nan < arity:
+                bad = next(filter(_bad_token, row[1:]))
+                raise MalformedLine(
+                    f"bad score token: could not convert string to float: {bad!r}", line_no)
             raise ArityMismatch(
-                f"segment {segment_id!r}: expected {n} scores, got {len(raw_scores)}",
-                line_no,
-            )
-        try:
-            values = [float(tok) for tok in raw_scores]
-        except ValueError as exc:
-            raise MalformedLine(f"bad score token: {exc}", line_no) from None
-        if any(math.isnan(v) for v in values):
-            raise NaNScore(f"segment {segment_id!r} has a NaN score", line_no)
-        if segment_id in seen:
-            raise DuplicateSegment(f"segment {segment_id!r} appears twice", line_no)
-        seen.add(segment_id)
-        records.append(ScoreRecord(segment_id, np.array(values)))
+                f"segment {row[0]!r}: expected {n} scores, got {len(row) - 1}", line_no)
+    _refuse_repeat(text, [rec.segment_id for rec in records], 0)
     return records
 
 
@@ -199,50 +208,31 @@ def write_scores(records: Sequence[ScoreRecord]) -> str:
 
 
 def parse_key(text: str) -> TrialKey:
-    """Parse trial-key text: a language header line, then segment entries."""
-    key = _key_in_bulk(text)
-    return _key_by_line(text) if key is None else key
+    """Parse trial-key text: a language header line, then segment entries.
 
-
-def _key_in_bulk(text: str) -> TrialKey | None:
-    """The key of text that every check accepts, or None."""
+    Raises MalformedLine, UnknownLanguage or DuplicateSegment with the
+    offending 1-based line number.
+    """
     rows = _data_rows(text.splitlines())
     if not rows:
-        return None
-    languages, body = rows[0], rows[1:]
-    if len(set(languages)) != len(languages) or OUT_OF_SET in languages:
-        return None
-    if any(len(row) != 2 for row in body):
-        return None
-    entries = dict(body)
-    if len(entries) != len(body) or not {*languages, OUT_OF_SET}.issuperset(entries.values()):
-        return None
-    return TrialKey(languages, entries)
-
-
-def _key_by_line(text: str) -> TrialKey:
-    """The line scan: the first refused line raises its diagnostic."""
-    lines = list(_data_lines(text))
-    if not lines:
         raise MalformedLine("missing language header line", 1)
-    header_no, header = lines[0]
-    languages = header.split()
+    languages, body = rows[0], rows[1:]
     if len(set(languages)) != len(languages):
-        raise MalformedLine("duplicate language in header", header_no)
+        raise MalformedLine("duplicate language in header", _line_of(text, 0))
     if OUT_OF_SET in languages:
-        raise MalformedLine(f"{OUT_OF_SET!r} is reserved and cannot name a language", header_no)
-    known = set(languages)
-    entries: dict[str, str] = {}
-    for line_no, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise MalformedLine("expected 'segment_id language'", line_no)
-        segment_id, language = tokens
-        if language != OUT_OF_SET and language not in known:
-            raise UnknownLanguage(f"language {language!r} not in header", line_no)
-        if segment_id in entries:
-            raise DuplicateSegment(f"segment {segment_id!r} appears twice", line_no)
-        entries[segment_id] = language
+        raise MalformedLine(
+            f"{OUT_OF_SET!r} is reserved and cannot name a language", _line_of(text, 0))
+    arity = _first((len(row) != 2 for row in body), len(body))
+    known = {*languages, OUT_OF_SET}
+    entries = dict(body[:arity])
+    if len(entries) != len(body) or not known.issuperset(entries.values()):
+        # as in parse_scores: a repeat among the rows before wins
+        unknown = _first((row[1] not in known for row in body[:arity]), arity)
+        _refuse_repeat(text, [row[0] for row in body[:unknown]], 1)
+        line_no = _line_of(text, 1 + unknown)
+        if unknown < arity:
+            raise UnknownLanguage(f"language {body[unknown][1]!r} not in header", line_no)
+        raise MalformedLine("expected 'segment_id language'", line_no)
     return TrialKey(languages, entries)
 
 

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from lidkit import dsp, harness, net
 from lidkit import submission as sub
+
+# parser totality: a parser's only outcomes are a result or a LidkitError
+TOTALITY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def token_texts(tokens):
+    """Arbitrary text, or up to 6 lines of up to 6 of ``tokens`` each."""
+    line = st.lists(st.sampled_from(tokens), max_size=6).map(" ".join)
+    return st.one_of(st.text(max_size=80), st.lists(line, max_size=6).map("\n".join))
 
 
 def make_random_scorefile(rng, n_segments, languages, oos_fraction=0.0, tie_grid=None):

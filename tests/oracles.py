@@ -11,6 +11,7 @@ beyond the data types and error classes.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -175,6 +176,21 @@ def _data_lines(text):
         yield line_no, line
 
 
+# a decimal in ASCII digits, the two infinities as written, or a NaN
+# spelling (which the caller refuses as NaN)
+_SCORE_TOKEN = re.compile(
+    r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?inf|(?i:[+-]?nan)"
+)
+
+
+def _score_value(token):
+    if _SCORE_TOKEN.fullmatch(token):
+        value = float(token)
+        if not math.isinf(value) or token in ("inf", "-inf"):
+            return value
+    raise ValueError(f"could not convert string to float: {token!r}")
+
+
 def parse_scores_by_line(text, expected_languages):
     n = len(expected_languages)
     records = []
@@ -188,7 +204,7 @@ def parse_scores_by_line(text, expected_languages):
                 line_no,
             )
         try:
-            values = [float(tok) for tok in raw_scores]
+            values = [_score_value(tok) for tok in raw_scores]
         except ValueError as exc:
             raise MalformedLine(f"bad score token: {exc}", line_no) from None
         if any(math.isnan(v) for v in values):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
+from conftest import TOTALITY, token_texts
 from lidkit import backend, net
-from lidkit.errors import MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector
+from lidkit.errors import (
+    LineError, MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector, data_lines,
+)
 
 
 def seven_class_net(seed=2):
@@ -190,3 +194,11 @@ class TestModelSetSerialization:
         with pytest.raises(MalformedLine, match=message) as err:
             backend.parse_models(text)
         assert err.value.line_no == 3
+
+    @TOTALITY
+    @given(token_texts(["delta", "3", "0.5", "-1e3", "nan", "inf", "1_0", "٣", "x", "#"]))
+    def test_any_text_gives_models_or_a_line_error(self, text):
+        try:
+            backend.parse_models(text)
+        except LineError as err:  # only a text with no model line has no line
+            assert err.line_no is not None or not list(data_lines(text))

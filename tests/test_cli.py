@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,26 @@ class TestFilesNamed:
         )
         assert code == 2
         assert err.startswith(f"error: {cut}: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("layer, change, message", [
+        (3, {"offsets": ()}, "frame4: frame layer with no splice offsets"),
+        (1, {"in_dim": 47}, "frame2: in_dim 47 != 3 x previous out_dim 16"),
+    ])
+    def test_model_with_bad_wiring(self, capsys, damaged_corpus, tmp_path, layer, change,
+                                   message):
+        corpus, model = damaged_corpus
+        params = net.load_params(model.read_bytes())
+        spec = params.specs[layer] = replace(params.specs[layer], **change)
+        params.weights[spec.name] = params.weights[spec.name][:, :spec.in_dim]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(net.save_params(params))
+        code, _, err = run(
+            capsys, "score", "--model", str(bad), "--corpus", str(corpus), "--split", "test",
+            "--key", str(corpus / "key_test.txt"), "--languages", TRAIN_LANGS,
+            "--out", str(tmp_path / "s.txt"),
+        )
+        assert code == 2
+        assert err == f"error: {bad}: {message}\n"
 
 
 class TestTooFewFrames:

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given
 
+from conftest import TOTALITY, token_texts
 from lidkit import cli, config, harness
 from lidkit.errors import InvalidConfig
 
@@ -23,6 +25,14 @@ class TestParseConfig:
     def test_empty_key_names_its_line(self):
         with pytest.raises(InvalidConfig, match="line 3: empty key"):
             config.parse_config("\n# only a comment\n = 5\n")
+
+    @TOTALITY
+    @given(token_texts(["train.epochs", "=", "3", "a=b", "=5", "#", "# c", "\t", "é"]))
+    def test_any_text_gives_pairs_or_a_line_error(self, text):
+        try:
+            config.parse_config(text)
+        except InvalidConfig as err:
+            assert err.line_no is not None
 
 
 class TestResolve:

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import oracles
-from conftest import SHORT, TRUNCATED
+from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import dsp, harness, net, submission as sub
-from lidkit.errors import InvalidPlan, InvalidSpec, NoUsableReferences
+from lidkit.errors import InvalidPlan, InvalidSpec, LineError, NoUsableReferences
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
 
@@ -130,6 +131,14 @@ class TestCorpus:
         assert set(key.entries) == train_ids
         again = harness.read_manifest(tmp_path)
         assert again == entries
+
+    @TOTALITY
+    @given(token_texts(["u1", "alpha", "wav/u1.wav", "test", "#", "é", "\t"]))
+    def test_any_manifest_text_gives_entries_or_a_line_error(self, text):
+        try:
+            harness.parse_manifest(text)
+        except LineError as err:
+            assert err.line_no is not None
 
 
 class TestPlan:

@@ -1,7 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from conftest import TOTALITY
 from lidkit import net
 from lidkit.errors import CorruptModel, DimMismatch, NonFiniteLoss, TooFewFrames
 
@@ -189,12 +194,53 @@ class TestGradients:
     def test_zero_learn_rate_keeps_params(self):
         rng = np.random.default_rng(5)
         params = tiny_net()
+        before = copy.deepcopy(params)
         batch = [(random_features(rng), 1)]
         updated, loss = net.train_step(params, batch, net.TrainConfig(learn_rate=0.0))
         assert np.isfinite(loss) and loss > 0.0
         for name in params.weights:
-            assert np.array_equal(updated.weights[name], params.weights[name])
-            assert np.array_equal(updated.biases[name], params.biases[name])
+            assert np.array_equal(updated.weights[name], before.weights[name])
+            assert np.array_equal(updated.biases[name], before.biases[name])
+
+    def test_step_is_made_in_place(self):
+        rng = np.random.default_rng(5)
+        params = tiny_net()
+        before = copy.deepcopy(params)
+        batch = [(random_features(rng), 1)]
+        _, grads = net.compute_gradients(params, batch)
+        updated, _ = net.train_step(params, batch, net.TrainConfig(learn_rate=0.1))
+        assert updated is params
+        for name, (gw, gb) in grads.items():
+            assert np.array_equal(params.weights[name], before.weights[name] - 0.1 * gw)
+            assert np.array_equal(params.biases[name], before.biases[name] - 0.1 * gb)
+
+    def test_reused_gradient_buffers_give_the_same_steps(self):
+        rng = np.random.default_rng(10)
+        batches = [[(random_features(rng), int(rng.integers(3))) for _ in range(3)]
+                   for _ in range(4)]
+        hyper = net.TrainConfig(learn_rate=0.05)
+        fresh, reused = tiny_net(), tiny_net()
+        grads = net.zero_gradients(reused)
+        for batch in batches:
+            fresh, loss_a = net.train_step(fresh, batch, hyper)
+            reused, loss_b = net.train_step(reused, batch, hyper, grads)
+            assert loss_a == loss_b
+        assert net.save_params(fresh) == net.save_params(reused)
+
+    def test_stale_gradient_buffers_are_zeroed(self):
+        rng = np.random.default_rng(11)
+        params = tiny_net()
+        batch = [(random_features(rng), int(rng.integers(3))) for _ in range(3)]
+        stale = net.zero_gradients(params)
+        for gw, gb in stale.values():
+            gw.fill(7.0)
+            gb.fill(-7.0)
+        loss_a, grads_a = net.compute_gradients(params, batch)
+        loss_b, grads_b = net.compute_gradients(params, batch, stale)
+        assert loss_a == loss_b and grads_b is stale
+        for name, (gw, gb) in grads_a.items():
+            assert np.array_equal(grads_b[name][0], gw)
+            assert np.array_equal(grads_b[name][1], gb)
 
     def test_training_reduces_loss_on_separable_data(self):
         rng = np.random.default_rng(6)
@@ -275,6 +321,28 @@ class TestSerialization:
                 getattr(params, table)["frame2"].flat[1] = bad
                 with pytest.raises(CorruptModel, match="frame2"):
                     net.load_params(net.save_params(params))
+
+    @TOTALITY
+    @given(st.binary(max_size=200))
+    def test_any_bytes_give_a_model_or_corrupt(self, data):
+        try:
+            net.load_params(data)
+        except CorruptModel:
+            pass
+
+    @TOTALITY
+    @given(st.data())
+    def test_one_byte_changed_gives_a_model_or_corrupt(self, data):
+        params = tiny_net()
+        blob = bytearray(net.save_params(params))
+        payload = 8 * sum(params.weights[s.name].size + s.out_dim for s in params.specs)
+        # half the draws change the layer table before the payload
+        at = st.integers(0, len(blob) - payload - 1) | st.integers(0, len(blob) - 1)
+        blob[data.draw(at)] = data.draw(st.integers(0, 255))
+        try:
+            net.load_params(bytes(blob))
+        except CorruptModel:
+            pass
 
     def test_wrong_class_count_is_dim_mismatch(self):
         blob = net.save_params(tiny_net(num_classes=3))

@@ -51,6 +51,14 @@ class TestParseScores:
             sub.parse_scores("s 0.1 zap 0 0\n", FOUR_LANGS)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("token", ["1_0", "+inf", "Infinity", "INF", "1e400", "٣"])
+    def test_token_float_reads_but_the_rule_refuses(self, token):
+        with pytest.raises(MalformedLine) as err:
+            sub.parse_scores(f"s 0.1 {token} 0 0\n", FOUR_LANGS)
+        assert err.value.line_no == 1
+        assert str(err.value) == (
+            f"line 1: bad score token: could not convert string to float: {token!r}")
+
     def test_duplicate_segment_rejected(self):
         text = "s 1 2 3 4\ns 1 2 3 4\n"
         with pytest.raises(DuplicateSegment):
@@ -185,9 +193,9 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=
 # every float64 but NaN: -0.0, subnormals, 1e308 and +/-inf included
 FLOAT64 = st.floats(allow_nan=False)
 IDS = ["s1", "s2", "7", "1_0", "#x", "٣"] + [f"u{i}" for i in range(20)]
-# tokens float() accepts, then tokens it refuses or reads as NaN
-SCORES = (["0.5", "-1", "-0", "1_0", "+inf", "-inf", "Infinity", "1e400", "5e-324", "٣"],
-          ["nan", "-NaN", "zap", "0x1p3", "#"])
+# tokens the token rule accepts, then tokens it refuses or reads as NaN
+SCORES = (["0.5", "-1", "-0", "inf", "-inf", "5e-324"],
+          ["nan", "-NaN", "zap", "0x1p3", "#", "1_0", "+inf", "Infinity", "INF", "1e400", "٣"])
 KEY_HEADERS = ["A B C\n", "A B\r\n", "# stamp\n\nA  B\tC\n", "A A\n", "A OOS\n", ""]
 LANGUAGES = (["A", "B", "C", "OOS"], ["D", "s1"])
 # spaces and line endings, then odd ones: \x0b and \x85 end a line as
@@ -284,6 +292,47 @@ class TestBlockParsers:
         assert outcome(sub.parse_scores, text, FOUR_LANGS) == outcome(
             oracles.parse_scores_by_line, text, FOUR_LANGS)
 
+    # {row: line} edits of a three-block file, the refused row, its error
+    @pytest.mark.parametrize("edits, row, error", [
+        ({10: "u00003 1 2 3 4", 20: "v 1 zap 3 4"}, 10, DuplicateSegment),
+        ({20: "v 1 zap 3 4", 30: "u00003 1 2 3 4"}, 20, MalformedLine),
+        ({sub.BLOCK_ROWS + 10: "v 1 nan 3 4", 2 * sub.BLOCK_ROWS + 2: "w 1 2 3"},
+         sub.BLOCK_ROWS + 10, NaNScore),
+        ({sub.BLOCK_ROWS + 10: "u00003 1 2 nan 4"}, sub.BLOCK_ROWS + 10, NaNScore),
+        ({2 * sub.BLOCK_ROWS: "u00003 1 2 3 4", 2 * sub.BLOCK_ROWS + 1: "w 1 2 3"},
+         2 * sub.BLOCK_ROWS, DuplicateSegment),
+        ({sub.BLOCK_ROWS - 2: "v 1 2 3", sub.BLOCK_ROWS - 1: "u00003 1 2 3 4"},
+         sub.BLOCK_ROWS - 2, ArityMismatch),
+        ({5: "v 1_0 nan 3 4", 6: "w 1 2 3"}, 5, MalformedLine),
+    ])
+    def test_first_of_two_defects_found_at_its_line(self, edits, row, error):
+        lines = [f"u{i:05d} {i} -inf {i / 7:.9g} 1e-300" for i in range(2 * sub.BLOCK_ROWS + 5)]
+        for i, line in edits.items():
+            lines[i] = line
+        text = "# stamp\n" + "\n".join(lines) + "\n"
+        with pytest.raises(error) as err:
+            sub.parse_scores(text, FOUR_LANGS)
+        assert err.value.line_no == row + 2
+        assert outcome(sub.parse_scores, text, FOUR_LANGS) == outcome(
+            oracles.parse_scores_by_line, text, FOUR_LANGS)
+
+    @pytest.mark.parametrize("edits, row, error", [
+        ({10: "v Z", 20: "u00003 A"}, 10, UnknownLanguage),
+        ({10: "u00003 A", 20: "v Z"}, 10, DuplicateSegment),
+        ({10: "u00003 Z"}, 10, UnknownLanguage),
+        ({10: "v Z", 11: "w A B"}, 10, UnknownLanguage),
+        ({10: "w A B", 11: "v Z"}, 10, MalformedLine),
+    ])
+    def test_first_of_two_key_defects_found_at_its_line(self, edits, row, error):
+        lines = [f"u{i:05d} {'ABC'[i % 3]}" for i in range(2 * sub.BLOCK_ROWS + 5)]
+        for i, line in edits.items():
+            lines[i] = line
+        text = "# stamp\nA B C\n" + "\n".join(lines) + "\n"
+        with pytest.raises(error) as err:
+            sub.parse_key(text)
+        assert err.value.line_no == row + 3
+        assert outcome(sub.parse_key, text) == outcome(oracles.parse_key_by_line, text)
+
 
 class TestBlockWriter:
     @PROPERTY
@@ -295,7 +344,11 @@ class TestBlockWriter:
 
     def test_random_bits_across_blocks(self):
         records = bits_records(np.random.default_rng(4), 2 * sub.BLOCK_ROWS + 3, 10)
-        assert sub.write_scores(records) == oracles.write_scores_by_record(records)
+        records[1].scores[:2] = np.inf, -np.inf
+        text = sub.write_scores(records)
+        assert text == oracles.write_scores_by_record(records)
+        # every token the writer emits is one the reader takes
+        assert sub.write_scores(sub.parse_scores(text, [f"g{i}" for i in range(10)])) == text
 
     def test_nan_in_a_late_record_named(self):
         records = bits_records(np.random.default_rng(6), 10_000, 10)
