@@ -21,6 +21,7 @@ import numpy as np
 
 from . import net
 from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines
+from .submission import bad_token
 
 log = logging.getLogger(__name__)
 
@@ -125,9 +126,10 @@ def write_models(models: LanguageModelSet) -> str:
 
 def parse_models(text: str) -> LanguageModelSet:
     """Parse ``write_models`` output. Raises MalformedLine with the line
-    number for a short line, a bad count or value, a non-finite value, or
-    a centroid whose dimension differs from the first one, and without one
-    for a text holding no model line."""
+    number for a short line, a count that is not ASCII digits, a value
+    that breaks the score-token rule (``submission.bad_token``), a
+    non-finite value, or a centroid whose dimension differs from the first
+    one, and without one for a text holding no model line."""
     language_ids = []
     centroids = []
     counts = []
@@ -135,11 +137,12 @@ def parse_models(text: str) -> LanguageModelSet:
         tokens = line.split()
         if len(tokens) < 3:
             raise MalformedLine("expected 'language count value...'", line_no)
-        try:
-            count = int(tokens[1])
-            vec = np.array([float(t) for t in tokens[2:]])
-        except ValueError as exc:
-            raise MalformedLine(f"bad count or value: {exc}", line_no) from None
+        count_ok = tokens[1].isascii() and tokens[1].isdigit()
+        bad = tokens[1] if not count_ok else next(filter(bad_token, tokens[2:]), None)
+        if bad is not None:
+            raise MalformedLine(f"bad count or value: {bad!r}", line_no)
+        count = int(tokens[1])
+        vec = np.array([float(t) for t in tokens[2:]])
         if not np.all(np.isfinite(vec)):
             raise MalformedLine(f"non-finite centroid value for {tokens[0]!r}", line_no)
         if centroids and vec.size != centroids[0].size:

@@ -30,8 +30,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import harness, metrics, net, submission
 from .errors import (
-    CorruptModel, InconsistentLanguageSet, LidkitError, MalformedLine, NonFiniteLoss, data_lines,
-    parse_file,
+    CorruptModel, DimMismatch, EmptyTrialSet, InconsistentLanguageSet, LidkitError, MalformedLine,
+    NonFiniteLoss, data_lines, parse_file,
 )
 
 EXIT_OK = 0
@@ -235,6 +235,10 @@ def _cmd_score(args, cfg):
             raise InconsistentLanguageSet(
                 f"{args.enrolled}: key language(s) {', '.join(missing)} not enrolled"
             )
+        embed_dim = params.weights[net.EMBED_LAYER].shape[0]
+        if models.centroids.shape[1] != embed_dim:
+            raise DimMismatch(f"{args.enrolled}: centroid dim {models.centroids.shape[1]} "
+                              f"!= model embedding dim {embed_dim}")
         order = [models.language_ids.index(lang) for lang in key.language_list]
 
         def score(feats):
@@ -269,10 +273,13 @@ def _cmd_evaluate(args, cfg):
     fill = submission.fill_missing(records, key)
     _warn_lost(fill)
     # both policies are always reported; eval.policy picks the headline number
-    reports = {
-        policy: metrics.compute_cavg(fill.records, key, harness.eval_config(cfg, key, policy))
-        for policy in metrics.THRESHOLD_POLICIES
-    }
+    try:
+        reports = {
+            policy: metrics.compute_cavg(fill.records, key, harness.eval_config(cfg, key, policy))
+            for policy in metrics.THRESHOLD_POLICIES
+        }
+    except EmptyTrialSet as exc:  # a key of one language, or a language with no segment
+        raise EmptyTrialSet(f"{args.key}: {exc}") from None
     report = reports[cfg["eval.policy"]]
     print(f"Cavg {report.cavg:.4f}")
     print(f"EER% {report.eer * 100:.2f}")

@@ -95,8 +95,8 @@ class EvalConfig:
             raise InvalidConfig(f"p_target: expected a value in (0, 1), got {self.p_target!r}")
         if math.isnan(self.threshold):
             raise InvalidConfig("threshold: expected a number, got nan")
-        if self.num_languages < 2:
-            raise ValueError(f"need at least 2 languages, got {self.num_languages}")
+        if self.num_languages < 2:  # no non-target trial
+            raise EmptyTrialSet(f"need at least 2 languages, got {self.num_languages}")
         if self.threshold_policy not in THRESHOLD_POLICIES:
             raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
 

@@ -132,8 +132,9 @@ def _refuse_repeat(text: str, ids: Sequence[str], first: int) -> None:
         raise DuplicateSegment(f"segment {ids[i]!r} appears twice", _line_of(text, first + i))
 
 
-def _bad_token(token: str) -> bool:
-    """Whether a score token breaks the token rule (see the module doc)."""
+def bad_token(token: str) -> bool:
+    """Whether a score token breaks the token rule (see the module doc);
+    centroid values in an enrolled-models file follow the same rule."""
     try:
         return not token.isascii() or "_" in token or (
             math.isinf(float(token)) and token not in INF_TOKENS)
@@ -164,7 +165,7 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
             strict = False
         token = arity
         if not strict:
-            token = _first(map(_bad_token, tokens), len(tokens)) // n
+            token = _first(map(bad_token, tokens), len(tokens)) // n
             values = np.array([float(tok) for tok in tokens[:token * n]])
         values = values.reshape(token, n)
         nan = _first(np.isnan(values).any(axis=1).tolist(), token)
@@ -176,7 +177,7 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
             if nan < token:
                 raise NaNScore(f"segment {row[0]!r} has a NaN score", line_no)
             if nan < arity:
-                bad = next(filter(_bad_token, row[1:]))
+                bad = next(filter(bad_token, row[1:]))
                 raise MalformedLine(
                     f"bad score token: could not convert string to float: {bad!r}", line_no)
             raise ArityMismatch(

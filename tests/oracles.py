@@ -365,13 +365,18 @@ def _band_profile(freqs, spec):
 
 
 def synth_utterance_per_harmonic(spec, duration_s, rng):
-    """The harmonic-loop synthesis that ``harness.synth_utterance`` replaced."""
+    """The harmonic-loop synthesis that ``harness.synth_utterance`` replaced,
+    with its noise shaped at the power-of-two FFT length."""
     spec.validate()
     n = max(int(round(duration_s * SAMPLE_RATE)), SAMPLE_RATE // 10)
     freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
     profile = _band_profile(freqs, spec)
 
-    shaped = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * profile, n)
+    # noise shaped at the next power of two, zero-padded, cut back to n
+    m = 2 ** int(np.ceil(np.log2(n)))
+    noise = np.concatenate([rng.standard_normal(n), np.zeros(m - n)])
+    noise_profile = _band_profile(np.fft.rfftfreq(m, 1.0 / SAMPLE_RATE), spec)
+    shaped = np.fft.irfft(np.fft.rfft(noise) * noise_profile)[:n]
     rms = np.sqrt(np.mean(shaped**2))
     shaped = shaped / max(rms, 1e-12) * 0.05
 

@@ -185,6 +185,10 @@ class TestModelSetSerialization:
         ("echo 3", "expected 'language count value...'"),
         ("echo three 0.5 0.25", "bad count or value"),
         ("echo 3 0.5 half", "bad count or value"),
+        ("delta \u0663 0.5 0.5", "bad count or value: '\u0663'"),  # an Arabic-Indic 3
+        ("delta -3 0.5 0.5", "bad count or value: '-3'"),
+        ("delta 3 1_0 0.5", "bad count or value: '1_0'"),
+        ("delta 3 0.5 1e400", "bad count or value: '1e400'"),
         ("echo 3 nan 0.25", "non-finite"),
         ("echo 3 0.5 inf", "non-finite"),
         ("echo 3 0.5 0.25 0.125", "centroid dim 3 != 2"),

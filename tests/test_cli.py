@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import SHORT, TRUNCATED
+from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import cli, harness, net, submission as sub
 
 TRAIN_LANGS = "alpha,bravo,charlie"
@@ -589,3 +591,89 @@ class TestLogging:
             "--out", str(tmp_path / "m.bin"), "--set", "train.epochs=1",
         )
         assert code == 0 and "step 1 loss" not in err
+
+
+ZR_IDS = ["delta-zr_test-0000", "echo-zr_test-0001", TRUNCATED["zr_test"], "s1"]
+
+
+def lines(rows):
+    """Text of one line per ``(first, rest)`` pair of ``rows``."""
+    return "\n".join(" ".join([first, *rest]) for first, rest in rows)
+
+
+def score_rows(values):
+    """Up to 5 lines: a segment id, then two of ``values``."""
+    pair = st.lists(st.sampled_from(values), min_size=2, max_size=2)
+    return st.lists(st.tuples(st.sampled_from(ZR_IDS), pair), max_size=5).map(lines)
+
+
+def key_rows(languages):
+    """A ``delta echo`` key with one trial of each, then up to 3 more ids,
+    each with one of ``languages``."""
+    more = st.dictionaries(st.sampled_from(ZR_IDS[2:] + ["s2"]),
+                           st.sampled_from(languages).map(lambda lang: [lang]), max_size=3)
+    head = f"delta echo\n{ZR_IDS[0]} delta\n{ZR_IDS[1]} echo\n"
+    return more.map(lambda rows: head + lines(rows.items()))
+
+
+def model_rows(dims):
+    """A ``delta`` and an ``echo`` line: a count, then a centroid of one of ``dims``."""
+    def rows(dim):
+        centroid = st.lists(st.sampled_from(["0.5", "-1", "0", "2e-3"]), min_size=dim, max_size=dim)
+        rest = st.tuples(st.sampled_from(["3", "0"]), centroid).map(lambda t: [t[0], *t[1]])
+        return st.tuples(rest, rest).map(lambda pair: lines(zip(["delta", "echo"], pair)))
+    return st.sampled_from(dims).flatmap(rows)
+
+
+SCORE_TEXTS = st.one_of(
+    score_rows(["0.5", "-1", "0.25", "3", "-inf"]),
+    token_texts(["s1", ZR_IDS[0], "0.5", "-1", "-inf", "nan", "1_0", "1e400", "٣", "#"]),
+)
+KEY_TEXTS = st.one_of(
+    key_rows(["delta", "echo", "OOS", "x"]),
+    token_texts(["delta", "echo", "OOS", "s1", ZR_IDS[0], "#"]),
+)
+ENROLLED_TEXTS = st.one_of(
+    model_rows([2, 16]),
+    token_texts(["delta", "echo", "3", "0.5", "-1e3", "nan", "1_0", "٣", "#"]),
+)
+
+
+class TestCliTotality:
+    """``validate``, ``evaluate`` and ``score --mode zero`` on arbitrary
+    score, key and enrolled text: exit 0, or exit 2 with one ``error:``
+    line that names a file it read. No other exception leaves ``cli.main``."""
+
+    @staticmethod
+    def outcome(argv, paths):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        if code == 0:
+            assert not errors, err.getvalue()
+        else:
+            assert code == 2, err.getvalue()
+            assert errors == err.getvalue().splitlines()[-1:], err.getvalue()
+            assert any(errors[0].startswith(f"error: {path}") for path in paths), errors
+
+    @TOTALITY
+    @given(scores=SCORE_TEXTS, key=KEY_TEXTS, enrolled=ENROLLED_TEXTS)
+    def test_any_text_exits_0_or_2_naming_a_file(
+        self, damaged_corpus, tmp_path_factory, scores, key, enrolled
+    ):
+        corpus, model = damaged_corpus
+        root = tmp_path_factory.mktemp("totality")
+        paths = [root / f"{name}.txt" for name in ("scores", "key", "enrolled")]
+        for path, text in zip(paths, (scores, key, enrolled)):
+            path.write_text(text, encoding="utf-8")
+        scores_path, key_path, enrolled_path = map(str, paths)
+        self.outcome(["validate", "--scores", scores_path, "--key", key_path,
+                      "--out", str(root / "filled.txt")], [scores_path, key_path])
+        self.outcome(["evaluate", "--scores", scores_path, "--key", key_path,
+                      "--report", str(root / "report.txt"), "--det", str(root / "det.txt")],
+                     [scores_path, key_path])
+        self.outcome(["score", "--model", str(model), "--corpus", str(corpus),
+                      "--split", "zr_test", "--key", key_path, "--mode", "zero",
+                      "--enrolled", enrolled_path, "--out", str(root / "zscores.txt")],
+                     [key_path, enrolled_path])

@@ -76,6 +76,29 @@ class TestSynthesis:
                 np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-11)
                 assert rng.random() == oracle_rng.random()  # the same draws were taken
 
+    @pytest.mark.parametrize("size", [1600, 30011, 32767, 32768, 32769])
+    def test_noise_is_shaped_at_a_power_of_two_length(self, monkeypatch, size):
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def spy_rfft(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        def spy_irfft(a, n=None, *args, **kwargs):
+            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy_rfft)
+        monkeypatch.setattr(np.fft, "irfft", spy_irfft)
+        # the 1,600-sample minimum, a prime length, and lengths around 2**15
+        duration = 0.05 if size == 1600 else size / harness.SAMPLE_RATE
+        spec = harness.default_training_specs()[1]
+        samples = harness.synth_utterance(spec, duration, np.random.default_rng(size))
+        assert samples.size == size
+        assert len(lengths) == 2
+        assert all(m >= size and m & (m - 1) == 0 for m in lengths), lengths
+
     def test_invalid_spec_rejected(self):
         bad = harness.SyntheticLanguageSpec("x", (9000.0,), (100.0,))
         with pytest.raises(InvalidSpec):
@@ -131,6 +154,19 @@ class TestCorpus:
         assert set(key.entries) == train_ids
         again = harness.read_manifest(tmp_path)
         assert again == entries
+
+    @pytest.mark.parametrize("module, writer", [(harness, "write_manifest"), (sub, "write_key")])
+    def test_failed_write_leaves_the_previous_text_files(self, tmp_path, monkeypatch,
+                                                         module, writer):
+        counts = {"train": {lang: 1 for lang in TRAIN_LANGS}}
+        harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        # a lone surrogate cannot be encoded, so the write fails part-way
+        monkeypatch.setattr(module, writer, lambda *args: "ok\n\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path)
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert after == before
 
     @TOTALITY
     @given(token_texts(["u1", "alpha", "wav/u1.wav", "test", "#", "é", "\t"]))
