@@ -128,8 +128,9 @@ def parse_models(text: str) -> LanguageModelSet:
     """Parse ``write_models`` output. Raises MalformedLine with the line
     number for a short line, a count that is not ASCII digits, a value
     that breaks the score-token rule (``submission.bad_token``), a
-    non-finite value, or a centroid whose dimension differs from the first
-    one, and without one for a text holding no model line."""
+    non-finite value, a centroid whose dimension differs from the first
+    one, or a language enrolled on an earlier line, and without one for a
+    text holding no model line."""
     language_ids = []
     centroids = []
     counts = []
@@ -149,6 +150,8 @@ def parse_models(text: str) -> LanguageModelSet:
             raise MalformedLine(
                 f"centroid dim {vec.size} != {centroids[0].size} for {tokens[0]!r}", line_no
             )
+        if tokens[0] in language_ids:
+            raise MalformedLine(f"language {tokens[0]!r} enrolled twice", line_no)
         language_ids.append(tokens[0])
         counts.append(count)
         centroids.append(vec)

@@ -49,6 +49,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _languages(text: str) -> list[str]:
+    """The ``--languages`` type: comma-separated languages, none repeated."""
+    languages = [tok for tok in text.split(",") if tok]
+    repeated = [lang for i, lang in enumerate(languages) if lang in languages[:i]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"language {repeated[0]!r} given twice")
+    return languages
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lidkit", description="language identification toolkit")
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
@@ -64,7 +80,7 @@ def _build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="override one config value (repeatable, last wins)",
     )
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("generate", parents=[common], help="synthesize a test corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
@@ -73,7 +89,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common], help="train the embedding network")
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="train")
-    p.add_argument("--languages", required=True, help="comma-separated label order")
+    p.add_argument("--languages", type=_languages, required=True,
+                   help="comma-separated label order")
     p.add_argument("--out", required=True, help="model file to write")
 
     p = sub.add_parser("extract", parents=[common], help="extract x-vectors")
@@ -94,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--key", required=True, help="trial key fixing the language order")
     p.add_argument("--mode", choices=["closed", "zero"], default="closed")
     p.add_argument("--enrolled", help="enrolled models file (zero mode)")
-    p.add_argument("--languages", help="training label order (closed mode)")
+    p.add_argument("--languages", type=_languages, help="training label order (closed mode)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="validate a score file")
@@ -155,9 +172,8 @@ def _cmd_generate(args, cfg):
 
 
 def _cmd_train(args, cfg):
-    languages = [tok for tok in args.languages.split(",") if tok]
     entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
-    params = harness.train_network(args.corpus, entries, languages, cfg, args.seed)
+    params = harness.train_network(args.corpus, entries, args.languages, cfg, args.seed)
     harness.write_atomic(args.out, net.save_params(params))
     print(f"model written to {args.out}")
     return EXIT_OK
@@ -179,12 +195,11 @@ def _split_features(params, args, cfg):
 
 def _cmd_extract(args, cfg):
     params = _load_model(args.model)
-    records = [
-        submission.ScoreRecord(entry.utt_id, net.extract_xvector(params, feats).values)
-        for entry, feats in _split_features(params, args, cfg)
-    ]
-    harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(records))
-    print(f"{len(records)} x-vectors written to {args.out}")
+    embed_dim = params.weights[net.EMBED_LAYER].shape[0]
+    table = harness.score_table(_split_features(params, args, cfg),
+                                lambda feats: net.extract_xvector(params, feats).values, embed_dim)
+    harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(table))
+    print(f"{len(table)} x-vectors written to {args.out}")
     return EXIT_OK
 
 
@@ -214,11 +229,7 @@ def _cmd_score(args, cfg):
     params = _load_model(args.model)
     key = submission.read_key_file(args.key)
     if args.mode == "closed":
-        train_order = (
-            [tok for tok in args.languages.split(",") if tok]
-            if args.languages
-            else key.language_list
-        )
+        train_order = args.languages or key.language_list
         try:
             subset = [train_order.index(lang) for lang in key.language_list]
         except ValueError as exc:
@@ -243,39 +254,34 @@ def _cmd_score(args, cfg):
 
         def score(feats):
             return backend_mod.score_zero_resource(models, feats, params)[order]
-    records = [
-        submission.ScoreRecord(entry.utt_id, score(feats))
-        for entry, feats in _split_features(params, args, cfg)
-    ]
-    fill = submission.fill_missing(records, key)
+    table = harness.score_table(_split_features(params, args, cfg), score, key.num_languages)
+    fill = submission.fill_missing(table, key)
     _warn_fill(fill)
-    text = submission.write_scores(fill.records)
+    text = submission.write_scores(fill.table)
     harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
-    print(f"{len(fill.records)} segments scored to {args.out}")
+    print(f"{len(fill.table)} segments scored to {args.out}")
     return EXIT_OK
 
 
 def _cmd_validate(args, cfg):
     key = submission.read_key_file(args.key)
-    records = submission.read_score_file(args.scores, key.language_list)
-    fill = submission.fill_missing(records, key)
+    fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
     _warn_fill(fill)
     if args.out:
-        text = submission.write_scores(fill.records)
+        text = submission.write_scores(fill.table)
         harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
-    print(f"{len(fill.records)} segments valid against {key.num_languages} languages")
+    print(f"{len(fill.table)} segments valid against {key.num_languages} languages")
     return EXIT_OK
 
 
 def _cmd_evaluate(args, cfg):
     key = submission.read_key_file(args.key)
-    records = submission.read_score_file(args.scores, key.language_list)
-    fill = submission.fill_missing(records, key)
+    fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
     _warn_lost(fill)
     # both policies are always reported; eval.policy picks the headline number
     try:
         reports = {
-            policy: metrics.compute_cavg(fill.records, key, harness.eval_config(cfg, key, policy))
+            policy: metrics.compute_cavg(fill.table, key, harness.eval_config(cfg, key, policy))
             for policy in metrics.THRESHOLD_POLICIES
         }
     except EmptyTrialSet as exc:  # a key of one language, or a language with no segment

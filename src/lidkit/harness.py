@@ -398,6 +398,16 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
         yield entry, feats
 
 
+def score_table(features, score, width: int) -> submission.ScoreTable:
+    """One table of ``score(feats)``, a row of ``width`` values, for each
+    ``(entry, feats)`` of ``features``, with the entries' ids."""
+    ids, rows = [], []
+    for entry, feats in features:
+        ids.append(entry.utt_id)
+        rows.append(score(feats))
+    return submission.ScoreTable(ids, np.reshape(rows, (len(ids), width)))
+
+
 def enroll_entries(
     params: net.NetworkParams, corpus_dir, entries, config, languages
 ) -> backend_mod.LanguageModelSet:
@@ -538,12 +548,9 @@ def run_task(
                 samples = apply_channel(samples, plan.channel, rng)
             return _crop_center(samples, plan.crop_seconds)
 
-        records = [
-            submission.ScoreRecord(
-                entry.utt_id, backend_mod.score_closed_set(params, feats, subset)
-            )
-            for entry, feats in iter_features(params, corpus_dir, test_entries, cfg, transform)
-        ]
+        table = score_table(
+            iter_features(params, corpus_dir, test_entries, cfg, transform),
+            lambda feats: backend_mod.score_closed_set(params, feats, subset), len(languages))
     else:
         if set(languages) != set(plan.zero_languages):
             raise InvalidPlan(
@@ -551,22 +558,19 @@ def run_task(
             )
         references = [e for e in entries if e.split == plan.reference_split]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
-        records = [
-            submission.ScoreRecord(
-                entry.utt_id, backend_mod.score_zero_resource(models, feats, params)
-            )
-            for entry, feats in iter_features(params, corpus_dir, test_entries, cfg)
-        ]
+        table = score_table(
+            iter_features(params, corpus_dir, test_entries, cfg),
+            lambda feats: backend_mod.score_zero_resource(models, feats, params), len(languages))
 
-    fill = submission.fill_missing(records, key)
+    fill = submission.fill_missing(table, key)
     if fill.num_filled:
         log.warning("%d lost trial(s) filled with -inf", fill.num_filled)
-    report = metrics.compute_cavg(fill.records, key, evaluation)
+    report = metrics.compute_cavg(fill.table, key, evaluation)
 
     score_path = out_dir / f"scores_{plan.task}.txt"
     report_path = out_dir / f"report_{plan.task}.txt"
     det_path = out_dir / f"det_{plan.task}.txt"
-    write_atomic(score_path, submission.write_scores(fill.records))
+    write_atomic(score_path, submission.write_scores(fill.table))
     write_atomic(report_path, metrics.report_text(report))
     write_atomic(det_path, metrics.det_text(report.det_points))
     return TaskResult(report, score_path, report_path, det_path, params)

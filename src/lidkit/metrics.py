@@ -30,28 +30,32 @@ Fixed conventions, documented rather than configurable:
 * the equal error rate linearly interpolates between the two DET
   points flanking the miss/false-alarm crossing.
 
-Every count comes from one table of sorted trial pools that
-``compute_cavg`` builds once: per target language, its own segments'
-scores and each non-target group's scores (every other language, then
-the out-of-set group), all in the target's column, plus the pooled target
-and non-target trials. One rule counts them: ``k = searchsorted(pool,
-theta, side="left")`` scores lie below ``theta``, so k/n of a target
-pool's trials are missed and (n - k)/n of a non-target pool's are false
-alarms. The min-sweep cost curve, the pair terms at the chosen threshold
-and the pooled DET, a (K, 2) float64 array of ``(p_miss, p_fa)`` rows,
-all read it. ``compute_cavg`` needs a segment of every key language
-(``EmptyTrialSet`` otherwise), refuses a NaN score (``NaNScore``, as the
-score reader and writer do), and ``EvalConfig`` refuses a NaN threshold.
+``compute_cavg`` gathers a ``submission.ScoreTable`` (or a list of
+``ScoreRecord``) into key order with one index and builds one table of
+sorted trial pools: per target language, its own segments' scores and
+each non-target group's scores (every other language, then the
+out-of-set group), all in the target's column, plus the pooled target
+and non-target trials. Every count is how many scores ``k`` of a pool lie
+strictly below ``theta``: k/n of a target pool's trials are missed and
+(n - k)/n of a non-target pool's are false alarms. The pair terms and
+the pooled DET, a (K, 2) float64 array of ``(p_miss, p_fa)`` rows, read
+``k = searchsorted(pool, theta, side="left")``. ``compute_cavg`` needs a
+segment of every key language (``EmptyTrialSet`` otherwise), refuses a
+NaN score (``NaNScore``, as the score reader and writer do), and
+``EvalConfig`` refuses a NaN threshold.
 
-The min sweep runs over each column's own steps. A target column's
-counts change only at that column's distinct scores, so for ``steps``,
-those scores plus +/-inf, every count is constant for thresholds in
-``(steps[j-1], steps[j]]``. Each column's cost term is therefore computed
-on its (at most one per segment) steps, with the same integer counts and
-the same float operations in the same order as at every threshold, and
-read at ``j = searchsorted(steps, theta, side="left")``: one search over
-the thresholds per column instead of one per pool, and a curve equal bit
-for bit to evaluating every pool at every threshold.
+The min sweep counts each column once. Its counts change only at its
+distinct scores, so for ``steps``, those scores plus +/-inf, every count
+is constant for thresholds in ``(steps[j-1], steps[j]]``. One
+``np.unique`` over the column's pools gives the steps and each score's
+step index; the exclusive ``cumsum`` of a pool's ``bincount`` over those
+indices is its ``k`` at every step, the integers ``searchsorted`` gives.
+The column's cost term is computed on its steps with the same float
+operations in the same order as at every threshold, and read at the
+number of steps below each threshold: an inclusive ``cumsum`` of the
+steps' marks (``searchsorted(thetas, steps, side="right")``) among the
+thresholds. The curve equals evaluating every pool at every threshold
+bit for bit.
 
 All operations are pure functions of their inputs.
 """
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -70,7 +75,7 @@ from .errors import (
     MissingSegment,
     NaNScore,
 )
-from .submission import OUT_OF_SET, SCORE_FORMAT, TrialKey, format_lines
+from .submission import OUT_OF_SET, SCORE_FORMAT, ScoreTable, TrialKey, format_lines
 
 FIXED = "fixed"
 MIN_SWEEP = "min_sweep"
@@ -135,37 +140,37 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # score-matrix assembly
 
-def _score_matrix(records, key: TrialKey, num_languages: int):
-    """Align records to the key; return (matrix, true-language indices).
+def _score_matrix(rows, key: TrialKey, num_languages: int):
+    """Gather a score table (or record list) into key order; return
+    (matrix, true-language indices in key.language_list order, -1 out of set).
 
-    True indices follow key.language_list order; out-of-set entries get -1.
-    Records not named by the key are ignored (fill_missing drops and
-    reports them upstream); of two records of one segment the last counts.
-    A NaN score is refused, as the score reader and writer refuse it.
+    Rows not named by the key are ignored (fill_missing drops and reports
+    them upstream); of two rows of one segment the last counts. A NaN
+    score is refused, as the score reader and writer refuse it.
     """
+    table = ScoreTable.of(rows)
     if num_languages != key.num_languages:
         raise InconsistentLanguageSet(
             f"config declares {num_languages} languages, key has {key.num_languages}"
         )
-    for rec in records:
-        if rec.scores.shape != (num_languages,):
-            raise InconsistentLanguageSet(
-                f"segment {rec.segment_id!r} has {rec.scores.shape[0]} scores, "
-                f"expected {num_languages}"
-            )
-    position = {rec.segment_id: i for i, rec in enumerate(records)}
-    missing = [seg for seg in key.entries if seg not in position]
-    if missing:
-        raise MissingSegment(
-            f"{len(missing)} key segment(s) absent from scores, first {missing[0]!r}; "
-            "run fill_missing first"
+    if len(table) and table.values.shape[1] != num_languages:
+        raise InconsistentLanguageSet(
+            f"segment {table.ids[0]!r} has {table.values.shape[1]} scores, "
+            f"expected {num_languages}"
         )
-    order = np.fromiter(map(position.__getitem__, key.entries), np.intp, len(key.entries))
-    scores = np.array([rec.scores for rec in records], dtype=np.float64)
-    matrix = scores.reshape(len(records), num_languages)[order]
+    # the row of each key segment, -1 for none
+    position = dict(zip(table.ids, range(len(table))))
+    order = np.fromiter(map(position.get, key.entries, repeat(-1)), np.intp, len(key.entries))
+    missing = np.flatnonzero(order == -1)
+    if missing.size:
+        raise MissingSegment(
+            f"{missing.size} key segment(s) absent from scores, first "
+            f"{list(key.entries)[missing[0]]!r}; run fill_missing first"
+        )
+    matrix = table.values[order]
     nan_rows = np.isnan(matrix).any(axis=1)
     if nan_rows.any():
-        raise NaNScore(f"segment {list(key.entries)[int(np.argmax(nan_rows))]!r} has a NaN score")
+        raise NaNScore(f"segment {list(key.entries)[np.argmax(nan_rows)]!r} has a NaN score")
     index = {lang: i for i, lang in enumerate(key.language_list)}
     true_idx = np.fromiter(
         (index.get(lang, -1) for lang in key.entries.values()), np.int64, len(key.entries)
@@ -182,6 +187,13 @@ def _below(pool: np.ndarray, thetas):
     missed at that threshold; of a non-target pool's, (n - k)/n are false
     alarms (a score equal to the threshold is a detection)."""
     return np.searchsorted(pool, thetas, side="left")
+
+
+def _below_steps(step_of, num_steps: int):
+    """The same counts at every step, from the step index of each of a
+    pool's scores: the exclusive running sum of its count per step."""
+    counts = np.bincount(step_of, minlength=num_steps)
+    return np.cumsum(counts) - counts
 
 
 @dataclass(frozen=True)
@@ -218,33 +230,42 @@ def _pooled(matrix, true_idx):
 def _trial_table(matrix, true_idx, key: TrialKey) -> _TrialTable:
     """Build the table, raising EmptyTrialSet for a key language that has
     no segment."""
-    groups = [(lang, true_idx == i) for i, lang in enumerate(key.language_list)]
-    for lang, rows in groups:
-        if not rows.any():
+    num = key.num_languages
+    group_of = np.where(true_idx == -1, num, true_idx)  # the out-of-set group last
+    sizes = np.bincount(group_of, minlength=num + 1)
+    for lang, size in zip(key.language_list, sizes.tolist()):
+        if size == 0:
             raise EmptyTrialSet(f"no trials for language {lang!r}")
-    if np.any(true_idx == -1):
-        groups.append((OUT_OF_SET, true_idx == -1))
+    groups = key.language_list + [OUT_OF_SET] * bool(sizes[num])
+    # rows in group order, so that each column splits into its pools
+    order = np.argsort(group_of, kind="stable")
     columns = []
     for t, target in enumerate(key.language_list):
-        pools = [(group, np.sort(matrix[rows, t])) for group, rows in groups]
+        pools = np.split(matrix[order, t], np.cumsum(sizes[:num]))
+        pools = [(group, np.sort(pool)) for group, pool in zip(groups, pools)]
         own = pools.pop(t)[1]
         columns.append((target, own, pools))
     return _TrialTable(columns, *_pooled(matrix, true_idx))
 
 
 def _cavg_curve(table: _TrialTable, config: EvalConfig, thetas) -> np.ndarray:
-    """Average cost at every threshold in ``thetas``: each column's term
-    is computed once per step of the column and read at ``j = _below(steps,
-    theta)`` (see the module docstring)."""
+    """Average cost at every threshold in the sorted ``thetas``, from one
+    count of each pool at its column's steps (see the module docstring)."""
     total = np.zeros(thetas.shape, dtype=np.float64)
     for _, own, others in table.columns:
-        steps = np.union1d(np.concatenate([own, *(pool for _, pool in others)]),
-                           (-np.inf, np.inf))
-        term = config.p_target * (_below(own, steps) / own.size)
-        for _, pool in others:
-            fa = (pool.size - _below(pool, steps)) / pool.size
+        pools = [own, *(pool for _, pool in others)]
+        steps, step_of = np.unique(np.concatenate([*pools, (-np.inf, np.inf)]),
+                                   return_inverse=True)
+        # the step index of each pool's scores (a last piece holds the infinities)
+        at = np.split(step_of, np.cumsum([pool.size for pool in pools]))
+        term = config.p_target * (_below_steps(at[0], steps.size) / own.size)
+        for pool, pool_at in zip(pools[1:], at[1:]):
+            fa = (pool.size - _below_steps(pool_at, steps.size)) / pool.size
             term = term + config.p_nontarget * fa
-        total += term[_below(steps, thetas)]
+        # steps below each threshold: an inclusive count of the steps' marks
+        below = np.bincount(np.searchsorted(thetas, steps, side="right"),
+                            minlength=thetas.size + 1)[:-1]
+        total += term[np.cumsum(below, out=below)]
     return total / config.num_languages
 
 

@@ -19,9 +19,13 @@ once and check it in one pass: the score reader converts a block of
 arity, tokens, NaN and duplicate ids in that order, each on the rows the
 earlier checks pass, so the first refused row fails its first check; the
 key reader does the same for arity, languages and duplicates. Only a
-refused row has its line number looked up. The writers format a block of
-rows with one ``%`` operation. The block bound keeps the transient lists
-of Python floats small.
+refused row has its line number looked up. The block bound keeps the
+transient lists of Python floats small. In memory a score file is one
+``ScoreTable``, the ids in row order and one (N, L) float64 matrix: the
+reader appends each block's ids and values array, with no per-row object;
+``fill_missing`` keeps the key's rows in table order and appends one -inf
+row per key segment without one; and the writer formats a block of matrix
+rows with one ``%`` operation.
 
 A trial key is the ground truth. Its first line declares the language
 order (authoritative for score columns everywhere); each following line
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, groupby, islice
+from itertools import chain, compress, count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +45,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DuplicateSegment,
+    InconsistentLanguageSet,
     MalformedLine,
     NaNScore,
     UnknownLanguage,
@@ -72,7 +77,7 @@ def format_lines(line: str, cells) -> str:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreRecord:
     """One segment id plus its score vector over the hypothesis languages."""
 
@@ -82,12 +87,33 @@ class ScoreRecord:
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreRecord):
-            return NotImplemented
-        return self.segment_id == other.segment_id and np.array_equal(
-            self.scores, other.scores
-        )
+
+@dataclass
+class ScoreTable:
+    """Segment ids in row order and their (N, L) float64 score matrix."""
+
+    ids: list[str]
+    values: np.ndarray
+
+    def __post_init__(self):
+        try:
+            self.values = np.asarray(self.values, dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            self.values = np.empty(0)
+        if self.values.ndim != 2 or len(self.values) != len(self.ids):
+            raise InconsistentLanguageSet(
+                f"a score table needs {len(self.ids)} rows of equally many scores")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def of(cls, rows) -> "ScoreTable":
+        """``rows`` if a table, else the table of a list of ScoreRecords."""
+        if isinstance(rows, ScoreTable):
+            return rows
+        values = [rec.scores for rec in rows] or np.empty((0, 0))
+        return cls([rec.segment_id for rec in rows], values)
 
 
 @dataclass
@@ -142,14 +168,15 @@ def bad_token(token: str) -> bool:
         return True
 
 
-def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreRecord]:
+def parse_scores(text: str, expected_languages: Sequence[str]) -> ScoreTable:
     """Parse score-file text against a known language order.
 
     Raises MalformedLine, ArityMismatch, DuplicateSegment, or NaNScore with
-    the offending 1-based line number. An empty stream yields an empty list.
+    the offending 1-based line number. An empty stream yields an empty table.
     """
     n = len(expected_languages)
-    records: list[ScoreRecord] = []
+    all_ids: list[str] = []
+    matrices = [np.empty((0, n))]
     for block in blocks(text.splitlines()):
         rows = _data_rows(block)
         arity = _first((len(row) != n + 1 for row in rows), len(rows))
@@ -169,11 +196,12 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
             values = np.array([float(tok) for tok in tokens[:token * n]])
         values = values.reshape(token, n)
         nan = _first(np.isnan(values).any(axis=1).tolist(), token)
-        records.extend(map(ScoreRecord, ids, values[:nan]))
+        all_ids.extend(ids[:nan])
+        matrices.append(values[:nan])
         if nan < len(rows):
             # a repeat among the rows before wins, then the checks in order
-            _refuse_repeat(text, [rec.segment_id for rec in records], 0)
-            row, line_no = rows[nan], _line_of(text, len(records))
+            _refuse_repeat(text, all_ids, 0)
+            row, line_no = rows[nan], _line_of(text, len(all_ids))
             if nan < token:
                 raise NaNScore(f"segment {row[0]!r} has a NaN score", line_no)
             if nan < arity:
@@ -182,29 +210,26 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> list[ScoreReco
                     f"bad score token: could not convert string to float: {bad!r}", line_no)
             raise ArityMismatch(
                 f"segment {row[0]!r}: expected {n} scores, got {len(row) - 1}", line_no)
-    _refuse_repeat(text, [rec.segment_id for rec in records], 0)
-    return records
+    _refuse_repeat(text, all_ids, 0)
+    return ScoreTable(all_ids, np.concatenate(matrices))
 
 
-def write_scores(records: Sequence[ScoreRecord]) -> str:
-    """Serialize records as score-file text (empty string for no records).
+def write_scores(table: ScoreTable) -> str:
+    """Serialize a table as score-file text (empty string for no rows).
 
     Raises NaNScore naming the first NaN segment rather than write a NaN,
     which ``parse_scores`` would reject.
     """
+    nan_rows = np.isnan(table.values).any(axis=1)
+    if nan_rows.any():
+        raise NaNScore(f"segment {table.ids[int(np.argmax(nan_rows))]!r} has a NaN score")
+    width = table.values.shape[1]
     texts = []
-    # a block holds consecutive records with equally many scores
-    for _, run in groupby(records, key=lambda rec: rec.scores.shape):
-        for block in blocks(list(run)):
-            ids = [rec.segment_id for rec in block]
-            values = np.array([rec.scores for rec in block])
-            nan_rows = np.isnan(values).any(axis=1)
-            if nan_rows.any():
-                raise NaNScore(f"segment {ids[int(np.argmax(nan_rows))]!r} has a NaN score")
-            cells = np.empty((len(block), values.shape[1] + 1), dtype=object)
-            cells[:, 0] = ids
-            cells[:, 1:] = values
-            texts.append(format_lines("%s " + " ".join([SCORE_FORMAT] * values.shape[1]), cells))
+    for ids, values in zip(blocks(table.ids), blocks(table.values)):
+        cells = np.empty((len(ids), width + 1), dtype=object)
+        cells[:, 0] = ids
+        cells[:, 1:] = values
+        texts.append(format_lines("%s " + " ".join([SCORE_FORMAT] * width), cells))
     return "\n".join(texts) + ("\n" if texts else "")
 
 
@@ -245,9 +270,9 @@ def write_key(key: TrialKey) -> str:
 
 @dataclass
 class FillResult:
-    """Outcome of reconciling a score file against a trial key."""
+    """Outcome of reconciling a score table against a trial key."""
 
-    records: list[ScoreRecord]
+    table: ScoreTable
     added_ids: list[str]
     dropped_ids: list[str]
 
@@ -256,24 +281,26 @@ class FillResult:
         return len(self.added_ids)
 
 
-def fill_missing(records: Sequence[ScoreRecord], key: TrialKey) -> FillResult:
-    """Make the record list cover the key exactly.
+def fill_missing(table: ScoreTable, key: TrialKey) -> FillResult:
+    """Make the table cover the key exactly.
 
-    Segments missing from the records are appended with every score set to
-    -inf (the lost-trial convention); segments absent from the key are
-    dropped and reported. Output cardinality always equals the key's.
+    Rows of segments absent from the key are dropped and reported; the
+    kept rows stay in table order, followed by one row of -inf scores (the
+    lost-trial convention) per key segment without a row, in key order.
+    Output cardinality always equals the key's.
     """
     wanted = key.entries
-    kept = [rec for rec in records if rec.segment_id in wanted]
-    dropped = [rec.segment_id for rec in records if rec.segment_id not in wanted]
-    present = {rec.segment_id for rec in kept}
-    fill = np.full(key.num_languages, -np.inf)
+    keep = [seg in wanted for seg in table.ids]
+    kept = list(compress(table.ids, keep))
+    dropped = [seg for seg, kept_row in zip(table.ids, keep) if not kept_row]
+    present = set(kept)
     added = [seg for seg in wanted if seg not in present]
-    kept.extend(ScoreRecord(seg, fill.copy()) for seg in added)
-    return FillResult(kept, added, dropped)
+    values = np.full((len(kept) + len(added), key.num_languages), -np.inf)
+    np.compress(keep, table.values, axis=0, out=values[:len(kept)])
+    return FillResult(ScoreTable(kept + added, values), added, dropped)
 
 
-def read_score_file(path, expected_languages: Sequence[str]) -> list[ScoreRecord]:
+def read_score_file(path, expected_languages: Sequence[str]) -> ScoreTable:
     return parse_file(path, lambda text: parse_scores(text, expected_languages))
 
 

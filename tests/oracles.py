@@ -1,10 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results the dumb way: explicit trial counting,
-exhaustive threshold enumeration, one search per pool and threshold,
-line-by-line text parsing, one f-string per score, straight-line network
-evaluation, two-pass statistics, one sine per harmonic, index-matrix
-framing. None of it shares code with the implementation under test
+exhaustive threshold enumeration, one search per pool and threshold, a
+loop over score records, line-by-line text parsing, one f-string per
+score, straight-line network evaluation, two-pass statistics, one sine
+per harmonic, index-matrix framing. None of it shares code with the implementation under test
 beyond the data types and error classes.
 """
 
@@ -18,7 +18,9 @@ import numpy as np
 from lidkit.errors import (
     ArityMismatch,
     DuplicateSegment,
+    InconsistentLanguageSet,
     MalformedLine,
+    MissingSegment,
     NaNScore,
     UnknownLanguage,
 )
@@ -149,6 +151,56 @@ def eer_by_enumeration(records, key):
             return prev_m + w * (m - prev_m)
         prev_m, prev_f = m, f
     raise AssertionError("no crossing found")
+
+
+def score_matrix_by_record(records, key, num_languages):
+    """The record loop that ``metrics._score_matrix`` replaced: every
+    record's arity checked, the records stacked, then gathered into key
+    order (of two records of one segment the last counts)."""
+    if num_languages != key.num_languages:
+        raise InconsistentLanguageSet(
+            f"config declares {num_languages} languages, key has {key.num_languages}"
+        )
+    for rec in records:
+        if rec.scores.shape != (num_languages,):
+            raise InconsistentLanguageSet(
+                f"segment {rec.segment_id!r} has {rec.scores.shape[0]} scores, "
+                f"expected {num_languages}"
+            )
+    position = {rec.segment_id: i for i, rec in enumerate(records)}
+    missing = [seg for seg in key.entries if seg not in position]
+    if missing:
+        raise MissingSegment(
+            f"{len(missing)} key segment(s) absent from scores, first {missing[0]!r}; "
+            "run fill_missing first"
+        )
+    order = np.fromiter(map(position.__getitem__, key.entries), np.intp, len(key.entries))
+    scores = np.array([rec.scores for rec in records], dtype=np.float64)
+    matrix = scores.reshape(len(records), num_languages)[order]
+    nan_rows = np.isnan(matrix).any(axis=1)
+    if nan_rows.any():
+        raise NaNScore(f"segment {list(key.entries)[int(np.argmax(nan_rows))]!r} has a NaN score")
+    index = {lang: i for i, lang in enumerate(key.language_list)}
+    true_idx = np.fromiter(
+        (index.get(lang, -1) for lang in key.entries.values()), np.int64, len(key.entries)
+    )
+    return matrix, true_idx
+
+
+def cavg_curve_at_steps(table, config, thetas):
+    """The sweep that the one-count-per-pool ``metrics._cavg_curve``
+    replaced: every pool searched at each of its column's steps, and the
+    steps searched at every threshold."""
+    total = np.zeros(thetas.shape, dtype=np.float64)
+    for _, own, others in table.columns:
+        steps = np.union1d(np.concatenate([own, *(pool for _, pool in others)]),
+                           (-np.inf, np.inf))
+        term = config.p_target * (np.searchsorted(own, steps, side="left") / own.size)
+        for _, pool in others:
+            fa = (pool.size - np.searchsorted(pool, steps, side="left")) / pool.size
+            term = term + config.p_nontarget * fa
+        total += term[np.searchsorted(steps, thetas, side="left")]
+    return total / config.num_languages
 
 
 def cavg_curve_per_threshold(table, config, thetas):

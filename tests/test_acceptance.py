@@ -162,17 +162,17 @@ def test_criterion_6_format_round_trip():
     # sample line: ten columns, documented ends
     ten = ["l%d" % i for i in range(10)]
     line = "seg_1 0.5 -0.2 0.05 1.1 -0.7 0.9 -1.3 0.4 -0.3 0.1\n"
-    (record,) = sub.parse_scores(line, ten)
-    assert record.scores[0] == 0.5 and record.scores[1] == -0.2
-    assert record.scores[-2] == -0.3 and record.scores[-1] == 0.1
-    (short_record,) = sub.parse_scores("seg_1 0.5 -0.2 -0.3 0.1\n", ten[:4])
-    assert np.array_equal(short_record.scores, [0.5, -0.2, -0.3, 0.1])
+    (scores,) = sub.parse_scores(line, ten).values
+    assert scores[0] == 0.5 and scores[1] == -0.2
+    assert scores[-2] == -0.3 and scores[-1] == 0.1
+    (short_scores,) = sub.parse_scores("seg_1 0.5 -0.2 -0.3 0.1\n", ten[:4]).values
+    assert np.array_equal(short_scores, [0.5, -0.2, -0.3, 0.1])
 
     # lost-trial fill produces -inf rows
     key = sub.TrialKey(["A", "B"], {"s1": "A", "s2": "B"})
-    result = sub.fill_missing([sub.ScoreRecord("s1", [0.0, 0.0])], key)
+    result = sub.fill_missing(sub.ScoreTable(["s1"], [[0.0, 0.0]]), key)
     assert result.num_filled == 1
-    assert np.all(result.records[1].scores == -np.inf)
+    assert np.all(result.table.values[1] == -np.inf)
     _ok("6 format-round-trip")
 
 

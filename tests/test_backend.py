@@ -192,6 +192,7 @@ class TestModelSetSerialization:
         ("echo 3 nan 0.25", "non-finite"),
         ("echo 3 0.5 inf", "non-finite"),
         ("echo 3 0.5 0.25 0.125", "centroid dim 3 != 2"),
+        ("delta 3 0.5 0.5", "language 'delta' enrolled twice"),
     ])
     def test_bad_line_names_its_line(self, bad_line, message):
         text = f"# enrolled\ndelta 4 0.5 -0.5\n{bad_line}\n"

@@ -1,8 +1,9 @@
-"""The benchmark calls into lidkit: its tracer wraps functions by name,
-it captures what ``lidkit evaluate`` computes by patching
-``metrics.compute_cavg``, and its own tests call back-end and network
-functions directly. A rename, deletion or signature change here would make
-benchmark runs fail, so check them from the test suite."""
+"""The benchmark calls into lidkit: its tracer wraps functions by name and
+counts their work from their arguments and results, it captures what
+``lidkit evaluate`` computes by patching ``metrics.compute_cavg``, and its
+own tests call back-end and network functions directly. A rename, deletion
+or signature change here would make benchmark runs fail, so check them from
+the test suite."""
 
 import importlib
 import importlib.util
@@ -16,10 +17,15 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 TRACING = BENCHMARK / "tracing.py"
 
 
-def test_every_traced_function_exists():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_exists():
+    tracing = load_tracing()
     assert tracing.TRACED
     missing = [
         f"lidkit.{module}.{func}"
@@ -27,6 +33,24 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"lidkit.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_traced_work_counters_read_the_score_table_and_the_fill(tmp_path):
+    key, scores = tmp_path / "key.txt", tmp_path / "scores.txt"
+    key.write_text("A B\ns1 A\ns2 B\ns3 OOS\ns4 A\n")
+    # s4 is missing, s9 is not in the key
+    scores.write_text("# stamp\ns2 -1 1\ns9 0 0\ns1 1 -1\ns3 0.5 0.25\n")
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        assert cli.main(["validate", "--scores", str(scores), "--key", str(key),
+                         "--out", str(tmp_path / "filled.txt")]) == 0
+        assert cli.main(["evaluate", "--scores", str(scores), "--key", str(key)]) == 0
+    counted = {name: tracer.stats[f"submission.{name}"]
+               for name in ("parse_scores.calls", "parse_scores.lines",
+                            "fill_missing.calls", "fill_missing.filled", "fill_missing.dropped")}
+    assert counted == {"parse_scores.calls": 2, "parse_scores.lines": 8,
+                       "fill_missing.calls": 2, "fill_missing.filled": 2,
+                       "fill_missing.dropped": 2}
 
 
 def test_evaluate_computes_each_policy_once_through_the_module(tmp_path, monkeypatch):

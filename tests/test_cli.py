@@ -86,9 +86,9 @@ class TestEvaluateCommand:
         assert code == 0
         assert "dropped" in err
         key_obj = sub.parse_key(key.read_text())
-        records = sub.parse_scores(out.read_text(), key_obj.language_list)
-        assert [r.segment_id for r in records] == ["s1", "s2"]
-        assert np.all(records[1].scores == -np.inf)
+        table = sub.parse_scores(out.read_text(), key_obj.language_list)
+        assert table.ids == ["s1", "s2"]
+        assert np.all(table.values[1] == -np.inf)
 
     def test_malformed_scores_exit_2_with_file_line_shape(self, capsys, tmp_path):
         scores = tmp_path / "scores.txt"
@@ -142,6 +142,31 @@ class TestUsageErrors:
                  "--key", "k", "--out", "o"]
         assert run(capsys, *score, "--jobs", "2")[0] == 1
         assert run(capsys, "--jobs", "2", *score)[0] == 1
+
+    def test_repeated_language_for_train_exits_1_naming_the_flag(self, capsys, tmp_path):
+        out = tmp_path / "model.bin"
+        code, _, err = run(capsys, "train", "--corpus", str(tmp_path),
+                           "--languages", "alpha,alpha,bravo", "--out", str(out))
+        assert code == 1
+        assert err == "error: argument --languages: language 'alpha' given twice\n"
+        assert not out.exists()
+
+    def test_repeated_language_for_score_exits_1_naming_the_flag(self, capsys, tmp_path):
+        code, _, err = run(capsys, "score", "--model", "m", "--corpus", "c", "--split", "test",
+                           "--key", "k", "--out", str(tmp_path / "o"),
+                           "--languages", "alpha,bravo,charlie,bravo")
+        assert code == 1
+        assert err == "error: argument --languages: language 'bravo' given twice\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_seed_not_a_non_negative_integer_exits_1_naming_the_flag(
+        self, capsys, tmp_path, seed
+    ):
+        code, _, err = run(capsys, "generate", "--out", str(tmp_path / "c"), "--seed", seed)
+        assert code == 1
+        assert err == (
+            f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
+        assert not (tmp_path / "c").exists()
 
 
 TINY = [
@@ -364,6 +389,22 @@ class TestSegmentFailures:
         )
         assert code == 2
         assert err.startswith(f"error: {enrolled}:2: ")
+        assert not scores.exists()
+
+    def test_language_enrolled_twice_exits_2_with_file_line(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        corpus, model = damaged_corpus
+        enrolled = tmp_path / "enrolled.txt"
+        enrolled.write_text("delta 3 0.5 0.25\necho 3 1 1\ndelta 4 -1 2\n")
+        scores = tmp_path / "z.txt"
+        code, _, err = run(
+            capsys, "score", "--model", str(model), "--corpus", str(corpus),
+            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
+        )
+        assert code == 2
+        assert err == f"error: {enrolled}:3: language 'delta' enrolled twice\n"
         assert not scores.exists()
 
     def test_enrolled_file_without_models_exits_2_naming_it(

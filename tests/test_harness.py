@@ -257,8 +257,8 @@ class TestRunTask:
         assert result.report_path.exists()
         assert result.det_path.exists()
         key = sub.read_key_file(small_corpus / "key_zr_test.txt")
-        records = sub.read_score_file(result.score_path, key.language_list)
-        assert len(records) == len(key.entries)
+        table = sub.read_score_file(result.score_path, key.language_list)
+        assert len(table) == len(key.entries)
         assert 0.0 <= result.report.cavg <= 1.0
 
     def test_report_file_matches_report(self, small_corpus, tmp_path):
@@ -279,10 +279,10 @@ class TestRunTask:
         params = net.load_params(model.read_bytes())
         result = harness.run_task(plan, corpus, tmp_path, FAST_CONFIG, params=params)
         key = sub.read_key_file(corpus / "key_test.txt")
-        records = sub.read_score_file(result.score_path, key.language_list)
-        assert len(records) == len(key.entries)
-        assert records[-1].segment_id == TRUNCATED["test"]
-        assert np.all(records[-1].scores == -np.inf)
+        table = sub.read_score_file(result.score_path, key.language_list)
+        assert len(table) == len(key.entries)
+        assert table.ids[-1] == TRUNCATED["test"]
+        assert np.all(table.values[-1] == -np.inf)
         assert np.isfinite(result.report.cavg)
 
 

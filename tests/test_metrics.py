@@ -407,6 +407,27 @@ class TestStepSweep:
         report = metrics.compute_cavg(recs, key, cfg)
         assert report.threshold_used == swept_thetas[int(np.argmin(want))]
 
+    @PROPERTY
+    @given(sweep_files(), st.data(), st.sampled_from([0.5, 0.1, 0.9]),
+           st.lists(FLOAT64, max_size=4))
+    def test_matrix_and_curve_equal_the_record_and_step_oracles(
+        self, data, draws, p_target, extra
+    ):
+        recs, key = data
+        # rows in any order, and a stale row of one segment before its last
+        recs = draws.draw(st.permutations(recs))
+        recs.insert(0, sub.ScoreRecord(recs[-1].segment_id, np.full(key.num_languages, 7.0)))
+        matrix, true_idx = metrics._score_matrix(sub.ScoreTable.of(recs), key, key.num_languages)
+        want_matrix, want_idx = oracles.score_matrix_by_record(recs, key, key.num_languages)
+        assert matrix.tobytes() == want_matrix.tobytes()
+        assert true_idx.tobytes() == want_idx.tobytes()
+
+        cfg = metrics.EvalConfig.for_key(key, p_target=p_target)
+        table = metrics._trial_table(matrix, true_idx, key)
+        thetas = np.union1d(table.scores, [-np.inf, np.inf, *extra])
+        curve = metrics._cavg_curve(table, cfg, thetas)
+        assert curve.tobytes() == oracles.cavg_curve_at_steps(table, cfg, thetas).tobytes()
+
     def test_nan_score_refused_with_segment_id(self):
         key = two_lang_key({"s1": "A", "s2": "B", "s3": "A"})
         recs = _records(key, [("s3", [np.nan, 0.0]), ("s1", [1.0, 0.0]), ("s2", [0.0, np.nan])])

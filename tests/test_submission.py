@@ -8,6 +8,7 @@ from lidkit import submission as sub
 from lidkit.errors import (
     ArityMismatch,
     DuplicateSegment,
+    InconsistentLanguageSet,
     LineError,
     MalformedLine,
     NaNScore,
@@ -19,13 +20,14 @@ FOUR_LANGS = ["l1", "l2", "l3", "l4"]
 
 class TestParseScores:
     def test_sample_line(self):
-        records = sub.parse_scores("seg_1 0.5 -0.2 -0.3 0.1\n", FOUR_LANGS)
-        assert len(records) == 1
-        assert records[0].segment_id == "seg_1"
-        assert np.array_equal(records[0].scores, [0.5, -0.2, -0.3, 0.1])
+        table = sub.parse_scores("seg_1 0.5 -0.2 -0.3 0.1\n", FOUR_LANGS)
+        assert len(table) == 1
+        assert table.ids == ["seg_1"]
+        assert np.array_equal(table.values, [[0.5, -0.2, -0.3, 0.1]])
 
     def test_empty_file(self):
-        assert sub.parse_scores("", FOUR_LANGS) == []
+        table = sub.parse_scores("", FOUR_LANGS)
+        assert table.ids == [] and table.values.shape == (0, 4)
 
     def test_blank_and_comment_lines_skipped(self):
         text = "# stamp\n\nseg_1 1 2 3 4\n\n"
@@ -38,9 +40,9 @@ class TestParseScores:
         assert err.value.line_no == 2
 
     def test_infinities_accepted(self):
-        records = sub.parse_scores("s inf -inf 0 1\n", FOUR_LANGS)
-        assert records[0].scores[0] == np.inf
-        assert records[0].scores[1] == -np.inf
+        table = sub.parse_scores("s inf -inf 0 1\n", FOUR_LANGS)
+        assert table.values[0, 0] == np.inf
+        assert table.values[0, 1] == -np.inf
 
     def test_nan_rejected(self):
         with pytest.raises(NaNScore):
@@ -68,20 +70,20 @@ class TestParseScores:
 class TestWriteScores:
     def test_sample_round_trip_is_token_identical(self):
         text = "seg_1 0.5 -0.2 -0.3 0.1\n"
-        records = sub.parse_scores(text, FOUR_LANGS)
-        assert sub.write_scores(records) == text
+        table = sub.parse_scores(text, FOUR_LANGS)
+        assert sub.write_scores(table) == text
 
     def test_empty_list_empty_stream(self):
-        assert sub.write_scores([]) == ""
+        assert sub.write_scores(sub.ScoreTable.of([])) == ""
 
     def test_minus_inf_token(self):
-        line = sub.write_scores([sub.ScoreRecord("s", [-np.inf, 1.0, 2.0, 3.0])])
+        line = sub.write_scores(sub.ScoreTable(["s"], [[-np.inf, 1.0, 2.0, 3.0]]))
         assert line.split()[1] == "-inf"
 
     def test_nan_score_refused_with_segment_id(self):
-        records = [sub.ScoreRecord("s0", [0.1, 0.2]), sub.ScoreRecord("s1", [0.5, np.nan])]
+        table = sub.ScoreTable(["s0", "s1"], [[0.1, 0.2], [0.5, np.nan]])
         with pytest.raises(NaNScore, match="s1"):
-            sub.write_scores(records)
+            sub.write_scores(table)
 
     def test_parse_write_parse_idempotent(self):
         rng = np.random.default_rng(5)
@@ -92,7 +94,8 @@ class TestWriteScores:
                 sub.ScoreRecord(f"u{i}", rng.normal(size=n_lang) * 10.0 ** rng.integers(-6, 6))
                 for i in range(int(rng.integers(0, 30)))
             ]
-            once = sub.write_scores(sub.parse_scores(sub.write_scores(records), langs))
+            text = sub.write_scores(sub.ScoreTable.of(records))
+            once = sub.write_scores(sub.parse_scores(text, langs))
             twice = sub.write_scores(sub.parse_scores(once, langs))
             assert once == twice
 
@@ -131,32 +134,47 @@ class TestParseKey:
         assert again == key
 
 
+class TestScoreTable:
+    @pytest.mark.parametrize("ids, values", [
+        (["s1"], [[0.1, 0.2], [0.3, 0.4]]),  # more rows than ids
+        (["s1", "s2"], [[0.1, 0.2], [0.3]]),  # ragged
+        (["s1", "s2"], [0.1, 0.2]),  # not a matrix
+    ])
+    def test_constructor_refuses_a_table_that_is_not_one_row_per_id(self, ids, values):
+        with pytest.raises(InconsistentLanguageSet):
+            sub.ScoreTable(ids, values)
+
+    def test_of_records_keeps_their_order_and_bits(self):
+        records = [sub.ScoreRecord("s2", [-0.0, np.inf]), sub.ScoreRecord("s1", [1e-310, 2.0])]
+        table = sub.ScoreTable.of(records)
+        assert table.ids == ["s2", "s1"] and len(table) == 2
+        assert table.values.tobytes() == np.array([[-0.0, np.inf], [1e-310, 2.0]]).tobytes()
+        assert sub.ScoreTable.of(table) is table
+
+
 class TestFillMissing:
     def _key(self):
         return sub.TrialKey(["A", "B"], {"s1": "A", "s2": "B"})
 
     def test_missing_segment_filled_with_neg_inf(self):
-        records = [sub.ScoreRecord("s1", [0.1, 0.2])]
-        result = sub.fill_missing(records, self._key())
-        assert [r.segment_id for r in result.records] == ["s1", "s2"]
-        assert np.all(result.records[1].scores == -np.inf)
+        table = sub.ScoreTable(["s1"], [[0.1, 0.2]])
+        result = sub.fill_missing(table, self._key())
+        assert result.table.ids == ["s1", "s2"]
+        assert np.all(result.table.values[1] == -np.inf)
         assert result.added_ids == ["s2"]
 
     def test_exact_match_is_identity(self):
-        records = [sub.ScoreRecord("s1", [0.1, 0.2]), sub.ScoreRecord("s2", [0.3, 0.4])]
-        result = sub.fill_missing(records, self._key())
-        assert result.records == records
+        table = sub.ScoreTable(["s1", "s2"], [[0.1, 0.2], [0.3, 0.4]])
+        result = sub.fill_missing(table, self._key())
+        assert result.table.ids == table.ids
+        assert result.table.values.tobytes() == table.values.tobytes()
         assert result.num_filled == 0 and not result.dropped_ids
 
     def test_extra_segment_dropped_with_warning_count(self):
-        records = [
-            sub.ScoreRecord("s1", [0.1, 0.2]),
-            sub.ScoreRecord("s2", [0.3, 0.4]),
-            sub.ScoreRecord("s3", [0.5, 0.6]),
-        ]
-        result = sub.fill_missing(records, self._key())
+        table = sub.ScoreTable(["s1", "s2", "s3"], [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        result = sub.fill_missing(table, self._key())
         assert result.dropped_ids == ["s3"]
-        assert len(result.records) == 2
+        assert len(result.table) == 2
 
     def test_output_cardinality_always_matches_key(self):
         rng = np.random.default_rng(9)
@@ -164,10 +182,10 @@ class TestFillMissing:
         key = sub.TrialKey(langs, {f"k{i}": langs[i % 3] for i in range(20)})
         for _ in range(20):
             ids = [f"k{i}" for i in rng.choice(40, size=rng.integers(0, 30), replace=False)]
-            records = [sub.ScoreRecord(s, rng.normal(size=3)) for s in ids]
-            result = sub.fill_missing(records, key)
-            assert len(result.records) == len(key.entries)
-            assert {r.segment_id for r in result.records} == set(key.entries)
+            table = sub.ScoreTable(ids, rng.normal(size=(len(ids), 3)))
+            result = sub.fill_missing(table, key)
+            assert len(result.table) == len(key.entries)
+            assert set(result.table.ids) == set(key.entries)
 
 
 class TestValidationIsTotal:
@@ -240,7 +258,8 @@ def outcome(parse, *args):
         return type(err), err.line_no, str(err)
     if isinstance(result, sub.TrialKey):
         return result.language_list, list(result.entries.items())
-    return [(r.segment_id, r.scores.shape, r.scores.tobytes()) for r in result]
+    table = sub.ScoreTable.of(result)
+    return table.ids, [(row.shape, row.tobytes()) for row in table.values]
 
 
 def bits_records(rng, count, width):
@@ -259,6 +278,13 @@ UNIFORM_ROWS = st.integers(0, 4).flatmap(lambda width: st.lists(
     st.tuples(st.sampled_from(IDS), st.lists(FLOAT64, min_size=width, max_size=width)),
     max_size=12,
 ))
+# a table the reader can take back: distinct ids, none starting a comment
+TABLES = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.sampled_from([seg for seg in IDS if not seg.startswith("#")]),
+              st.lists(FLOAT64, min_size=width, max_size=width)),
+    max_size=12, unique_by=lambda row: row[0],
+).map(lambda rows: sub.ScoreTable([seg for seg, _ in rows],
+                                  np.reshape([values for _, values in rows], (-1, width)))))
 
 
 class TestBlockParsers:
@@ -340,12 +366,24 @@ class TestBlockWriter:
     def test_bytes_equal_a_format_per_score(self, rows):
         records = [sub.ScoreRecord(seg, np.array(values, dtype=np.float64))
                    for seg, values in rows]
-        assert sub.write_scores(records) == oracles.write_scores_by_record(records)
+        if len({rec.scores.shape for rec in records}) > 1:
+            with pytest.raises(InconsistentLanguageSet):  # a ragged table
+                sub.ScoreTable.of(records)
+            return
+        table = sub.ScoreTable.of(records)
+        assert sub.write_scores(table) == oracles.write_scores_by_record(records)
+
+    @PROPERTY
+    @given(TABLES)
+    def test_written_table_reads_back_to_the_same_text(self, table):
+        text = sub.write_scores(table)
+        languages = [f"g{i}" for i in range(table.values.shape[1])]
+        assert sub.write_scores(sub.parse_scores(text, languages)) == text
 
     def test_random_bits_across_blocks(self):
         records = bits_records(np.random.default_rng(4), 2 * sub.BLOCK_ROWS + 3, 10)
         records[1].scores[:2] = np.inf, -np.inf
-        text = sub.write_scores(records)
+        text = sub.write_scores(sub.ScoreTable.of(records))
         assert text == oracles.write_scores_by_record(records)
         # every token the writer emits is one the reader takes
         assert sub.write_scores(sub.parse_scores(text, [f"g{i}" for i in range(10)])) == text
@@ -355,7 +393,7 @@ class TestBlockWriter:
         records[9_000].scores[4] = np.nan
         records[9_500].scores[0] = np.nan
         with pytest.raises(NaNScore) as err:
-            sub.write_scores(records)
+            sub.write_scores(sub.ScoreTable.of(records))
         assert str(err.value) == "segment 'u09000' has a NaN score"
         with pytest.raises(NaNScore) as want:
             oracles.write_scores_by_record(records)
