@@ -56,8 +56,7 @@ def score_closed_set(
         idx = np.asarray(subset, dtype=np.int64)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
             raise ValueError(f"subset indices must lie in [0, {n})")
-    _, cache = net.forward(params, features)
-    return cache.log_posteriors[idx].copy()
+    return net.forward(params, features).log_posteriors[idx].copy()
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

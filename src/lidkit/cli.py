@@ -21,6 +21,7 @@ too), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -49,10 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type: a non-negative decimal integer."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _decimal(text: str, least: int = 0) -> int:
+    """A decimal integer of at least ``least``: ``--seed`` and ``--jobs`` (least 1)."""
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return int(text)
 
 
@@ -80,11 +82,12 @@ def _build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="override one config value (repeatable, last wins)",
     )
-    common.add_argument("--seed", type=_seed, default=0)
+    common.add_argument("--seed", type=_decimal, default=0)
 
     p = sub.add_parser("generate", parents=[common], help="synthesize a test corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--jobs", type=int, default=1, help="synthesis threads")
+    p.add_argument("--jobs", type=functools.partial(_decimal, least=1), default=1,
+                   help="most synthesis threads (no more than CPUs or utterances)")
 
     p = sub.add_parser("train", parents=[common], help="train the embedding network")
     p.add_argument("--corpus", required=True)
@@ -166,7 +169,7 @@ def _cmd_generate(args, cfg):
         test_per_lang=cfg["counts.test"], reference_per_lang=cfg["counts.reference"],
         zero_test_per_lang=cfg["counts.zr_test"],
     )
-    harness.generate_corpus(specs, counts, args.seed, args.out, jobs=max(args.jobs, 1))
+    harness.generate_corpus(specs, counts, args.seed, args.out, jobs=args.jobs)
     print(f"corpus written to {args.out}")
     return EXIT_OK
 

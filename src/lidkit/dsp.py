@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import wave as wavefile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,7 +47,6 @@ class FeatureMatrix:
     """T x D matrix of log-mel frames for one utterance."""
 
     frames: np.ndarray
-    frame_shift: float
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -55,10 +54,6 @@ class FeatureMatrix:
     @property
     def num_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 @dataclass(frozen=True)
@@ -183,10 +178,6 @@ def mel_edge_frequencies(config: FeatureConfig) -> np.ndarray:
     return mel_to_hz(edges_mel)
 
 
-def mel_center_frequencies(config: FeatureConfig) -> np.ndarray:
-    return mel_edge_frequencies(config)[1:-1]
-
-
 @functools.lru_cache(maxsize=16)
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     """Triangular filters as a read-only (num_filters x num_bins) weight
@@ -228,7 +219,7 @@ def _log_mel(frames: np.ndarray, config: FeatureConfig) -> FeatureMatrix:
     emphasized *= _hamming(frames.shape[1])
     spectrum = np.abs(np.fft.rfft(emphasized, n=config.fft_size, axis=1))
     energies = spectrum @ mel_filterbank(config).T
-    return FeatureMatrix(np.log(np.maximum(energies, config.floor)), config.frame_shift)
+    return FeatureMatrix(np.log(np.maximum(energies, config.floor)))
 
 
 def _log_energy(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -275,7 +266,7 @@ def apply_vad(features: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
         )
     if not mask.any():
         raise AllFramesRemoved("energy VAD removed every frame")
-    return replace(features, frames=features.frames[mask])
+    return FeatureMatrix(features.frames[mask])
 
 
 def features_from_waveform(

@@ -26,8 +26,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
-    AllFramesRemoved, AudioFormatError, InvalidConfig, InvalidPlan, InvalidSpec, MalformedLine,
-    TooFewFrames, TooShort, data_lines, parse_file,
+    AllFramesRemoved, AudioFormatError, DuplicateSegment, InvalidConfig, InvalidPlan, InvalidSpec,
+    MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
 )
 
 log = logging.getLogger(__name__)
@@ -39,6 +39,10 @@ CROSS_CHANNEL = "cross_channel"
 ZERO_RESOURCE = "zero_resource"
 TASKS = (SHORT_UTTERANCE, CROSS_CHANNEL, ZERO_RESOURCE)
 
+CHANNEL_TAPS = 101  # length of the channel's FIR low-pass
+PITCH_RANGE_HZ = (90.0, 200.0)  # burst fundamental, drawn uniformly
+NOISE_LEVEL = 0.002  # std of the white noise under every utterance
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -46,7 +50,6 @@ class ChannelSpec:
 
     cutoff_hz: float | None = None
     snr_db: float | None = None
-    num_taps: int = 101
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,7 @@ class SyntheticLanguageSpec:
     language_id: str
     band_centers_hz: tuple[float, ...]
     bandwidths_hz: tuple[float, ...]
-    pitch_range_hz: tuple[float, float] = (90.0, 200.0)
     length_range_s: tuple[float, float] = (1.4, 2.2)
-    noise_level: float = 0.002
 
     def validate(self):
         if not self.language_id or any(c.isspace() for c in self.language_id):
@@ -73,8 +74,6 @@ class SyntheticLanguageSpec:
         lo, hi = self.length_range_s
         if not 0.0 < lo <= hi:
             raise InvalidSpec(f"{self.language_id}: bad length range {self.length_range_s}")
-        if not 0.0 < self.pitch_range_hz[0] <= self.pitch_range_hz[1]:
-            raise InvalidSpec(f"{self.language_id}: bad pitch range")
 
 
 def default_training_specs() -> list[SyntheticLanguageSpec]:
@@ -151,7 +150,7 @@ def synth_utterance(
         length = int(rng.uniform(0.20, 0.32) * SAMPLE_RATE)
         length = min(length, n)
         start = int(rng.uniform(0, max(n - length, 1)))
-        f0 = rng.uniform(*spec.pitch_range_hz)
+        f0 = rng.uniform(*PITCH_RANGE_HZ)
         ks = np.arange(1, int(7600.0 / f0) + 2)
         ks = ks[ks * f0 < 7600.0]
         amps = profile[np.searchsorted(freqs, ks * f0)] / np.sqrt(ks)
@@ -173,7 +172,7 @@ def synth_utterance(
             tone = tone / tone_rms * 0.25
         bursts[start : start + length] += np.hanning(length) * tone
 
-    signal = bursts + shaped + rng.standard_normal(n) * spec.noise_level
+    signal = bursts + shaped + rng.standard_normal(n) * NOISE_LEVEL
     peak = np.max(np.abs(signal))
     return signal / peak * 0.5 if peak > 0 else signal
 
@@ -184,9 +183,8 @@ def apply_channel(
     """Pass a signal through the simulated channel (identity when unset)."""
     out = np.asarray(samples, dtype=np.float64)
     if channel.cutoff_hz is not None:
-        taps = channel.num_taps
-        m = np.arange(taps) - (taps - 1) / 2.0
-        h = np.sinc(2.0 * channel.cutoff_hz / SAMPLE_RATE * m) * np.hamming(taps)
+        m = np.arange(CHANNEL_TAPS) - (CHANNEL_TAPS - 1) / 2.0
+        h = np.sinc(2.0 * channel.cutoff_hz / SAMPLE_RATE * m) * np.hamming(CHANNEL_TAPS)
         h /= h.sum()
         out = np.convolve(out, h, mode="same")
     if channel.snr_db is not None:
@@ -213,11 +211,17 @@ def write_manifest(entries: list[ManifestEntry]) -> str:
 
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
+    """Manifest entries in line order; an utterance id may appear once,
+    whatever its split."""
     entries = []
+    seen: set[str] = set()
     for line_no, line in data_lines(text):
         tokens = line.split()
         if len(tokens) != 4:
             raise MalformedLine("expected 'utt_id language path split'", line_no)
+        if tokens[0] in seen:
+            raise DuplicateSegment(f"utterance {tokens[0]!r} appears twice", line_no)
+        seen.add(tokens[0])
         entries.append(ManifestEntry(*tokens))
     return entries
 
@@ -244,7 +248,8 @@ def generate_corpus(
     ``counts`` maps split name -> {language id -> utterance count}. Each
     utterance draws from its own RNG keyed by (seed, split, language,
     index), so output is deterministic for a given (specs, counts, seed)
-    and independent of ``jobs``.
+    and independent of ``jobs``, the most synthesis threads to start (no
+    more than there are utterances or CPUs).
     """
     if len(specs) < 2:
         raise InvalidSpec("need at least 2 language specs")
@@ -268,10 +273,11 @@ def generate_corpus(
                     (by_id[lang], [seed, split_idx, lang_idx, i], utt_id, f"wav/{utt_id}.wav", split)
                 )
 
-    if jobs > 1:
+    workers = min(jobs, len(jobs_list), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rendered = list(pool.map(lambda j: _synth_job(j[0], j[1]), jobs_list))
     else:
         rendered = [_synth_job(spec, key) for spec, key, *_ in jobs_list]
@@ -298,25 +304,15 @@ class ExperimentPlan:
     task: str
     train_languages: list[str]
     zero_languages: list[str] = field(default_factory=list)
-    train_split: str = "train"
-    test_split: str = "test"
-    reference_split: str = "reference"
-    zero_test_split: str = "zr_test"
     seed: int = 0
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     crop_seconds: float = 1.0  # centre crop of short-utterance and cross-channel tests
 
-    def validate(self, entries: list[ManifestEntry]) -> None:
+    def validate(self) -> None:
         if self.task not in TASKS:
             raise InvalidPlan(f"unknown task {self.task!r}")
         if not self.crop_seconds > 0.0:
             raise InvalidPlan(f"crop_seconds must be positive, got {self.crop_seconds!r}")
-        splits_by_utt: dict[str, set[str]] = {}
-        for e in entries:
-            splits_by_utt.setdefault(e.utt_id, set()).add(e.split)
-        clashes = [u for u, s in splits_by_utt.items() if len(s) > 1]
-        if clashes:
-            raise InvalidPlan(f"utterance {clashes[0]!r} appears in multiple splits")
         if self.task == ZERO_RESOURCE:
             overlap = set(self.zero_languages) & set(self.train_languages)
             if overlap:
@@ -467,7 +463,6 @@ def train_network(
                for entry, feats in iter_features(params, corpus_dir, wanted, cfg)]
     if not dataset:
         raise InvalidPlan("no usable training utterances")
-    hyper = net.TrainConfig(learn_rate=cfg["train.learn_rate"])
     batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
     grads = net.zero_gradients(params)  # reused by every step
@@ -476,7 +471,7 @@ def train_network(
         order = rng.permutation(len(dataset))
         for lo in range(0, len(order), batch_size):
             batch = [dataset[i] for i in order[lo : lo + batch_size]]
-            params, loss = net.train_step(params, batch, hyper, grads)
+            params, loss = net.train_step(params, batch, cfg["train.learn_rate"], grads)
             step += 1
             log.info("step %d loss %.6f", step, loss)
     return params
@@ -520,15 +515,15 @@ def run_task(
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)
-    plan.validate(entries)
+    plan.validate()
     closed_set = plan.task in (SHORT_UTTERANCE, CROSS_CHANNEL)
-    test_split = plan.test_split if closed_set else plan.zero_test_split
+    test_split = "test" if closed_set else "zr_test"
     key = submission.read_key_file(corpus_dir / f"key_{test_split}.txt")
     evaluation = eval_config(cfg, key, cfg["eval.policy"])
     languages = key.language_list
     test_entries = [e for e in entries if e.split == test_split]
     if params is None:
-        train_entries = [e for e in entries if e.split == plan.train_split]
+        train_entries = [e for e in entries if e.split == "train"]
         params = train_network(
             corpus_dir, train_entries, plan.train_languages, cfg, plan.seed
         )
@@ -556,7 +551,7 @@ def run_task(
             raise InvalidPlan(
                 f"zero-resource key languages {languages} != plan {plan.zero_languages}"
             )
-        references = [e for e in entries if e.split == plan.reference_split]
+        references = [e for e in entries if e.split == "reference"]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
         table = score_table(
             iter_features(params, corpus_dir, test_entries, cfg),

@@ -114,6 +114,8 @@ def validate_specs(specs: list[LayerSpec]) -> None:
     prev_out = None
     pooled = False
     for spec in specs:
+        if spec.in_dim < 1 or spec.out_dim < 1:
+            raise DimMismatch(f"{spec.name}: zero-width layer {spec.in_dim} -> {spec.out_dim}")
         if spec.is_frame_layer:
             if pooled:
                 raise DimMismatch(f"{spec.name}: frame layer after pooling")
@@ -182,8 +184,7 @@ def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
         raise TooFewFrames(
             f"need at least {hi - lo + 1} frames for offsets {offsets}, got {x.shape[0]}"
         )
-    start = -lo
-    return np.hstack([x[start + o : start + o + t_out] for o in offsets]), start, t_out
+    return np.hstack([x[o - lo : o - lo + t_out] for o in offsets])
 
 
 def pool_stats(activations: np.ndarray):
@@ -203,17 +204,12 @@ class ForwardCache:
 
     frame_inputs: list = field(default_factory=list)  # spliced inputs per frame layer
     frame_preacts: list = field(default_factory=list)
-    frame_in_lengths: list = field(default_factory=list)
-    frame_starts: list = field(default_factory=list)
     pooled_input: np.ndarray | None = None  # last frame layer's output over time
     mean: np.ndarray | None = None
-    std: np.ndarray | None = None
     var: np.ndarray | None = None
-    pooled: np.ndarray | None = None
-    dense_inputs: list = field(default_factory=list)
+    dense_inputs: list = field(default_factory=list)  # the first is the pooled mean and std
     dense_preacts: list = field(default_factory=list)
     log_posteriors: np.ndarray | None = None
-    posteriors: np.ndarray | None = None
 
     @property
     def xvector(self) -> np.ndarray:
@@ -227,13 +223,10 @@ def _as_frames(features) -> np.ndarray:
     return frames
 
 
-def forward(params: NetworkParams, features):
-    """Run the network on one utterance.
-
-    Returns ``(posteriors, cache)`` where posteriors is the softmax output
-    over the training languages and the cache holds every intermediate
-    needed by backprop and by embedding extraction.
-    """
+def forward(params: NetworkParams, features) -> ForwardCache:
+    """Run the network on one utterance, returning every intermediate
+    needed by backprop and by embedding extraction; the softmax output
+    over the training languages is ``exp(cache.log_posteriors)``."""
     x = _as_frames(features)
     if x.shape[1] != params.feat_dim:
         raise DimMismatch(
@@ -242,17 +235,14 @@ def forward(params: NetworkParams, features):
     require_frames(params, x.shape[0])
     cache = ForwardCache()
     for spec in params.frame_specs:
-        spliced, start, _ = _splice(x, spec.offsets)
+        spliced = _splice(x, spec.offsets)
         pre = spliced @ params.weights[spec.name].T + params.biases[spec.name]
         cache.frame_inputs.append(spliced)
         cache.frame_preacts.append(pre)
-        cache.frame_in_lengths.append(x.shape[0])
-        cache.frame_starts.append(start)
         x = np.maximum(pre, 0.0) if spec.has_nonlinearity else pre
     cache.pooled_input = x
-    cache.mean, cache.std, cache.var = pool_stats(x)
-    vec = np.concatenate([cache.mean, cache.std])
-    cache.pooled = vec
+    cache.mean, std, cache.var = pool_stats(x)
+    vec = np.concatenate([cache.mean, std])
     for spec in params.dense_specs:
         pre = params.weights[spec.name] @ vec + params.biases[spec.name]
         cache.dense_inputs.append(vec)
@@ -262,8 +252,7 @@ def forward(params: NetworkParams, features):
     shifted = logits - logits.max()
     log_z = np.log(np.exp(shifted).sum())
     cache.log_posteriors = shifted - log_z
-    cache.posteriors = np.exp(cache.log_posteriors)
-    return cache.posteriors, cache
+    return cache
 
 
 @dataclass
@@ -271,12 +260,10 @@ class XVector:
     """Fixed-dimensional utterance embedding (segment6 pre-nonlinearity)."""
 
     values: np.ndarray
-    source_segment: str = ""
 
 
-def extract_xvector(params: NetworkParams, features, segment_id: str = "") -> XVector:
-    _, cache = forward(params, features)
-    return XVector(cache.xvector.copy(), segment_id)
+def extract_xvector(params: NetworkParams, features) -> XVector:
+    return XVector(forward(params, features).xvector.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +300,10 @@ def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, 
         if i == 0:
             break
         g_spliced = g_time @ params.weights[spec.name]
-        t_in = cache.frame_in_lengths[i]
-        start = cache.frame_starts[i]
+        start = -min(spec.offsets)
         t_out = g_time.shape[0]
         prev_dim = spec.in_dim // spec.splice_width
-        g_prev = np.zeros((t_in, prev_dim))
+        g_prev = np.zeros((cache.frame_preacts[i - 1].shape[0], prev_dim))
         for k, off in enumerate(spec.offsets):
             g_prev[start + off : start + off + t_out] += g_spliced[
                 :, k * prev_dim : (k + 1) * prev_dim
@@ -354,9 +340,9 @@ def compute_gradients(params: NetworkParams, batch, grads=None):
         label = int(label)
         if not 0 <= label < n_classes:
             raise ValueError(f"label {label} outside [0, {n_classes})")
-        _, cache = forward(params, features)
+        cache = forward(params, features)
         total -= cache.log_posteriors[label]
-        d_logits = cache.posteriors.copy()
+        d_logits = np.exp(cache.log_posteriors)
         d_logits[label] -= 1.0
         d_logits *= scale
         _backprop(params, cache, d_logits, grads, scratch)
@@ -366,19 +352,14 @@ def compute_gradients(params: NetworkParams, batch, grads=None):
     return loss, grads
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learn_rate: float
-
-
-def train_step(params: NetworkParams, batch, hyper: TrainConfig, grads=None):
+def train_step(params: NetworkParams, batch, learn_rate: float, grads=None):
     """One SGD step, made on ``params`` in place; returns (params, batch
     loss). ``grads`` goes to ``compute_gradients``; it ends up holding the step."""
     loss, grads = compute_gradients(params, batch, grads)
     for spec in params.specs:
         gw, gb = grads[spec.name]
-        params.weights[spec.name] -= np.multiply(gw, hyper.learn_rate, out=gw)
-        params.biases[spec.name] -= np.multiply(gb, hyper.learn_rate, out=gb)
+        params.weights[spec.name] -= np.multiply(gw, learn_rate, out=gw)
+        params.biases[spec.name] -= np.multiply(gb, learn_rate, out=gb)
     return params, loss
 
 
@@ -431,7 +412,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_params(data: bytes, expected_num_classes: int | None = None) -> NetworkParams:
+def load_params(data: bytes) -> NetworkParams:
     """Inverse of save_params, validating wiring, payload sizes and that
     every weight and bias is finite."""
     reader = _Reader(data)
@@ -476,9 +457,4 @@ def load_params(data: bytes, expected_num_classes: int | None = None) -> Network
             raise CorruptModel(f"layer {spec.name!r} holds a non-finite weight or bias")
     if reader.pos != len(data):
         raise CorruptModel(f"{len(data) - reader.pos} trailing bytes after payload")
-    params = NetworkParams(specs, weights, biases)
-    if expected_num_classes is not None and params.num_classes != expected_num_classes:
-        raise DimMismatch(
-            f"model has {params.num_classes} classes, expected {expected_num_classes}"
-        )
-    return params
+    return NetworkParams(specs, weights, biases)

@@ -217,12 +217,21 @@ def parse_scores(text: str, expected_languages: Sequence[str]) -> ScoreTable:
 def write_scores(table: ScoreTable) -> str:
     """Serialize a table as score-file text (empty string for no rows).
 
-    Raises NaNScore naming the first NaN segment rather than write a NaN,
-    which ``parse_scores`` would reject.
+    Refuses a row that ``parse_scores`` would not give back, naming its
+    segment: NaNScore for the first NaN segment, then, in one pass over
+    the ids, DuplicateSegment for the first repeated id and MalformedLine
+    for the first that is empty, holds whitespace or starts with ``#``.
     """
     nan_rows = np.isnan(table.values).any(axis=1)
     if nan_rows.any():
         raise NaNScore(f"segment {table.ids[int(np.argmax(nan_rows))]!r} has a NaN score")
+    seen: set[str] = set()
+    for seg in table.ids:
+        if seg in seen:
+            raise DuplicateSegment(f"segment {seg!r} appears twice")
+        if seg.split() != [seg] or seg.startswith("#"):
+            raise MalformedLine(f"segment id {seg!r} is empty, holds whitespace or starts with '#'")
+        seen.add(seg)
     width = table.values.shape[1]
     texts = []
     for ids, values in zip(blocks(table.ids), blocks(table.values)):

@@ -354,8 +354,7 @@ def batch_loss(params, batch):
 
     total = 0.0
     for features, label in batch:
-        _, cache = net.forward(params, features)
-        total -= cache.log_posteriors[int(label)]
+        total -= net.forward(params, features).log_posteriors[int(label)]
     return total / len(batch)
 
 
@@ -397,7 +396,7 @@ def min_kink_distance(params, batch) -> float:
 
     closest = np.inf
     for features, _ in batch:
-        _, cache = net.forward(params, features)
+        cache = net.forward(params, features)
         for pre in cache.frame_preacts + cache.dense_preacts[:-1]:
             closest = min(closest, float(np.min(np.abs(pre))))
     return closest
@@ -419,6 +418,8 @@ def _band_profile(freqs, spec):
 def synth_utterance_per_harmonic(spec, duration_s, rng):
     """The harmonic-loop synthesis that ``harness.synth_utterance`` replaced,
     with its noise shaped at the power-of-two FFT length."""
+    from lidkit import harness
+
     spec.validate()
     n = max(int(round(duration_s * SAMPLE_RATE)), SAMPLE_RATE // 10)
     freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
@@ -438,7 +439,7 @@ def synth_utterance_per_harmonic(spec, duration_s, rng):
         length = int(rng.uniform(0.20, 0.32) * SAMPLE_RATE)
         length = min(length, n)
         start = int(rng.uniform(0, max(n - length, 1)))
-        f0 = rng.uniform(*spec.pitch_range_hz)
+        f0 = rng.uniform(*harness.PITCH_RANGE_HZ)
         t = np.arange(length) / SAMPLE_RATE
         tone = np.zeros(length)
         k = 1
@@ -452,7 +453,7 @@ def synth_utterance_per_harmonic(spec, duration_s, rng):
             tone = tone / tone_rms * 0.25
         bursts[start : start + length] += np.hanning(length) * tone
 
-    signal = bursts + shaped + rng.standard_normal(n) * spec.noise_level
+    signal = bursts + shaped + rng.standard_normal(n) * harness.NOISE_LEVEL
     peak = np.max(np.abs(signal))
     return signal / peak * 0.5 if peak > 0 else signal
 

@@ -5,13 +5,16 @@ own tests call back-end and network functions directly. A rename, deletion
 or signature change here would make benchmark runs fail, so check them from
 the test suite."""
 
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-from lidkit import cli, metrics
+import numpy as np
+
+from lidkit import cli, dsp, harness, metrics, net
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 TRACING = BENCHMARK / "tracing.py"
@@ -33,6 +36,22 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"lidkit.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_calls_the_workloads_make_outside_the_tracer(tmp_path):
+    channel = harness.ChannelSpec(cutoff_hz=2000.0, snr_db=5.0)
+    plan = harness.ExperimentPlan(harness.CROSS_CHANNEL, ["alpha", "bravo", "charlie"],
+                                  ["delta", "echo"], seed=3, channel=channel)
+    plan.validate()
+    assert (plan.seed, plan.channel.cutoff_hz, plan.channel.snr_db) == (3, 2000.0, 5.0)
+    spec = dataclasses.replace(harness.default_training_specs()[0], length_range_s=(0.5, 0.5))
+    samples = harness.synth_utterance(spec, 0.5, np.random.default_rng(1))
+    dsp.write_wav(tmp_path / "u.wav", dsp.Waveform(samples))
+    frames = dsp.features_from_wav(tmp_path / "u.wav").frames
+    assert frames.ndim == 2 and frames.shape[1] == 40
+    params = net.init_network(3, seed=[5, 1], feat_dim=40, frame_dim=16, stats_dim=24,
+                              embed_dim=16)
+    assert net.extract_xvector(params, frames).values.shape == (16,)
 
 
 def test_traced_work_counters_read_the_score_table_and_the_fill(tmp_path):

@@ -168,6 +168,22 @@ class TestUsageErrors:
             f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x", "1.5", "+2", " 2"])
+    def test_jobs_not_a_positive_integer_exits_1_naming_the_flag(self, capsys, tmp_path, jobs):
+        code, _, err = run(capsys, "generate", "--out", str(tmp_path / "c"), "--jobs", jobs)
+        assert code == 1
+        assert err == f"error: argument --jobs: expected a positive integer, got {jobs!r}\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_zero_width_network_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        (tmp_path / "manifest.txt").write_text("u1 alpha wav/u1.wav train\n")
+        out = tmp_path / "model.bin"
+        code, _, err = run(capsys, "train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS,
+                           "--out", str(out), "--set", "net.frame_dim=0")
+        assert code == 2
+        assert err == "error: frame1: zero-width layer 200 -> 0\n"
+        assert not out.exists()
+
 
 TINY = [
     "--set", "counts.train=6", "--set", "counts.dev=1", "--set", "counts.test=3",
@@ -208,6 +224,22 @@ class TestPipeline:
         )
         assert code == 0
         assert out.startswith("Cavg ")
+
+    def test_repeated_manifest_line_exits_2_at_its_line(self, capsys, workdir, tmp_path):
+        corpus = workdir / "corpus"
+        manifest = (corpus / "manifest.txt").read_text()
+        line = next(line for line in manifest.splitlines() if line.endswith(" test"))
+        (tmp_path / "manifest.txt").write_text(manifest + line + "\n")
+        out = tmp_path / "scores.txt"
+        code, _, err = run(
+            capsys, "score", "--model", str(workdir / "model.bin"), "--corpus", str(tmp_path),
+            "--split", "test", "--key", str(corpus / "key_test.txt"),
+            "--languages", TRAIN_LANGS, "--out", str(out),
+        )
+        assert code == 2
+        where = f"{tmp_path / 'manifest.txt'}:{manifest.count(chr(10)) + 1}"
+        assert err == f"error: {where}: utterance {line.split()[0]!r} appears twice\n"
+        assert not out.exists()
 
     def test_extract_writes_one_vector_per_segment(self, capsys, workdir):
         corpus = workdir / "corpus"

@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,9 @@ from hypothesis import given
 import oracles
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import dsp, harness, net, submission as sub
-from lidkit.errors import InvalidPlan, InvalidSpec, LineError, NoUsableReferences
+from lidkit.errors import (
+    DuplicateSegment, InvalidPlan, InvalidSpec, LineError, NoUsableReferences,
+)
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
 
@@ -139,6 +143,33 @@ class TestCorpus:
         )
         assert corpus_digest(tmp_path / "serial") == corpus_digest(tmp_path / "parallel")
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (8, 3, 3), (8, 16, 6), (2, 16, 2), (1, 16, None), (8, None, None),
+    ])
+    def test_threads_bounded_by_jobs_utterances_and_cpus(self, tmp_path, monkeypatch,
+                                                          jobs, cpus, workers):
+        started = []
+
+        class SerialPool:  # records its size and maps in order, on this thread
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}  # 6 utterances
+        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=jobs)
+        assert started == ([workers] if workers else [])
+        assert len(harness.read_manifest(tmp_path)) == 6
+
     def test_different_seed_differs(self, tmp_path):
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}
         harness.generate_corpus(all_specs()[:3], counts, seed=5, out_dir=tmp_path / "a")
@@ -168,6 +199,13 @@ class TestCorpus:
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
 
+    @pytest.mark.parametrize("split", ["train", "test"])  # the same split, then another
+    def test_repeated_utt_refused_at_its_line(self, split):
+        text = "u1 alpha wav/u1.wav train\nu2 alpha wav/u2.wav train\n"
+        with pytest.raises(DuplicateSegment) as err:
+            harness.parse_manifest(text + f"u1 alpha wav/u1.wav {split}\n")
+        assert str(err.value) == "line 3: utterance 'u1' appears twice"
+
     @TOTALITY
     @given(token_texts(["u1", "alpha", "wav/u1.wav", "test", "#", "é", "\t"]))
     def test_any_manifest_text_gives_entries_or_a_line_error(self, text):
@@ -178,29 +216,19 @@ class TestCorpus:
 
 
 class TestPlan:
-    def test_zero_resource_overlap_rejected(self, tmp_path):
-        harness.generate_corpus(all_specs(), tiny_counts(), 1, tmp_path)
+    def test_zero_resource_overlap_rejected(self):
         plan = harness.ExperimentPlan(
             task=harness.ZERO_RESOURCE,
             train_languages=TRAIN_LANGS,
             zero_languages=["alpha", "delta"],
         )
         with pytest.raises(InvalidPlan):
-            plan.validate(harness.read_manifest(tmp_path))
-
-    def test_duplicate_utt_across_splits_rejected(self):
-        entries = [
-            harness.ManifestEntry("u1", "alpha", "wav/u1.wav", "train"),
-            harness.ManifestEntry("u1", "alpha", "wav/u1.wav", "test"),
-        ]
-        plan = harness.ExperimentPlan(task=harness.SHORT_UTTERANCE, train_languages=["alpha"])
-        with pytest.raises(InvalidPlan):
-            plan.validate(entries)
+            plan.validate()
 
     def test_unknown_task_rejected(self):
         plan = harness.ExperimentPlan(task="mystery", train_languages=TRAIN_LANGS)
         with pytest.raises(InvalidPlan):
-            plan.validate([])
+            plan.validate()
 
     @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
     def test_crop_must_be_positive(self, seconds):
@@ -208,7 +236,7 @@ class TestPlan:
             task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS, crop_seconds=seconds
         )
         with pytest.raises(InvalidPlan, match="crop_seconds"):
-            plan.validate([])
+            plan.validate()
 
 
 @pytest.fixture(scope="module")
