@@ -12,10 +12,11 @@ One binary, subcommand style:
 
 Config values come from an optional flat key-value file (--config) with
 command-line overrides via repeated --set key=value (last one wins), checked
-against ``harness.CONFIG_DEFAULTS``. Every text output starts with a stamp
-comment (hash of the effective config plus seed). Exit codes: 0 success,
-1 usage error, 2 data/validation error (an unknown or mistyped config key
-too), 3 numerical failure.
+against ``harness.CONFIG_DEFAULTS`` and ``harness.CONFIG_DOMAINS``. Every
+text output starts with a stamp comment (hash of the effective config plus
+seed). Exit codes: 0 success, 1 usage error, 2 data/validation error (an
+unknown config key or a value outside its key's domain too), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import argparse
 import functools
 import logging
 import sys
-
-import numpy as np
 
 from . import backend as backend_mod
 from . import config as cfgmod
@@ -140,7 +139,7 @@ def _gather_config(args) -> dict[str, object]:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides, harness.CONFIG_CHOICES)
+    return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides, harness.CONFIG_DOMAINS)
 
 
 def _stamp(cfg: dict[str, object], seed: int) -> str:
@@ -164,12 +163,7 @@ def _warn_fill(fill: submission.FillResult) -> None:
 
 def _cmd_generate(args, cfg):
     specs = harness.default_training_specs() + harness.default_zero_resource_specs()
-    counts = harness.desk_counts(
-        train_per_lang=cfg["counts.train"], dev_per_lang=cfg["counts.dev"],
-        test_per_lang=cfg["counts.test"], reference_per_lang=cfg["counts.reference"],
-        zero_test_per_lang=cfg["counts.zr_test"],
-    )
-    harness.generate_corpus(specs, counts, args.seed, args.out, jobs=args.jobs)
+    harness.generate_corpus(specs, harness.desk_counts(cfg), args.seed, args.out, jobs=args.jobs)
     print(f"corpus written to {args.out}")
     return EXIT_OK
 
@@ -332,11 +326,7 @@ def main(argv=None) -> int:
     pkg_log.addHandler(handler)
     pkg_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        cfg = _gather_config(args)
-        # numerical failures surface as exit code 3 with one diagnostic line;
-        # elementwise warnings along the way would only duplicate that
-        with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, _gather_config(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

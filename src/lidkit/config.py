@@ -4,7 +4,7 @@ Every tool in the kit reads the same trivial format: one ``key = value``
 pair per line, ``#`` starts a comment, later keys override earlier ones.
 ``resolve`` checks the parsed pairs against a table mapping every settable
 key to its default: an unknown key, a value that does not convert to its
-default's type, a NaN, or a value outside the key's choices is an
+default's type, a NaN, or a value outside the key's domain is an
 ``InvalidConfig`` naming the key, and the result holds every key of the
 table with a typed value.
 """
@@ -55,25 +55,24 @@ def _typed(key: str, value, default):
 def resolve(
     table: dict[str, object],
     overrides: dict[str, object] | None,
-    choices: dict[str, tuple] | None = None,
+    domains: dict[str, tuple] | None = None,
 ) -> dict[str, object]:
     """The effective config: ``table``'s defaults with ``overrides`` applied.
 
     An override may be a string (as parsed from a file or ``--set``) or a
     value already of its default's type, so resolving a resolved config
-    returns it unchanged. ``choices`` maps a key to the only values it may
-    take; any other value is an ``InvalidConfig`` naming the key.
+    returns it unchanged. ``domains`` maps a key to ``(phrase, test)``; a
+    value ``test`` refuses is an ``InvalidConfig`` naming the key and
+    ``phrase``.
     """
     out = dict(table)
     for key, value in (overrides or {}).items():
         if key not in table:
             raise InvalidConfig(f"unknown config key {key!r}")
         out[key] = _typed(key, value, table[key])
-        allowed = (choices or {}).get(key)
-        if allowed is not None and out[key] not in allowed:
-            raise InvalidConfig(
-                f"{key}: expected one of {', '.join(map(repr, allowed))}, got {out[key]!r}"
-            )
+        phrase, test = (domains or {}).get(key, ("", None))
+        if test is not None and not test(out[key]):
+            raise InvalidConfig(f"{key}: expected {phrase}, got {out[key]!r}")
     return out
 
 

@@ -69,18 +69,20 @@ class FeatureConfig:
     floor: float = 1e-10
 
     def validate(self):
-        if self.sample_rate <= 0 or self.frame_len <= 0 or self.frame_shift <= 0:
-            raise InvalidConfig("sample rate, frame length and shift must be positive")
+        """Refuse field combinations; a field's own range is checked where
+        a config is resolved (``harness.CONFIG_DOMAINS``)."""
+        for name, samples in (("frame_len", self.frame_len_samples),
+                              ("frame_shift", self.frame_shift_samples)):
+            if samples < 1:
+                raise InvalidConfig(f"feat.{name}: {samples} samples at feat.sample_rate "
+                                    f"{self.sample_rate}, expected at least 1")
         if self.frame_len_samples > self.fft_size:
+            raise InvalidConfig(f"feat.frame_len: a frame of {self.frame_len_samples} samples "
+                                f"exceeds feat.fft_size {self.fft_size}")
+        if not self.low_freq < self.high_freq <= self.sample_rate / 2:
             raise InvalidConfig(
-                f"frame of {self.frame_len_samples} samples exceeds FFT size {self.fft_size}"
-            )
-        if not 0 < self.low_freq < self.high_freq <= self.sample_rate / 2:
-            raise InvalidConfig("mel range must satisfy 0 < low < high <= Nyquist")
-        if self.num_filters < 1:
-            raise InvalidConfig("need at least one mel filter")
-        if self.floor <= 0:
-            raise InvalidConfig("log floor must be positive")
+                f"feat.low_freq {self.low_freq:g}, feat.high_freq {self.high_freq:g}: expected "
+                f"low < high <= feat.sample_rate / 2 = {self.sample_rate / 2:g}")
 
     @property
     def frame_len_samples(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
-    AllFramesRemoved, AudioFormatError, DuplicateSegment, InvalidConfig, InvalidPlan, InvalidSpec,
+    AllFramesRemoved, AudioFormatError, DuplicateSegment, InvalidPlan, InvalidSpec,
     MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
 )
 
@@ -256,9 +257,6 @@ def generate_corpus(
     for spec in specs:
         spec.validate()
     by_id = {spec.language_id: spec for spec in specs}
-    out_dir = Path(out_dir)
-    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-
     jobs_list = []  # (spec, seed_key, utt_id, relpath, split)
     for split_idx, split in enumerate(sorted(counts)):
         lang_counts = counts[split]
@@ -273,6 +271,8 @@ def generate_corpus(
                     (by_id[lang], [seed, split_idx, lang_idx, i], utt_id, f"wav/{utt_id}.wav", split)
                 )
 
+    out_dir = Path(out_dir)
+    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(jobs_list), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -334,9 +334,10 @@ def _section(prefix: str, cls, config):
 
 
 # Every settable config key and its default; a value's type is its
-# default's type, and a key in CONFIG_CHOICES takes only the values listed
-# there. ``config.resolve(CONFIG_DEFAULTS, overrides, CONFIG_CHOICES)``
-# gives the effective config that the functions below read by key.
+# default's type, and CONFIG_DOMAINS declares the values each key may take
+# (eval.threshold takes any value but NaN). ``config.resolve(CONFIG_DEFAULTS,
+# overrides, CONFIG_DOMAINS)`` gives the effective config that the functions
+# below read by key.
 CONFIG_DEFAULTS: dict[str, object] = {
     **_fields("feat", dsp.FeatureConfig),
     **_fields("vad", dsp.VadConfig),
@@ -347,20 +348,26 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "counts.train": 100, "counts.dev": 10, "counts.test": 40, "counts.reference": 10,
     "counts.zr_test": 60,
 }
-CONFIG_CHOICES: dict[str, tuple] = {"eval.policy": metrics.THRESHOLD_POLICIES}
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+CONFIG_DOMAINS: dict[str, tuple] = {
+    **{key: _POSITIVE for key in CONFIG_DEFAULTS
+       if key.startswith(("feat.", "net.", "train.", "counts."))},
+    "feat.preemphasis": ("a value in [0, 1)", lambda v: 0 <= v < 1),
+    "vad.offset": ("a finite number", math.isfinite),
+    "vad.floor": _POSITIVE,
+    "eval.p_target": ("a value in (0, 1)", lambda v: 0 < v < 1),
+    "eval.policy": (f"one of {', '.join(map(repr, metrics.THRESHOLD_POLICIES))}",
+                    lambda v: v in metrics.THRESHOLD_POLICIES),
+}
 
 
 def eval_config(cfg: dict[str, object], key, policy: str) -> metrics.EvalConfig:
     """The evaluation of ``key`` under ``policy`` that the ``eval.*`` values
-    of the effective config ``cfg`` set; a value ``EvalConfig`` refuses is
-    an InvalidConfig naming its key."""
-    try:
-        return metrics.EvalConfig.for_key(
-            key, p_target=cfg["eval.p_target"], threshold_policy=policy,
-            threshold=cfg["eval.threshold"],
-        )
-    except InvalidConfig as exc:  # "<field>: ...", and the key is eval.<field>
-        raise InvalidConfig(f"eval.{exc}") from None
+    of the effective config ``cfg`` set."""
+    return metrics.EvalConfig.for_key(
+        key, p_target=cfg["eval.p_target"], threshold_policy=policy,
+        threshold=cfg["eval.threshold"],
+    )
 
 
 # Errors that condemn one segment rather than the run. Anything else (an
@@ -380,6 +387,7 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
     that owe it a score row get one from ``submission.fill_missing``.
     """
     fcfg = _section("feat", dsp.FeatureConfig, config)
+    fcfg.validate()  # before any WAV is read
     vcfg = _section("vad", dsp.VadConfig, config)
     for i, entry in enumerate(entries):
         try:
@@ -448,7 +456,7 @@ def train_network(
     few frames for the new network) are left out with a warning each.
     ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
     """
-    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_CHOICES)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_DOMAINS)
     params = net.init_network(
         num_classes=len(languages),
         seed=[seed, 1],
@@ -511,7 +519,7 @@ def run_task(
     overrides ``CONFIG_DEFAULTS`` (strings or typed values); its
     ``eval.*`` values are checked against the key before any training.
     """
-    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_CHOICES)
+    cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_DOMAINS)
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
     entries = read_manifest(corpus_dir)
@@ -571,16 +579,13 @@ def run_task(
     return TaskResult(report, score_path, report_path, det_path, params)
 
 
-def desk_counts(*, train_per_lang: int, dev_per_lang: int, test_per_lang: int,
-                reference_per_lang: int, zero_test_per_lang: int) -> dict[str, dict[str, int]]:
-    """Split sizes for the desk-scale corpus (3 training + 2 unseen); the
-    defaults are the ``counts.*`` entries of ``CONFIG_DEFAULTS``."""
+def desk_counts(config) -> dict[str, dict[str, int]]:
+    """Split sizes for the desk-scale corpus (3 training + 2 unseen): each
+    language of a split gets that split's ``counts.<split>`` value of the
+    effective config ``config``."""
     train_langs = [s.language_id for s in default_training_specs()]
     zero_langs = [s.language_id for s in default_zero_resource_specs()]
-    return {
-        "train": {lang: train_per_lang for lang in train_langs},
-        "dev": {lang: dev_per_lang for lang in train_langs},
-        "test": {lang: test_per_lang for lang in train_langs},
-        "reference": {lang: reference_per_lang for lang in zero_langs},
-        "zr_test": {lang: zero_test_per_lang for lang in zero_langs},
-    }
+    split_langs = {"train": train_langs, "dev": train_langs, "test": train_langs,
+                   "reference": zero_langs, "zr_test": zero_langs}
+    return {split: dict.fromkeys(langs, config[f"counts.{split}"])
+            for split, langs in split_langs.items()}

@@ -94,8 +94,6 @@ class EvalConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
-        # the two settings are refused as InvalidConfig naming the field,
-        # which harness.eval_config turns into the name of the config key
         if not 0.0 < self.p_target < 1.0:
             raise InvalidConfig(f"p_target: expected a value in (0, 1), got {self.p_target!r}")
         if math.isnan(self.threshold):

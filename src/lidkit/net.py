@@ -336,16 +336,19 @@ def compute_gradients(params: NetworkParams, batch, grads=None):
     scratch = np.empty(max(w.size for w in params.weights.values()))
     total = 0.0
     scale = 1.0 / len(batch)
-    for features, label in batch:
-        label = int(label)
-        if not 0 <= label < n_classes:
-            raise ValueError(f"label {label} outside [0, {n_classes})")
-        cache = forward(params, features)
-        total -= cache.log_posteriors[label]
-        d_logits = np.exp(cache.log_posteriors)
-        d_logits[label] -= 1.0
-        d_logits *= scale
-        _backprop(params, cache, d_logits, grads, scratch)
+    # a diverging step overflows on the way to a non-finite loss, which is
+    # the one report of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for features, label in batch:
+            label = int(label)
+            if not 0 <= label < n_classes:
+                raise ValueError(f"label {label} outside [0, {n_classes})")
+            cache = forward(params, features)
+            total -= cache.log_posteriors[label]
+            d_logits = np.exp(cache.log_posteriors)
+            d_logits[label] -= 1.0
+            d_logits *= scale
+            _backprop(params, cache, d_logits, grads, scratch)
     loss = total * scale
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss}")

@@ -183,10 +183,10 @@ def test_criterion_6_format_round_trip():
 def desk_corpus(tmp_path_factory):
     corpus = tmp_path_factory.mktemp("desk") / "corpus"
     specs = harness.default_training_specs() + harness.default_zero_resource_specs()
-    counts = harness.desk_counts(
-        train_per_lang=60, dev_per_lang=5, test_per_lang=30,
-        reference_per_lang=10, zero_test_per_lang=50,
-    )
+    counts = harness.desk_counts({
+        "counts.train": 60, "counts.dev": 5, "counts.test": 30,
+        "counts.reference": 10, "counts.zr_test": 50,
+    })
     harness.generate_corpus(specs, counts, seed=101, out_dir=corpus, jobs=2)
     return corpus
 

@@ -181,7 +181,7 @@ class TestUsageErrors:
         code, _, err = run(capsys, "train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS,
                            "--out", str(out), "--set", "net.frame_dim=0")
         assert code == 2
-        assert err == "error: frame1: zero-width layer 200 -> 0\n"
+        assert err == "error: net.frame_dim: expected a positive finite number, got 0\n"
         assert not out.exists()
 
 

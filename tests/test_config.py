@@ -1,5 +1,9 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import TOTALITY, token_texts
 from lidkit import cli, config, harness
@@ -96,11 +100,33 @@ class TestResolve:
             config.resolve(harness.CONFIG_DEFAULTS, {key: value})
 
     def test_value_outside_its_choices_named(self):
-        choices = harness.CONFIG_CHOICES
-        assert config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "fixed"}, choices)[
+        domains = harness.CONFIG_DOMAINS
+        assert config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "fixed"}, domains)[
             "eval.policy"] == "fixed"
         with pytest.raises(InvalidConfig, match="^eval.policy: .* got 'best'$"):
-            config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "best"}, choices)
+            config.resolve(harness.CONFIG_DEFAULTS, {"eval.policy": "best"}, domains)
+
+    def test_every_key_but_the_threshold_has_a_domain_holding_its_default(self):
+        defaults, domains = harness.CONFIG_DEFAULTS, harness.CONFIG_DOMAINS
+        assert sorted(domains) == sorted(set(defaults) - {"eval.threshold"})
+        for key, (_, test) in domains.items():
+            assert test(defaults[key]), key
+        assert config.resolve(defaults, defaults, domains) == defaults
+
+    @pytest.mark.parametrize("key, inside, outside", [
+        ("feat.preemphasis", ["0", "0.5"], ["1", "-0.1"]),
+        ("feat.floor", ["1e-300"], ["0", "inf"]),
+        ("vad.offset", ["-5", "0", "3"], ["inf", "-inf"]),
+        ("eval.p_target", ["1e-9", "0.5"], ["0", "1"]),
+        ("eval.threshold", ["inf", "-inf", "-3"], []),
+        ("counts.train", ["1"], ["0", "-1"]),
+    ])
+    def test_domain_bounds(self, key, inside, outside):
+        for value in inside:
+            config.resolve(harness.CONFIG_DEFAULTS, {key: value}, harness.CONFIG_DOMAINS)
+        for value in outside:
+            with pytest.raises(InvalidConfig, match=f"^{key}: expected "):
+                config.resolve(harness.CONFIG_DEFAULTS, {key: value}, harness.CONFIG_DOMAINS)
 
 
 class TestUnknownKeys:
@@ -170,6 +196,87 @@ class TestUnknownKeys:
         assert code == 2
         assert "counts.train" in capsys.readouterr().err
         assert not out.exists()
+
+
+def in_domain(key, token):
+    """Whether ``--set key=token`` lies in ``key``'s declared domain."""
+    try:
+        value = config.resolve(harness.CONFIG_DEFAULTS, {key: token})[key]
+    except InvalidConfig:  # not of the default's type, or NaN
+        return False
+    return harness.CONFIG_DOMAINS.get(key, ("", lambda v: True))[1](value)
+
+
+def cli_outcome(argv):
+    """``cli.main(argv)``'s exit code and its ``error:`` lines, checked to
+    be none on success and exactly the last stderr line otherwise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error:")]
+    assert errors == ([] if code == 0 else lines[-1:]), err.getvalue()
+    return code, errors
+
+
+class TestDomains:
+    """A value outside its key's domain exits 2 naming the key, before any
+    file is read or written; any other value runs or fails cleanly."""
+
+    POSITIVE = "expected a positive finite number, got"
+
+    @pytest.mark.parametrize("setting, message", [
+        ("train.batch_size=0", f"train.batch_size: {POSITIVE} 0"),
+        ("train.batch_size=-2", f"train.batch_size: {POSITIVE} -2"),
+        ("train.epochs=0", f"train.epochs: {POSITIVE} 0"),
+        ("train.epochs=-1", f"train.epochs: {POSITIVE} -1"),
+        ("train.learn_rate=-1", f"train.learn_rate: {POSITIVE} -1.0"),
+        ("feat.preemphasis=5", "feat.preemphasis: expected a value in [0, 1), got 5.0"),
+        ("vad.floor=0", f"vad.floor: {POSITIVE} 0.0"),
+        ("feat.num_filters=0", f"feat.num_filters: {POSITIVE} 0"),
+        # combinations of feat.* values, checked before any WAV is read
+        ("feat.frame_len=0.00001", "feat.frame_len: 0 samples at feat.sample_rate 16000, "
+                                   "expected at least 1"),
+        ("feat.frame_shift=1e-9", "feat.frame_shift: 0 samples at feat.sample_rate 16000, "
+                                  "expected at least 1"),
+        ("feat.frame_len=0.05", "feat.frame_len: a frame of 800 samples exceeds "
+                                "feat.fft_size 512"),
+        ("feat.sample_rate=8000", "feat.low_freq 20, feat.high_freq 7600: expected "
+                                  "low < high <= feat.sample_rate / 2 = 4000"),
+    ])
+    def test_train_exits_2_naming_the_keys_and_writes_nothing(
+        self, capsys, damaged_corpus, tmp_path, setting, message
+    ):
+        corpus, _ = damaged_corpus
+        out = tmp_path / "model.bin"
+        code = cli.main(["train", "--corpus", str(corpus), "--languages", ",".join(TRAIN_LANGS),
+                         "--out", str(out), "--set", setting])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # no token builds a network wider, or trains longer, than 2
+    TOKENS = ["0", "1", "2", "-1", "0.5", "1e-9", "1e400", "inf", "-inf", "nan", "x", "fixed"]
+
+    @TOTALITY
+    @given(key=st.sampled_from(sorted(harness.CONFIG_DEFAULTS)), token=st.sampled_from(TOKENS))
+    def test_any_setting_runs_or_fails_cleanly(self, damaged_corpus, tmp_path_factory, key, token):
+        corpus, _ = damaged_corpus
+        root = tmp_path_factory.mktemp("setting")
+        (root / "s.txt").write_text("s1 1 2\ns2 -1 1\n")
+        (root / "k.txt").write_text("A B\ns1 A\ns2 B\n")
+        inside = in_domain(key, token)
+        for argv, out in [
+            (["train", "--corpus", str(corpus), "--split", "test",
+              "--languages", ",".join(TRAIN_LANGS), "--out", str(root / "m.bin")], root / "m.bin"),
+            (["evaluate", "--scores", str(root / "s.txt"), "--key", str(root / "k.txt"),
+              "--report", str(root / "r.txt")], root / "r.txt"),
+        ]:
+            code, errors = cli_outcome(argv + ["--set", f"{key}={token}"])
+            assert code in (0, 2, 3), errors
+            if not inside:
+                assert code == 2 and errors[0].startswith(f"error: {key}: expected "), errors
+                assert not out.exists()
 
 
 class TestEvalSettings:

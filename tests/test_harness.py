@@ -199,6 +199,12 @@ class TestCorpus:
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
 
+    def test_refused_count_creates_nothing(self, tmp_path):
+        counts = {"train": {lang: 1 for lang in TRAIN_LANGS}, "test": {"alpha": 0}}
+        with pytest.raises(InvalidSpec, match="count for 'alpha'/'test'"):
+            harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
     @pytest.mark.parametrize("split", ["train", "test"])  # the same split, then another
     def test_repeated_utt_refused_at_its_line(self, split):
         text = "u1 alpha wav/u1.wav train\nu2 alpha wav/u2.wav train\n"

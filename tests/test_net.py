@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -260,8 +261,10 @@ class TestGradients:
         params = tiny_net()
         params.weights["softmax"][:] = 1e200
         params.weights["segment7"][:] = 1e200
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteLoss):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NonFiniteLoss):
+            warnings.simplefilter("always")
             net.compute_gradients(params, [(random_features(rng), 0)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_label_rejected(self):
         rng = np.random.default_rng(8)
