@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (LidkitError, OSError, ValueError) as exc:
+    except (LidkitError, OSError, ValueError, MemoryError) as exc:  # huge in-domain sizes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

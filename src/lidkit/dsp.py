@@ -8,10 +8,11 @@ energy against the utterance mean; frames sitting exactly at the energy
 floor are always dropped.
 
 ``features_from_waveform`` frames each utterance once, as a read-only
-strided view of its samples, and takes both the log-mel features and the
-VAD log energy from those frames. The mel filterbank is built once per
-``FeatureConfig`` and the Hamming window once per length; both are cached
-read-only arrays. All transforms are deterministic and per-utterance.
+strided view of its samples; the VAD keeps frames by their log energy,
+and log-mel is computed for the VAD-kept frames only. The mel filterbank
+is built once per ``FeatureConfig`` and the Hamming window once per
+length; both are cached read-only arrays. All transforms are
+deterministic and per-utterance.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Waveform:
 
 @dataclass
 class FeatureMatrix:
-    """T x D matrix of log-mel frames for one utterance."""
+    """T x D per-frame values of one utterance: log-mel, or raw frames before VAD."""
 
     frames: np.ndarray
 
@@ -164,20 +165,13 @@ def _hamming(length: int) -> np.ndarray:
     return _read_only(np.hamming(length))
 
 
-def hz_to_mel(freq):
-    return 2595.0 * np.log10(1.0 + np.asarray(freq, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def mel_edge_frequencies(config: FeatureConfig) -> np.ndarray:
-    """num_filters + 2 mel-spaced hertz points from low_freq to high_freq."""
-    edges_mel = np.linspace(
-        hz_to_mel(config.low_freq), hz_to_mel(config.high_freq), config.num_filters + 2
-    )
-    return mel_to_hz(edges_mel)
+    """num_filters + 2 hertz points from low_freq to high_freq, evenly
+    spaced on the mel scale m = 2595 log10(1 + f / 700)."""
+    low, high = (2595.0 * np.log10(1.0 + np.float64(f) / 700.0)
+                 for f in (config.low_freq, config.high_freq))
+    edges_mel = np.linspace(low, high, config.num_filters + 2)
+    return 700.0 * (10.0 ** (edges_mel / 2595.0) - 1.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -276,12 +270,12 @@ def features_from_waveform(
     feat_config: FeatureConfig | None = None,
     vad_config: VadConfig | None = None,
 ) -> FeatureMatrix:
-    """Full front end: filterbanks, energy VAD, row filtering, all from
-    one framing of the signal."""
+    """Full front end from one framing of the signal: energy VAD on the
+    frames, then log-mel of the kept frames only."""
     config = _checked(wave, feat_config)
     frames = _frames(wave, config)
     mask = energy_vad(_log_energy(frames, config), vad_config)
-    return apply_vad(_log_mel(frames, config), mask)
+    return _log_mel(apply_vad(FeatureMatrix(frames), mask).frames, config)
 
 
 def features_from_wav(

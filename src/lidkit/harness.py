@@ -13,6 +13,7 @@ generation can never change the output.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -231,10 +232,23 @@ def read_manifest(corpus_dir) -> list[ManifestEntry]:
     return parse_file(Path(corpus_dir) / "manifest.txt", parse_manifest)
 
 
-def _synth_job(spec: SyntheticLanguageSpec, seed_key) -> np.ndarray:
+def _synth_job(job) -> np.ndarray:
+    spec, seed_key = job
     rng = np.random.default_rng(seed_key)
     duration = rng.uniform(*spec.length_range_s)
     return synth_utterance(spec, duration, rng)
+
+
+def _synthesised(jobs, workers: int):
+    """``_synth_job`` of each of ``jobs`` in order, on ``workers`` threads (none
+    for one); closing the generator cancels the syntheses not yet started."""
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_synth_job, jobs)
+    else:
+        yield from map(_synth_job, jobs)
 
 
 def generate_corpus(
@@ -250,42 +264,34 @@ def generate_corpus(
     utterance draws from its own RNG keyed by (seed, split, language,
     index), so output is deterministic for a given (specs, counts, seed)
     and independent of ``jobs``, the most synthesis threads to start (no
-    more than there are utterances or CPUs).
+    more than there are utterances or CPUs). Each WAV is written as soon as
+    it is synthesised, so about one utterance per worker is in memory; the
+    keys and the manifest come last, so a failed run may leave WAVs but
+    never a manifest or a key.
     """
     if len(specs) < 2:
         raise InvalidSpec("need at least 2 language specs")
     for spec in specs:
         spec.validate()
-    by_id = {spec.language_id: spec for spec in specs}
-    jobs_list = []  # (spec, seed_key, utt_id, relpath, split)
+    entries: list[ManifestEntry] = []
+    synth_jobs = []  # the (spec, seed key) of each entry
     for split_idx, split in enumerate(sorted(counts)):
-        lang_counts = counts[split]
-        key_langs = [s.language_id for s in specs if s.language_id in lang_counts]
-        for lang_idx, lang in enumerate(key_langs):
-            num = lang_counts[lang]
+        split_specs = [s for s in specs if s.language_id in counts[split]]
+        for lang_idx, spec in enumerate(split_specs):
+            lang, num = spec.language_id, counts[split][spec.language_id]
             if num < 1:
                 raise InvalidSpec(f"count for {lang!r}/{split!r} must be >= 1")
             for i in range(num):
                 utt_id = f"{lang}-{split}-{i:04d}"
-                jobs_list.append(
-                    (by_id[lang], [seed, split_idx, lang_idx, i], utt_id, f"wav/{utt_id}.wav", split)
-                )
+                entries.append(ManifestEntry(utt_id, lang, f"wav/{utt_id}.wav", split))
+                synth_jobs.append((spec, [seed, split_idx, lang_idx, i]))
 
     out_dir = Path(out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-    workers = min(jobs, len(jobs_list), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rendered = list(pool.map(lambda j: _synth_job(j[0], j[1]), jobs_list))
-    else:
-        rendered = [_synth_job(spec, key) for spec, key, *_ in jobs_list]
-
-    entries: list[ManifestEntry] = []
-    for (spec, _, utt_id, rel, split), samples in zip(jobs_list, rendered):
-        dsp.write_wav(out_dir / rel, dsp.Waveform(samples, SAMPLE_RATE))
-        entries.append(ManifestEntry(utt_id, spec.language_id, rel, split))
+    workers = min(jobs, len(entries), os.cpu_count() or 1)
+    with contextlib.closing(_synthesised(synth_jobs, workers)) as rendered:
+        for entry, samples in zip(entries, rendered):
+            dsp.write_wav(out_dir / entry.path, dsp.Waveform(samples, SAMPLE_RATE))
 
     for split in sorted(counts):
         key_langs = [s.language_id for s in specs if s.language_id in counts[split]]

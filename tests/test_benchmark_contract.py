@@ -54,6 +54,20 @@ def test_calls_the_workloads_make_outside_the_tracer(tmp_path):
     assert net.extract_xvector(params, frames).values.shape == (16,)
 
 
+def test_traced_vad_counts_every_frame_in_and_the_kept_frames_out():
+    spec = harness.default_training_specs()[0]
+    wave = dsp.Waveform(harness.synth_utterance(spec, 1.0, np.random.default_rng(2)))
+    config = dsp.FeatureConfig()
+    num_frames = 1 + (wave.samples.size - config.frame_len_samples) // config.frame_shift_samples
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        feats = dsp.features_from_waveform(wave)
+    counted = {name: tracer.stats[f"dsp.apply_vad.{name}"]
+               for name in ("calls", "in_frames", "kept_frames")}
+    assert counted == {"calls": 1, "in_frames": num_frames, "kept_frames": feats.num_frames}
+    assert 0 < feats.num_frames < num_frames  # the benchmark's keep_ratio is neither 0 nor 1
+
+
 def test_traced_work_counters_read_the_score_table_and_the_fill(tmp_path):
     key, scores = tmp_path / "key.txt", tmp_path / "scores.txt"
     key.write_text("A B\ns1 A\ns2 B\ns3 OOS\ns4 A\n")

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
-from lidkit import cli, harness, net, submission as sub
+from lidkit import cli, dsp, harness, net, submission as sub
 
 TRAIN_LANGS = "alpha,bravo,charlie"
 
@@ -182,6 +182,26 @@ class TestUsageErrors:
                            "--out", str(out), "--set", "net.frame_dim=0")
         assert code == 2
         assert err == "error: net.frame_dim: expected a positive finite number, got 0\n"
+        assert not out.exists()
+
+    # each size asks for PiB-scale arrays (beyond any address space), which
+    # numpy refuses at once: init_network's weights for the first two, the
+    # rfft output of the one WAV's frames for the third
+    @pytest.mark.parametrize("setting", [
+        "net.frame_dim=1000000000000", "feat.num_filters=10000000000000",
+        "feat.fft_size=1000000000000000",
+    ])
+    def test_huge_in_domain_size_exits_2_and_writes_nothing(self, capsys, tmp_path, setting):
+        (tmp_path / "wav").mkdir()
+        samples = harness.synth_utterance(harness.default_training_specs()[0], 0.5,
+                                          np.random.default_rng(1))
+        dsp.write_wav(tmp_path / "wav" / "u1.wav", dsp.Waveform(samples))
+        (tmp_path / "manifest.txt").write_text("u1 alpha wav/u1.wav train\n")
+        out = tmp_path / "model.bin"
+        code, _, err = run(capsys, "train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS,
+                           "--out", str(out), "--set", setting)
+        assert code == 2
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert not out.exists()
 
 

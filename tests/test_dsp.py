@@ -189,8 +189,9 @@ class TestPipeline:
 
 
 class TestFramedOnce:
-    """The one-framing front end against the index-matrix front end that
-    framed each signal twice: identical bytes, not just close values."""
+    """The one-framing front end, which takes log-mel of the VAD-kept frames
+    only, against the index-matrix front end that framed each signal twice
+    and took log-mel of every frame: identical bytes, not just close values."""
 
     @pytest.mark.parametrize("config", [
         CFG, dsp.FeatureConfig(preemphasis=0.9), dsp.FeatureConfig(frame_shift=0.0125),

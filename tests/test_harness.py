@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,81 @@ class TestCorpus:
         harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=jobs)
         assert started == ([workers] if workers else [])
         assert len(harness.read_manifest(tmp_path)) == 6
+
+    def test_each_utterance_is_written_before_the_next_is_synthesised(self, tmp_path,
+                                                                       monkeypatch):
+        unwritten, most = [0], [0]
+        synth_job, write_wav = harness._synth_job, dsp.write_wav
+
+        def counted_synth(*args):
+            samples = synth_job(*args)
+            unwritten[0] += 1
+            most[0] = max(most[0], unwritten[0])
+            return samples
+
+        def counted_write(*args):
+            write_wav(*args)
+            unwritten[0] -= 1
+
+        monkeypatch.setattr(harness, "_synth_job", counted_synth)
+        monkeypatch.setattr(dsp, "write_wav", counted_write)
+        counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}
+        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=1)
+        assert (most[0], unwritten[0]) == (1, 0)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_failed_wav_write_stops_synthesis_and_writes_no_text(self, tmp_path, monkeypatch,
+                                                                 k):
+        synthesised, writes = [], []
+        synth_job, write_wav = harness._synth_job, dsp.write_wav
+
+        def counted_synth(*args):
+            synthesised.append(args)
+            return synth_job(*args)
+
+        def failing_write(*args):
+            writes.append(args)
+            if len(writes) == k:
+                raise OSError("disk full")
+            write_wav(*args)
+
+        monkeypatch.setattr(harness, "_synth_job", counted_synth)
+        monkeypatch.setattr(dsp, "write_wav", failing_write)
+        counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}  # 6 utterances
+        with pytest.raises(OSError, match="disk full"):
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=1)
+        assert len(synthesised) == k
+        assert [path.name for path in tmp_path.iterdir()] == ["wav"]  # no manifest, no key
+        assert len(list((tmp_path / "wav").iterdir())) == k - 1
+
+    def test_failed_wav_write_cancels_threaded_syntheses_not_started(self, tmp_path,
+                                                                     monkeypatch):
+        failed = threading.Event()
+        started = []
+        synth_job = harness._synth_job
+
+        def held_synth(job):  # all but the first wait for the failure
+            started.append(job)
+            if job[1][1:] != [0, 0, 0]:
+                failed.wait(timeout=2)
+            return synth_job(job)
+
+        def failing_write(*args):
+            failed.set()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_synth_job", held_synth)
+        monkeypatch.setattr(dsp, "write_wav", failing_write)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        counts = {"train": {lang: 4 for lang in TRAIN_LANGS}}  # 12 utterances
+        threads = threading.active_count()
+        # ``failure`` holds the traceback and so generate_corpus's frame: the
+        # pool must be shut down by the call itself, not by garbage collection
+        with pytest.raises(OSError, match="disk full") as failure:
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=2)
+        assert threading.active_count() == threads, failure.traceback
+        assert len(started) <= 3  # the first, plus one held on each of the 2 threads
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_different_seed_differs(self, tmp_path):
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}
