@@ -1,7 +1,8 @@
 """Task back-ends: closed-set posterior scoring and zero-resource scoring.
 
 Closed-set tasks score each segment with the network's log posteriors
-(optionally projected onto a language subset, without renormalization).
+(``harness.closed_set_scorer`` picks a key's columns, without
+renormalization).
 The zero-resource task enrolls each unseen language as the mean of its
 reference-utterance embeddings and scores test embeddings by cosine
 similarity against those centroids.
@@ -40,23 +41,9 @@ class LanguageModelSet:
             raise ValueError("one centroid per language required")
 
 
-def score_closed_set(
-    params: net.NetworkParams, features, subset: list[int] | None = None
-) -> np.ndarray:
-    """Log posteriors for one segment, optionally restricted to a subset.
-
-    ``subset`` lists language indices (training-label order); the returned
-    columns follow subset order and are plain projections of the full log
-    posteriors, not renormalized.
-    """
-    n = params.num_classes
-    if subset is None:
-        idx = np.arange(n)
-    else:
-        idx = np.asarray(subset, dtype=np.int64)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"subset indices must lie in [0, {n})")
-    return net.forward(params, features).log_posteriors[idx].copy()
+def score_closed_set(params: net.NetworkParams, features) -> np.ndarray:
+    """Log posteriors for one segment over the training languages, in label order."""
+    return net.forward(params, features).log_posteriors
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

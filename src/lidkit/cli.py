@@ -168,9 +168,12 @@ def _cmd_generate(args, cfg):
     return EXIT_OK
 
 
+def _entries(args) -> list[harness.ManifestEntry]:
+    return [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
+
+
 def _cmd_train(args, cfg):
-    entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
-    params = harness.train_network(args.corpus, entries, args.languages, cfg, args.seed)
+    params = harness.train_network(args.corpus, _entries(args), args.languages, cfg, args.seed)
     harness.write_atomic(args.out, net.save_params(params))
     print(f"model written to {args.out}")
     return EXIT_OK
@@ -185,15 +188,10 @@ def _load_model(path) -> net.NetworkParams:
         raise CorruptModel(f"{path}: {exc}") from None
 
 
-def _split_features(params, args, cfg):
-    entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
-    return harness.iter_features(params, args.corpus, entries, cfg)
-
-
 def _cmd_extract(args, cfg):
     params = _load_model(args.model)
     embed_dim = params.weights[net.EMBED_LAYER].shape[0]
-    table = harness.score_table(_split_features(params, args, cfg),
+    table = harness.score_table(params, args.corpus, _entries(args), cfg,
                                 lambda feats: net.extract_xvector(params, feats).values, embed_dim)
     harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(table))
     print(f"{len(table)} x-vectors written to {args.out}")
@@ -226,14 +224,12 @@ def _cmd_score(args, cfg):
     params = _load_model(args.model)
     key = submission.read_key_file(args.key)
     if args.mode == "closed":
-        train_order = args.languages or key.language_list
         try:
-            subset = [train_order.index(lang) for lang in key.language_list]
-        except ValueError as exc:
-            raise _UsageError(f"key language missing from --languages: {exc}")
-
-        def score(feats):
-            return backend_mod.score_closed_set(params, feats, subset)
+            score = harness.closed_set_scorer(params, args.languages or key.language_list,
+                                              key.language_list)
+        except InconsistentLanguageSet as exc:
+            where = "--languages" if args.languages else f"{args.key} (no --languages)"
+            raise InconsistentLanguageSet(f"{where}: {exc}") from None
     else:
         if not args.enrolled:
             raise _UsageError("zero mode requires --enrolled")
@@ -251,7 +247,7 @@ def _cmd_score(args, cfg):
 
         def score(feats):
             return backend_mod.score_zero_resource(models, feats, params)[order]
-    table = harness.score_table(_split_features(params, args, cfg), score, key.num_languages)
+    table = harness.score_table(params, args.corpus, _entries(args), cfg, score, key.num_languages)
     fill = submission.fill_missing(table, key)
     _warn_fill(fill)
     text = submission.write_scores(fill.table)

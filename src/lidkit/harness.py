@@ -28,8 +28,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
-    AllFramesRemoved, AudioFormatError, DuplicateSegment, InvalidPlan, InvalidSpec,
-    MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
+    AllFramesRemoved, AudioFormatError, DuplicateSegment, InconsistentLanguageSet, InvalidPlan,
+    InvalidSpec, MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
 )
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,8 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SyntheticLanguageSpec:
-    """Recipe for one synthetic language: where its energy lives."""
+    """Recipe for one synthetic language: where its energy lives. Its id is
+    a manifest and key token: no whitespace, no leading ``#``, not ``OOS``."""
 
     language_id: str
     band_centers_hz: tuple[float, ...]
@@ -64,8 +65,9 @@ class SyntheticLanguageSpec:
     length_range_s: tuple[float, float] = (1.4, 2.2)
 
     def validate(self):
-        if not self.language_id or any(c.isspace() for c in self.language_id):
-            raise InvalidSpec(f"bad language id {self.language_id!r}")
+        lang = self.language_id
+        if lang in ("", submission.OUT_OF_SET) or lang[0] == "#" or any(map(str.isspace, lang)):
+            raise InvalidSpec(f"bad language id {lang!r}")
         if len(self.band_centers_hz) != len(self.bandwidths_hz) or not self.band_centers_hz:
             raise InvalidSpec(f"{self.language_id}: band centers/widths must pair up")
         for center in self.band_centers_hz:
@@ -267,12 +269,15 @@ def generate_corpus(
     more than there are utterances or CPUs). Each WAV is written as soon as
     it is synthesised, so about one utterance per worker is in memory; the
     keys and the manifest come last, so a failed run may leave WAVs but
-    never a manifest or a key.
+    never a manifest or a key. Every spec is checked, and the language ids
+    must differ, before ``out_dir`` is created.
     """
     if len(specs) < 2:
         raise InvalidSpec("need at least 2 language specs")
-    for spec in specs:
+    for i, spec in enumerate(specs):
         spec.validate()
+        if any(s.language_id == spec.language_id for s in specs[:i]):
+            raise InvalidSpec(f"language id {spec.language_id!r} given twice")
     entries: list[ManifestEntry] = []
     synth_jobs = []  # the (spec, seed key) of each entry
     for split_idx, split in enumerate(sorted(counts)):
@@ -408,14 +413,28 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
         yield entry, feats
 
 
-def score_table(features, score, width: int) -> submission.ScoreTable:
+def score_table(params: net.NetworkParams, corpus_dir, entries, config, score, width: int,
+                transform=None) -> submission.ScoreTable:
     """One table of ``score(feats)``, a row of ``width`` values, for each
-    ``(entry, feats)`` of ``features``, with the entries' ids."""
+    ``(entry, feats)`` of ``iter_features(params, corpus_dir, entries,
+    config, transform)``, with the entries' ids."""
     ids, rows = [], []
-    for entry, feats in features:
+    for entry, feats in iter_features(params, corpus_dir, entries, config, transform):
         ids.append(entry.utt_id)
         rows.append(score(feats))
     return submission.ScoreTable(ids, np.reshape(rows, (len(ids), width)))
+
+
+def closed_set_scorer(params: net.NetworkParams, train_languages, languages):
+    """``score(feats)``: the log posteriors of ``languages``, in order, from a
+    model labelled ``train_languages``. Raises InconsistentLanguageSet unless
+    those name the model's classes one each and hold all of ``languages``."""
+    n = params.num_classes
+    if len(train_languages) != n or not set(languages) <= set(train_languages):
+        raise InconsistentLanguageSet(f"key languages {languages} need training languages that "
+                                      f"label the {n}-class model, got {train_languages}")
+    subset = [train_languages.index(lang) for lang in languages]
+    return lambda feats: backend_mod.score_closed_set(params, feats)[subset]
 
 
 def enroll_entries(
@@ -542,24 +561,15 @@ def run_task(
             corpus_dir, train_entries, plan.train_languages, cfg, plan.seed
         )
 
+    transform = None
     if closed_set:
-        try:
-            subset = [plan.train_languages.index(lang) for lang in languages]
-        except ValueError:
-            raise InvalidPlan(
-                f"test key languages {languages} not all in training set "
-                f"{plan.train_languages}"
-            ) from None
+        score = closed_set_scorer(params, plan.train_languages, languages)
 
         def transform(i, samples):
             rng = np.random.default_rng([plan.seed, 3, i])
             if plan.task == CROSS_CHANNEL:
                 samples = apply_channel(samples, plan.channel, rng)
             return _crop_center(samples, plan.crop_seconds)
-
-        table = score_table(
-            iter_features(params, corpus_dir, test_entries, cfg, transform),
-            lambda feats: backend_mod.score_closed_set(params, feats, subset), len(languages))
     else:
         if set(languages) != set(plan.zero_languages):
             raise InvalidPlan(
@@ -567,9 +577,8 @@ def run_task(
             )
         references = [e for e in entries if e.split == "reference"]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
-        table = score_table(
-            iter_features(params, corpus_dir, test_entries, cfg),
-            lambda feats: backend_mod.score_zero_resource(models, feats, params), len(languages))
+        score = functools.partial(backend_mod.score_zero_resource, models, params=params)
+    table = score_table(params, corpus_dir, test_entries, cfg, score, len(languages), transform)
 
     fill = submission.fill_missing(table, key)
     if fill.num_filled:

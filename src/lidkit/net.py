@@ -179,11 +179,7 @@ def require_frames(params: NetworkParams, num_frames: int) -> None:
 def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     """Concatenate rows of x at each offset, for every valid center step."""
     lo, hi = min(offsets), max(offsets)
-    t_out = x.shape[0] - (hi - lo)
-    if t_out < 1:
-        raise TooFewFrames(
-            f"need at least {hi - lo + 1} frames for offsets {offsets}, got {x.shape[0]}"
-        )
+    t_out = x.shape[0] - (hi - lo)  # at least 1: ``forward`` calls ``require_frames`` first
     return np.hstack([x[o - lo : o - lo + t_out] for o in offsets])
 
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 
 from conftest import TOTALITY, token_texts
-from lidkit import backend, net
+from lidkit import backend, harness, net
 from lidkit.errors import (
-    LineError, MalformedLine, NoUsableReferences, TooFewFrames, ZeroNormVector, data_lines,
+    InconsistentLanguageSet, LineError, MalformedLine, NoUsableReferences, TooFewFrames,
+    ZeroNormVector, data_lines,
 )
+
+LABELS = [f"l{i}" for i in range(7)]  # the label order of seven_class_net
 
 
 def seven_class_net(seed=2):
@@ -31,7 +34,7 @@ class TestClosedSet:
         f = feats(rng)
         full = backend.score_closed_set(params, f)
         subset = [5, 0, 2, 6, 3, 1]
-        partial = backend.score_closed_set(params, f, subset)
+        partial = harness.closed_set_scorer(params, LABELS, [LABELS[i] for i in subset])(f)
         assert partial.shape == (6,)
         assert np.array_equal(partial, full[subset])
 
@@ -42,9 +45,9 @@ class TestClosedSet:
             backend.score_closed_set(seven_class_net(), feats(rng, t=5))
 
     def test_bad_subset_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            backend.score_closed_set(seven_class_net(), feats(rng), subset=[0, 7])
+        # l7 has no column in a seven-class model
+        with pytest.raises(InconsistentLanguageSet):
+            harness.closed_set_scorer(seven_class_net(), LABELS, ["l0", "l7"])
 
 
 class TestCosine:

@@ -54,6 +54,21 @@ def test_calls_the_workloads_make_outside_the_tracer(tmp_path):
     assert net.extract_xvector(params, frames).values.shape == (16,)
 
 
+def test_positional_calls_of_the_desk_recipe(damaged_corpus, tmp_path):
+    # as benchmark/workloads.py calls them: train_network(corpus, entries,
+    # languages, None, seed) and run_task(plan, corpus, out, None, params)
+    corpus, _ = damaged_corpus
+    langs = ["alpha", "bravo", "charlie"]
+    train = [e for e in harness.read_manifest(corpus) if e.split == "train"]
+    params = harness.train_network(corpus, train, langs, None, 8)
+    by_keyword = harness.train_network(corpus, train, langs, config=None, seed=8)
+    assert net.save_params(params) == net.save_params(by_keyword)
+    plan = harness.ExperimentPlan(harness.SHORT_UTTERANCE, langs, ["delta", "echo"], seed=8)
+    result = harness.run_task(plan, corpus, tmp_path, None, params)
+    assert result.params is params
+    assert result.score_path == tmp_path / "scores_short_utterance.txt"
+
+
 def test_traced_vad_counts_every_frame_in_and_the_kept_frames_out():
     spec = harness.default_training_specs()[0]
     wave = dsp.Waveform(harness.synth_utterance(spec, 1.0, np.random.default_rng(2)))

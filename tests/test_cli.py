@@ -337,6 +337,48 @@ def data_lines(path):
     return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
 
 
+class TestLabelOrder:
+    """Closed-set scoring needs the model's whole label order, from
+    ``--languages`` or else from the key; a mismatch exits 2 before any WAV
+    is read."""
+
+    @pytest.mark.parametrize("split, languages, named", [
+        ("test", "x,y,alpha,bravo,charlie", ["x", "y"]),
+        ("test", "alpha,bravo,charlie,delta", ["delta"]),
+        ("zr_test", None, ["delta", "echo"]),  # the key's two languages, a 3-class model
+        ("test", "alpha,bravo,delta", ["charlie", "delta"]),  # charlie is missing
+    ])
+    def test_mismatch_exits_2_before_any_wav_and_writes_nothing(
+        self, capsys, damaged_corpus, tmp_path, monkeypatch, split, languages, named
+    ):
+        corpus, model = damaged_corpus
+        key, scores = corpus / f"key_{split}.txt", tmp_path / "scores.txt"
+
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        flags = ["--languages", languages] if languages else []
+        code, _, err = run(capsys, "score", "--model", str(model), "--corpus", str(corpus),
+                           "--split", split, "--key", str(key), *flags, "--out", str(scores))
+        assert code == 2
+        where = "--languages" if languages else f"{key} (no --languages)"
+        assert err.startswith(f"error: {where}: key languages ") and err.count("\n") == 1
+        assert "3-class model" in err and all(repr(lang) in err for lang in named)
+        assert not scores.exists()
+
+    def test_zero_mode_without_enrolled_is_a_usage_error(self, capsys, damaged_corpus,
+                                                          tmp_path):
+        corpus, model = damaged_corpus
+        scores = tmp_path / "scores.txt"
+        code, _, err = run(capsys, "score", "--model", str(model), "--corpus", str(corpus),
+                           "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+                           "--mode", "zero", "--out", str(scores))
+        assert code == 1
+        assert err == "error: zero mode requires --enrolled\n"
+        assert not scores.exists()
+
+
 class TestSegmentFailures:
     """The CLI and ``run_task`` load segments through one path, so on a
     corpus with an unreadable WAV they write the same score lines."""

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import threading
@@ -12,7 +13,8 @@ import oracles
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
-    DuplicateSegment, InvalidPlan, InvalidSpec, LineError, NoUsableReferences,
+    DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError,
+    NoUsableReferences,
 )
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -281,6 +283,24 @@ class TestCorpus:
             harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path / "corpus")
         assert not (tmp_path / "corpus").exists()
 
+    def test_repeated_language_id_creates_nothing(self, tmp_path):
+        # the manifest would name alpha-train-0000 twice, which read_manifest refuses
+        counts = {"train": {"alpha": 1, "bravo": 1}}
+        with pytest.raises(InvalidSpec, match="language id 'alpha' given twice"):
+            harness.generate_corpus(all_specs()[:1] + all_specs()[:2], counts, 1,
+                                    tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("language_id", [sub.OUT_OF_SET, "#x"])
+    def test_id_the_key_reader_refuses_creates_nothing(self, tmp_path, language_id):
+        # the key header would hold OOS, which read_key_file refuses, or a
+        # "#x" line, which every reader skips as a comment
+        spec = dataclasses.replace(all_specs()[0], language_id=language_id)
+        counts = {"train": {language_id: 1, "bravo": 1}}
+        with pytest.raises(InvalidSpec, match=f"bad language id '{language_id}'"):
+            harness.generate_corpus([spec, all_specs()[1]], counts, 1, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
     @pytest.mark.parametrize("split", ["train", "test"])  # the same split, then another
     def test_repeated_utt_refused_at_its_line(self, split):
         text = "u1 alpha wav/u1.wav train\nu2 alpha wav/u2.wav train\n"
@@ -394,6 +414,29 @@ class TestRunTask:
         assert table.ids[-1] == TRUNCATED["test"]
         assert np.all(table.values[-1] == -np.inf)
         assert np.isfinite(result.report.cavg)
+
+    @pytest.mark.parametrize("train_languages, num_classes", [
+        (["alpha", "bravo", "delta"], 3),  # charlie, a key language, is missing
+        (TRAIN_LANGS, 4),
+        (TRAIN_LANGS + ["delta"], 3),
+    ])
+    def test_label_order_mismatch_refused_before_any_wav(self, small_corpus, tmp_path,
+                                                         monkeypatch, train_languages,
+                                                         num_classes):
+        params = net.init_network(num_classes, seed=[1, 1], feat_dim=40, frame_dim=16,
+                                  stats_dim=24, embed_dim=16)
+        plan = harness.ExperimentPlan(harness.CROSS_CHANNEL, train_languages, seed=11)
+
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        with pytest.raises(InconsistentLanguageSet) as err:
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG, params=params)
+        assert str(err.value) == (
+            f"key languages {TRAIN_LANGS} need training languages that label the "
+            f"{num_classes}-class model, got {train_languages}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTooFewFrames:
