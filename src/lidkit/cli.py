@@ -221,6 +221,11 @@ def _cmd_enroll(args, cfg):
 
 
 def _cmd_score(args, cfg):
+    ignored = {"closed": "enrolled", "zero": "languages"}[args.mode]
+    if getattr(args, ignored) is not None:
+        raise _UsageError(f"--{ignored} does not apply to --mode {args.mode}")
+    if args.mode == "zero" and not args.enrolled:
+        raise _UsageError("zero mode requires --enrolled")
     params = _load_model(args.model)
     key = submission.read_key_file(args.key)
     if args.mode == "closed":
@@ -231,8 +236,6 @@ def _cmd_score(args, cfg):
             where = "--languages" if args.languages else f"{args.key} (no --languages)"
             raise InconsistentLanguageSet(f"{where}: {exc}") from None
     else:
-        if not args.enrolled:
-            raise _UsageError("zero mode requires --enrolled")
         models = parse_file(args.enrolled, backend_mod.parse_models)
         missing = [lang for lang in key.language_list if lang not in models.language_ids]
         if missing:
@@ -271,12 +274,11 @@ def _cmd_evaluate(args, cfg):
     key = submission.read_key_file(args.key)
     fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
     _warn_lost(fill)
-    # both policies are always reported; eval.policy picks the headline number
+    # both policies are always reported, from one trial set; eval.policy picks the headline
     try:
-        reports = {
-            policy: metrics.compute_cavg(fill.table, key, harness.eval_config(cfg, key, policy))
-            for policy in metrics.THRESHOLD_POLICIES
-        }
+        configs = [harness.eval_config(cfg, key, policy) for policy in metrics.THRESHOLD_POLICIES]
+        trials = metrics.trials(fill.table, key)
+        reports = {c.threshold_policy: metrics.compute_cavg(trials, key, c) for c in configs}
     except EmptyTrialSet as exc:  # a key of one language, or a language with no segment
         raise EmptyTrialSet(f"{args.key}: {exc}") from None
     report = reports[cfg["eval.policy"]]

@@ -66,7 +66,7 @@ class SyntheticLanguageSpec:
 
     def validate(self):
         lang = self.language_id
-        if lang in ("", submission.OUT_OF_SET) or lang[0] == "#" or any(map(str.isspace, lang)):
+        if lang == submission.OUT_OF_SET or submission.bad_id(lang):
             raise InvalidSpec(f"bad language id {lang!r}")
         if len(self.band_centers_hz) != len(self.bandwidths_hz) or not self.band_centers_hz:
             raise InvalidSpec(f"{self.language_id}: band centers/widths must pair up")
@@ -425,15 +425,20 @@ def score_table(params: net.NetworkParams, corpus_dir, entries, config, score, w
     return submission.ScoreTable(ids, np.reshape(rows, (len(ids), width)))
 
 
+def closed_set_classes(num_classes: int, train_languages, languages) -> list[int]:
+    """The class of each of ``languages`` in a model labelled ``train_languages``.
+    Raises InconsistentLanguageSet unless those name the model's
+    ``num_classes`` classes one each and hold all of ``languages``."""
+    if len(train_languages) != num_classes or not set(languages) <= set(train_languages):
+        raise InconsistentLanguageSet(f"key languages {languages} need training languages that "
+                                      f"label the {num_classes}-class model, got {train_languages}")
+    return [train_languages.index(lang) for lang in languages]
+
+
 def closed_set_scorer(params: net.NetworkParams, train_languages, languages):
     """``score(feats)``: the log posteriors of ``languages``, in order, from a
-    model labelled ``train_languages``. Raises InconsistentLanguageSet unless
-    those name the model's classes one each and hold all of ``languages``."""
-    n = params.num_classes
-    if len(train_languages) != n or not set(languages) <= set(train_languages):
-        raise InconsistentLanguageSet(f"key languages {languages} need training languages that "
-                                      f"label the {n}-class model, got {train_languages}")
-    subset = [train_languages.index(lang) for lang in languages]
+    model labelled ``train_languages`` (see ``closed_set_classes``)."""
+    subset = closed_set_classes(params.num_classes, train_languages, languages)
     return lambda feats: backend_mod.score_closed_set(params, feats)[subset]
 
 
@@ -541,8 +546,8 @@ def run_task(
     segment. Short-utterance and cross-channel test segments are cropped
     to their central ``plan.crop_seconds``. Outputs land in ``out_dir`` as
     scores_<task>.txt, report_<task>.txt, and det_<task>.txt. ``config``
-    overrides ``CONFIG_DEFAULTS`` (strings or typed values); its
-    ``eval.*`` values are checked against the key before any training.
+    overrides ``CONFIG_DEFAULTS`` (strings or typed values). Its ``eval.*``
+    values and the plan are checked against the key before any training.
     """
     cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_DOMAINS)
     corpus_dir = Path(corpus_dir)
@@ -554,8 +559,12 @@ def run_task(
     key = submission.read_key_file(corpus_dir / f"key_{test_split}.txt")
     evaluation = eval_config(cfg, key, cfg["eval.policy"])
     languages = key.language_list
+    if not closed_set and set(languages) != set(plan.zero_languages):
+        raise InvalidPlan(f"zero-resource key languages {languages} != plan {plan.zero_languages}")
     test_entries = [e for e in entries if e.split == test_split]
     if params is None:
+        if closed_set:  # the model trained here has one class per training language
+            closed_set_classes(len(plan.train_languages), plan.train_languages, languages)
         train_entries = [e for e in entries if e.split == "train"]
         params = train_network(
             corpus_dir, train_entries, plan.train_languages, cfg, plan.seed
@@ -571,10 +580,6 @@ def run_task(
                 samples = apply_channel(samples, plan.channel, rng)
             return _crop_center(samples, plan.crop_seconds)
     else:
-        if set(languages) != set(plan.zero_languages):
-            raise InvalidPlan(
-                f"zero-resource key languages {languages} != plan {plan.zero_languages}"
-            )
         references = [e for e in entries if e.split == "reference"]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
         score = functools.partial(backend_mod.score_zero_resource, models, params=params)

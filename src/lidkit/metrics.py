@@ -30,19 +30,23 @@ Fixed conventions, documented rather than configurable:
 * the equal error rate linearly interpolates between the two DET
   points flanking the miss/false-alarm crossing.
 
-``compute_cavg`` gathers a ``submission.ScoreTable`` (or a list of
-``ScoreRecord``) into key order with one index and builds one table of
-sorted trial pools: per target language, its own segments' scores and
-each non-target group's scores (every other language, then the
-out-of-set group), all in the target's column, plus the pooled target
-and non-target trials. Every count is how many scores ``k`` of a pool lie
-strictly below ``theta``: k/n of a target pool's trials are missed and
-(n - k)/n of a non-target pool's are false alarms. The pair terms and
-the pooled DET, a (K, 2) float64 array of ``(p_miss, p_fa)`` rows, read
-``k = searchsorted(pool, theta, side="left")``. ``compute_cavg`` needs a
-segment of every key language (``EmptyTrialSet`` otherwise), refuses a
-NaN score (``NaNScore``, as the score reader and writer do), and
-``EvalConfig`` refuses a NaN threshold.
+``trials`` gathers a ``submission.ScoreTable`` (or a list of
+``ScoreRecord``) into key order with one index and builds the trial set
+once: per target language, its own segments' scores and each non-target
+group's scores (every other language, then the out-of-set group), all in
+the target's column and sorted; the distinct scores; and the pooled DET,
+a (K, 2) float64 array of ``(p_miss, p_fa)`` rows, with its EER.
+``compute_cavg`` takes the records or a built ``Trials``, so ``lidkit
+evaluate`` builds one trial set for both policies. Every count is how
+many scores ``k`` of a pool lie strictly below ``theta``: k/n of a target
+pool's trials are missed and (n - k)/n of a non-target pool's are false
+alarms. The pair terms and the DET read ``k = searchsorted(pool, theta,
+side="left")``. ``trials`` refuses a NaN score (``NaNScore``, as the
+score reader and writer do) and a set without a target or a non-target
+trial (``EmptyTrialSet``), so its ``eer`` and ``det`` accept a key
+language with no segment; ``compute_cavg`` needs a segment of every key
+language (``EmptyTrialSet`` otherwise), and ``EvalConfig`` refuses a NaN
+threshold.
 
 The min sweep counts each column once. Its counts change only at its
 distinct scores, so for ``steps``, those scores plus +/-inf, every count
@@ -138,7 +142,7 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # score-matrix assembly
 
-def _score_matrix(rows, key: TrialKey, num_languages: int):
+def _score_matrix(rows, key: TrialKey):
     """Gather a score table (or record list) into key order; return
     (matrix, true-language indices in key.language_list order, -1 out of set).
 
@@ -147,14 +151,10 @@ def _score_matrix(rows, key: TrialKey, num_languages: int):
     score is refused, as the score reader and writer refuse it.
     """
     table = ScoreTable.of(rows)
-    if num_languages != key.num_languages:
-        raise InconsistentLanguageSet(
-            f"config declares {num_languages} languages, key has {key.num_languages}"
-        )
-    if len(table) and table.values.shape[1] != num_languages:
+    if len(table) and table.values.shape[1] != key.num_languages:
         raise InconsistentLanguageSet(
             f"segment {table.ids[0]!r} has {table.values.shape[1]} scores, "
-            f"expected {num_languages}"
+            f"expected {key.num_languages}"
         )
     # the row of each key segment, -1 for none
     position = dict(zip(table.ids, range(len(table))))
@@ -195,45 +195,37 @@ def _below_steps(step_of, num_steps: int):
 
 
 @dataclass(frozen=True)
-class _TrialTable:
-    """Sorted trial pools.
+class Trials:
+    """The trial set of one score file, which both policies evaluate.
 
     ``columns`` holds, per target language in key order, ``(target, own,
-    others)``: ``own`` is the target's segments' scores in its column and
-    ``others`` lists ``(group, pool)`` for every other language and then the
-    out-of-set group (if any), each group's scores in the target's column.
-    ``targets`` and ``nontargets`` are the pooled (segment, hypothesis)
-    trials and ``scores`` their distinct values.
+    others)``: ``own`` is the target's segments' sorted scores in its column
+    and ``others`` lists ``(group, pool)``, the same for every other language
+    and then the out-of-set group (if any). ``scores`` are the distinct
+    scores, ``det`` the pooled DET and ``eer`` its crossing.
     """
 
+    num_languages: int
     columns: list[tuple[str, np.ndarray, list[tuple[str, np.ndarray]]]]
-    targets: np.ndarray
-    nontargets: np.ndarray
     scores: np.ndarray
+    det: np.ndarray
+    eer: float
 
 
-def _pooled(matrix, true_idx):
-    """Sorted target and non-target pools of all (segment, hypothesis)
-    trials, and the distinct scores."""
-    is_target = (true_idx[:, None] == np.arange(matrix.shape[1])[None, :]).ravel()
-    flat = matrix.ravel()
-    targets, nontargets = np.sort(flat[is_target]), np.sort(flat[~is_target])
+def trials(rows, key: TrialKey) -> Trials:
+    """The trial set of a score table (or record list) against ``key``.
+    Raises EmptyTrialSet without a target or a non-target trial; a key
+    language with no segment leaves its pools empty."""
+    matrix, true_idx = _score_matrix(rows, key)
+    num = key.num_languages
+    is_target = true_idx[:, None] == np.arange(matrix.shape[1])
+    targets, nontargets = np.sort(matrix[is_target]), np.sort(matrix[~is_target])
     if targets.size == 0:
         raise EmptyTrialSet("no target trials")
     if nontargets.size == 0:
         raise EmptyTrialSet("no nontarget trials")
-    return targets, nontargets, np.unique(matrix)
-
-
-def _trial_table(matrix, true_idx, key: TrialKey) -> _TrialTable:
-    """Build the table, raising EmptyTrialSet for a key language that has
-    no segment."""
-    num = key.num_languages
     group_of = np.where(true_idx == -1, num, true_idx)  # the out-of-set group last
     sizes = np.bincount(group_of, minlength=num + 1)
-    for lang, size in zip(key.language_list, sizes.tolist()):
-        if size == 0:
-            raise EmptyTrialSet(f"no trials for language {lang!r}")
     groups = key.language_list + [OUT_OF_SET] * bool(sizes[num])
     # rows in group order, so that each column splits into its pools
     order = np.argsort(group_of, kind="stable")
@@ -241,12 +233,18 @@ def _trial_table(matrix, true_idx, key: TrialKey) -> _TrialTable:
     for t, target in enumerate(key.language_list):
         pools = np.split(matrix[order, t], np.cumsum(sizes[:num]))
         pools = [(group, np.sort(pool)) for group, pool in zip(groups, pools)]
-        own = pools.pop(t)[1]
-        columns.append((target, own, pools))
-    return _TrialTable(columns, *_pooled(matrix, true_idx))
+        columns.append((target, pools.pop(t)[1], pools))
+    # the DET: (0, 1), one row per distinct score in increasing order, then (1, 0)
+    scores = np.unique(matrix)
+    det = np.empty((scores.size + 2, 2), dtype=np.float64)
+    det[0] = (0.0, 1.0)
+    det[1:-1, 0] = _below(targets, scores) / targets.size
+    det[1:-1, 1] = (nontargets.size - _below(nontargets, scores)) / nontargets.size
+    det[-1] = (1.0, 0.0)
+    return Trials(num, columns, scores, det, _eer(det))
 
 
-def _cavg_curve(table: _TrialTable, config: EvalConfig, thetas) -> np.ndarray:
+def _cavg_curve(table: Trials, config: EvalConfig, thetas) -> np.ndarray:
     """Average cost at every threshold in the sorted ``thetas``, from one
     count of each pool at its column's steps (see the module docstring)."""
     total = np.zeros(thetas.shape, dtype=np.float64)
@@ -265,28 +263,6 @@ def _cavg_curve(table: _TrialTable, config: EvalConfig, thetas) -> np.ndarray:
                             minlength=thetas.size + 1)[:-1]
         total += term[np.cumsum(below, out=below)]
     return total / config.num_languages
-
-
-def _pairwise_at(table: _TrialTable, config: EvalConfig, theta: float):
-    pairs = []
-    for target, own, others in table.columns:
-        p_miss = float(_below(own, theta) / own.size)
-        for nontarget, pool in others:
-            p_fa = float((pool.size - _below(pool, theta)) / pool.size)
-            cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
-            pairs.append(PairwiseLoss(target, nontarget, p_miss, p_fa, cost))
-    return pairs
-
-
-def _det(targets, nontargets, scores) -> np.ndarray:
-    """(K, 2) array of (p_miss, p_fa): (0, 1), one row per distinct score
-    in increasing order, then (1, 0)."""
-    det = np.empty((scores.size + 2, 2), dtype=np.float64)
-    det[0] = (0.0, 1.0)
-    det[1:-1, 0] = _below(targets, scores) / targets.size
-    det[1:-1, 1] = (nontargets.size - _below(nontargets, scores)) / nontargets.size
-    det[-1] = (1.0, 0.0)
-    return det
 
 
 def _eer(det: np.ndarray) -> float:
@@ -318,23 +294,20 @@ def cavg_from_pairwise(
     p_fa`` per entry; the mean over targets is the average cost.
     """
     p_nontarget = (1.0 - p_target) / (num_languages - 1)
-    order: list[str] = []
-    miss: dict[str, float] = {}
+    miss: dict[str, float] = {}  # in first-appearance order
     fa_sum: dict[str, float] = {}
     for pair in pairwise:
-        if pair.target not in miss:
-            order.append(pair.target)
-            miss[pair.target] = pair.p_miss
-            fa_sum[pair.target] = 0.0
-        fa_sum[pair.target] += p_nontarget * pair.p_fa
+        miss.setdefault(pair.target, pair.p_miss)
+        fa_sum[pair.target] = fa_sum.get(pair.target, 0.0) + p_nontarget * pair.p_fa
     total = 0.0
-    for lang in order:
+    for lang in miss:
         total += p_target * miss[lang] + fa_sum[lang]
     return total / num_languages
 
 
 def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> EvalReport:
-    """Evaluate a score file: average cost, pooled EER, and the DET curve.
+    """Evaluate a score file, or its ``trials``: average cost, pooled EER,
+    and the DET curve.
 
     Under the ``fixed`` policy the cost is evaluated at ``config.threshold``.
     Under ``min_sweep`` one global threshold is swept over every distinct
@@ -345,35 +318,34 @@ def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> Ev
     """
     if config is None:
         config = EvalConfig.for_key(key)
-    matrix, true_idx = _score_matrix(records, key, config.num_languages)
-    table = _trial_table(matrix, true_idx, key)
+    if config.num_languages != key.num_languages:
+        raise InconsistentLanguageSet(
+            f"config declares {config.num_languages} languages, key has {key.num_languages}"
+        )
+    table = records if isinstance(records, Trials) else trials(records, key)
+    for target, own, _ in table.columns:
+        if own.size == 0:
+            raise EmptyTrialSet(f"no trials for language {target!r}")
     if config.threshold_policy == FIXED:
         theta = config.threshold
     else:
         thetas = np.union1d(table.scores, (-np.inf, np.inf))
         theta = float(thetas[int(np.argmin(_cavg_curve(table, config, thetas)))])
-    pairwise = _pairwise_at(table, config, theta)
-    det = _det(table.targets, table.nontargets, table.scores)
+    pairwise = []
+    for target, own, others in table.columns:
+        p_miss = float(_below(own, theta) / own.size)
+        for nontarget, pool in others:
+            p_fa = float((pool.size - _below(pool, theta)) / pool.size)
+            cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
+            pairwise.append(PairwiseLoss(target, nontarget, p_miss, p_fa, cost))
     return EvalReport(
         cavg=cavg_from_pairwise(pairwise, config.p_target, config.num_languages),
-        eer=_eer(det),
+        eer=table.eer,
         pairwise=pairwise,
-        det_points=det,
+        det_points=table.det,
         threshold_used=theta,
         threshold_policy=config.threshold_policy,
     )
-
-
-def det_curve(records, key: TrialKey) -> np.ndarray:
-    """DET points over the pooled trial set, one per distinct score plus
-    the (0,1) and (1,0) endpoints, in threshold order, as a (K, 2) array."""
-    matrix, true_idx = _score_matrix(records, key, key.num_languages)
-    return _det(*_pooled(matrix, true_idx))
-
-
-def compute_eer(records, key: TrialKey) -> float:
-    """Pooled equal error rate (see module docstring for the trial set)."""
-    return _eer(det_curve(records, key))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def bad_token(token: str) -> bool:
         return True
 
 
+def bad_id(token: str) -> bool:
+    """Whether a segment id or language is not one token free of a leading
+    ``#``, which the readers would split or skip as a comment."""
+    return token.split() != [token] or token.startswith("#")
+
+
 def parse_scores(text: str, expected_languages: Sequence[str]) -> ScoreTable:
     """Parse score-file text against a known language order.
 
@@ -220,7 +226,7 @@ def write_scores(table: ScoreTable) -> str:
     Refuses a row that ``parse_scores`` would not give back, naming its
     segment: NaNScore for the first NaN segment, then, in one pass over
     the ids, DuplicateSegment for the first repeated id and MalformedLine
-    for the first that is empty, holds whitespace or starts with ``#``.
+    for the first that breaks the id rule (``bad_id``).
     """
     nan_rows = np.isnan(table.values).any(axis=1)
     if nan_rows.any():
@@ -229,7 +235,7 @@ def write_scores(table: ScoreTable) -> str:
     for seg in table.ids:
         if seg in seen:
             raise DuplicateSegment(f"segment {seg!r} appears twice")
-        if seg.split() != [seg] or seg.startswith("#"):
+        if bad_id(seg):
             raise MalformedLine(f"segment id {seg!r} is empty, holds whitespace or starts with '#'")
         seen.add(seg)
     width = table.values.shape[1]
@@ -272,7 +278,20 @@ def parse_key(text: str) -> TrialKey:
 
 
 def write_key(key: TrialKey) -> str:
-    lines = [" ".join(key.language_list)]
+    """Key-file text. Refuses, naming the field, a key ``parse_key`` would
+    not give back unchanged: a bad language list or segment id, or an entry
+    language neither in the header nor ``OOS`` (UnknownLanguage)."""
+    languages = key.language_list
+    known = {*languages, OUT_OF_SET}  # one more than the languages unless OOS or one repeats
+    if not languages or len(known) != len(languages) + 1 or any(map(bad_id, languages)):
+        raise MalformedLine(f"language list {languages!r} is empty, repeats a language, "
+                            f"holds {OUT_OF_SET!r} or one that breaks the id rule")
+    for seg, lang in key.entries.items():
+        if bad_id(seg):
+            raise MalformedLine(f"segment id {seg!r} is empty, holds whitespace or starts with '#'")
+        if lang not in known:
+            raise UnknownLanguage(f"segment {seg!r}: language {lang!r} not in header")
+    lines = [" ".join(languages)]
     lines.extend(f"{seg} {lang}" for seg, lang in key.entries.items())
     return "\n".join(lines) + "\n"
 

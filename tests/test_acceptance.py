@@ -53,7 +53,7 @@ def test_criterion_2_metric_oracle_equivalence():
         report = metrics.compute_cavg(records, key)
         oracle_cavg, _ = oracles.cavg_sweep_oracle(records, key)
         assert abs(report.cavg - oracle_cavg) <= 1e-12
-        eer = metrics.compute_eer(records, key)
+        eer = metrics.trials(records, key).eer
         assert abs(eer - oracles.eer_by_enumeration(records, key)) <= 1e-12
     _ok("2 metric-oracle-equivalence")
 
@@ -75,7 +75,7 @@ def test_criterion_3_worked_metric_values():
     nontargets = [0.85, 0.6, 0.4, 0.2]
     key2 = sub.TrialKey(["A", "B"], {f"s{i}": "A" for i in range(4)})
     records2 = [sub.ScoreRecord(f"s{i}", [targets[i], nontargets[i]]) for i in range(4)]
-    assert metrics.compute_eer(records2, key2) == 0.25
+    assert metrics.trials(records2, key2).eer == 0.25
     _ok("3 worked-metric-values")
 
 

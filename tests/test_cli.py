@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
-from lidkit import cli, dsp, harness, net, submission as sub
+from lidkit import cli, dsp, harness, metrics, net, submission as sub
 
 TRAIN_LANGS = "alpha,bravo,charlie"
 
@@ -105,6 +105,31 @@ class TestEvaluateCommand:
         assert code == 0
         assert "Cavg[fixed threshold=0]" in out
         assert "Cavg[min_sweep threshold=" in out
+
+    def test_one_trial_set_serves_both_policies(self, capsys, worked_example, monkeypatch):
+        calls = []
+        for name in ("trials", "compute_cavg"):
+            def counted(*args, _real=getattr(metrics, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counted)
+        scores, key = worked_example
+        assert run(capsys, "evaluate", "--scores", str(scores), "--key", str(key))[0] == 0
+        assert calls == ["trials", "compute_cavg", "compute_cavg"]
+
+    @pytest.mark.parametrize("key_text, scores_text, message", [
+        ("A\ns1 A\n", "s1 1\n", "need at least 2 languages, got 1"),
+        ("A\ns1 A\nx1 OOS\n", "s1 1\nx1 0\n", "need at least 2 languages, got 1"),
+        ("A B\ns1 A\ns2 A\n", "s1 1 0\ns2 0 1\n", "no trials for language 'B'"),
+    ])
+    def test_degenerate_key_exits_2_naming_it(self, capsys, tmp_path, key_text, scores_text,
+                                              message):
+        key, scores = tmp_path / "key.txt", tmp_path / "scores.txt"
+        key.write_text(key_text)
+        scores.write_text(scores_text)
+        code, out, err = run(capsys, "evaluate", "--scores", str(scores), "--key", str(key))
+        assert (code, out, err) == (2, "", f"error: {key}: {message}\n")
 
     def test_eval_settings_come_from_the_config(self, capsys, worked_example, tmp_path):
         scores, key = worked_example
@@ -366,6 +391,22 @@ class TestLabelOrder:
         assert err.startswith(f"error: {where}: key languages ") and err.count("\n") == 1
         assert "3-class model" in err and all(repr(lang) in err for lang in named)
         assert not scores.exists()
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("closed", "--enrolled", "enrolled.txt"),
+        ("zero", "--languages", "delta,echo"),
+    ])
+    def test_flag_of_the_other_mode_exits_1_before_any_read(self, capsys, tmp_path, mode,
+                                                             flag, value):
+        # every input is missing, so a read would exit 2
+        gone = tmp_path / "missing"
+        enrolled = ["--enrolled", str(gone / "enrolled.txt")] if mode == "zero" else []
+        code, out, err = run(
+            capsys, "score", "--model", str(gone / "model.bin"), "--corpus", str(gone),
+            "--split", "test", "--key", str(gone / "key.txt"), "--mode", mode, *enrolled,
+            flag, value, "--out", str(tmp_path / "scores.txt"),
+        )
+        assert (code, out, err) == (1, "", f"error: {flag} does not apply to --mode {mode}\n")
 
     def test_zero_mode_without_enrolled_is_a_usage_error(self, capsys, damaged_corpus,
                                                           tmp_path):

@@ -439,6 +439,28 @@ class TestRunTask:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("task, train_languages, zero_languages, error", [
+        (harness.CROSS_CHANNEL, ["alpha", "bravo", "delta"], [], InconsistentLanguageSet),
+        (harness.ZERO_RESOURCE, TRAIN_LANGS, ["delta"], InvalidPlan),  # echo is in the key
+    ])
+    def test_plan_refused_against_the_key_before_training(
+        self, small_corpus, tmp_path, monkeypatch, task, train_languages, zero_languages, error
+    ):
+        reads = []
+        read_wav = dsp.read_wav
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return read_wav(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "read_wav", counted)
+        plan = harness.ExperimentPlan(task, train_languages, zero_languages, seed=11)
+        with pytest.raises(error):
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestTooFewFrames:
     def test_training_skips_it_and_matches_training_without_it(
         self, short_corpus, caplog

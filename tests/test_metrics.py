@@ -140,34 +140,34 @@ class TestEer:
     def test_disjoint_supports(self):
         key = sub.TrialKey(["A", "B"], {"s0": "A", "s1": "A"})
         recs = _records(key, [("s0", [0.9, 0.2]), ("s1", [0.8, 0.1])])
-        assert metrics.compute_eer(recs, key) == 0.0
+        assert metrics.trials(recs, key).eer == 0.0
 
     def test_four_plus_four_worked_example(self):
         targets = [0.9, 0.8, 0.7, 0.3]
         nontargets = [0.85, 0.6, 0.4, 0.2]
         key = sub.TrialKey(["A", "B"], {f"s{i}": "A" for i in range(4)})
         recs = _records(key, [(f"s{i}", [targets[i], nontargets[i]]) for i in range(4)])
-        assert metrics.compute_eer(recs, key) == 0.25
+        assert metrics.trials(recs, key).eer == 0.25
         assert oracles.eer_by_enumeration(recs, key) == 0.25
 
     def test_identical_multisets_give_half(self):
         values = [0.9, 0.8, 0.7, 0.3]
         key = sub.TrialKey(["A", "B"], {f"s{i}": "A" for i in range(4)})
         recs = _records(key, [(f"s{i}", [values[i], values[i]]) for i in range(4)])
-        assert metrics.compute_eer(recs, key) == 0.5
+        assert metrics.trials(recs, key).eer == 0.5
 
     def test_empty_trial_set(self):
         key = sub.TrialKey(["A"], {"s0": "A"})
         recs = _records(key, [("s0", [0.5])])
         with pytest.raises(EmptyTrialSet):
-            metrics.compute_eer(recs, key)
+            metrics.trials(recs, key).eer
 
 
 class TestDetCurve:
     def test_single_pair_endpoints(self):
         key = sub.TrialKey(["A", "B"], {"s0": "A"})
         recs = _records(key, [("s0", [1.0, 0.0])])
-        points = det_rows(metrics.det_curve(recs, key))
+        points = det_rows(metrics.trials(recs, key).det)
         for expected in [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]:
             assert expected in points
 
@@ -176,7 +176,7 @@ class TestDetCurve:
         nontargets = [0.85, 0.6, 0.4, 0.2]
         key = sub.TrialKey(["A", "B"], {f"s{i}": "A" for i in range(4)})
         recs = _records(key, [(f"s{i}", [targets[i], nontargets[i]]) for i in range(4)])
-        points = det_rows(metrics.det_curve(recs, key))
+        points = det_rows(metrics.trials(recs, key).det)
         assert len(points) == 10
         assert points == oracles.det_by_enumeration(recs, key)
         miss = [p[0] for p in points]
@@ -188,7 +188,7 @@ class TestDetCurve:
         key = sub.TrialKey(["A"], {"s0": "A", "s1": "A"})
         recs = _records(key, [("s0", [0.5]), ("s1", [0.2])])
         with pytest.raises(EmptyTrialSet):
-            metrics.det_curve(recs, key)
+            metrics.trials(recs, key).det
 
 
 class TestOutOfSetHandling:
@@ -223,7 +223,7 @@ class TestInvariants:
             report = metrics.compute_cavg(recs, key)
             oracle_min, _ = oracles.cavg_sweep_oracle(recs, key)
             assert report.cavg == pytest.approx(oracle_min, abs=1e-12)
-            assert metrics.compute_eer(recs, key) == pytest.approx(
+            assert metrics.trials(recs, key).eer == pytest.approx(
                 oracles.eer_by_enumeration(recs, key), abs=1e-12
             )
 
@@ -231,14 +231,14 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         recs, key = score_factory(rng, 120, ["A", "B", "C"], tie_grid=5)
         base = metrics.compute_cavg(recs, key)
-        base_eer = metrics.compute_eer(recs, key)
-        base_det = metrics.det_curve(recs, key)
+        base_eer = metrics.trials(recs, key).eer
+        base_det = metrics.trials(recs, key).det
         for transform in (lambda s: 3.0 * s + 2.0, np.tanh, lambda s: np.exp(s / 4.0)):
             mapped = [sub.ScoreRecord(r.segment_id, transform(r.scores)) for r in recs]
             report = metrics.compute_cavg(mapped, key)
             assert report.cavg == pytest.approx(base.cavg, abs=1e-12)
-            assert metrics.compute_eer(mapped, key) == pytest.approx(base_eer, abs=1e-12)
-            assert det_rows(metrics.det_curve(mapped, key)) == det_rows(base_det)
+            assert metrics.trials(mapped, key).eer == pytest.approx(base_eer, abs=1e-12)
+            assert det_rows(metrics.trials(mapped, key).det) == det_rows(base_det)
 
     def test_bounds(self, score_factory):
         rng = np.random.default_rng(41)
@@ -310,8 +310,21 @@ class TestMetricProperties:
         assert swept(mapped, key) == swept(recs, key)
         before = metrics.compute_cavg(recs, key).threshold_used
         assert metrics.compute_cavg(mapped, key).threshold_used == a * before + b
-        assert det_rows(metrics.det_curve(mapped, key)) == det_rows(metrics.det_curve(recs, key))
-        assert metrics.compute_eer(mapped, key) == metrics.compute_eer(recs, key)
+        assert det_rows(metrics.trials(mapped, key).det) == det_rows(metrics.trials(recs, key).det)
+        assert metrics.trials(mapped, key).eer == metrics.trials(recs, key).eer
+
+    @PROPERTY
+    @given(score_files())
+    def test_a_built_trial_set_evaluates_like_its_records(self, data):
+        recs, key = data
+        trials = metrics.trials(recs, key)
+        for policy in metrics.THRESHOLD_POLICIES:
+            cfg = metrics.EvalConfig.for_key(key, threshold_policy=policy)
+            want = metrics.compute_cavg(recs, key, cfg)
+            got = metrics.compute_cavg(trials, key, cfg)
+            assert (got.cavg, got.eer, got.pairwise, got.threshold_used, got.threshold_policy) \
+                == (want.cavg, want.eer, want.pairwise, want.threshold_used, want.threshold_policy)
+            assert got.det_points.tobytes() == want.det_points.tobytes()
 
     @PROPERTY
     @given(score_files(), st.data())
@@ -395,8 +408,7 @@ class TestStepSweep:
     def test_curve_equals_a_search_per_threshold(self, data, p_target, extra):
         recs, key = data
         cfg = metrics.EvalConfig.for_key(key, p_target=p_target)
-        matrix, true_idx = metrics._score_matrix(recs, key, key.num_languages)
-        table = metrics._trial_table(matrix, true_idx, key)
+        table = metrics.trials(recs, key)
         # thresholds between and beyond the scores read the same steps
         thetas = np.union1d(table.scores, [-np.inf, np.inf, *extra])
         curve = metrics._cavg_curve(table, cfg, thetas)
@@ -417,13 +429,13 @@ class TestStepSweep:
         # rows in any order, and a stale row of one segment before its last
         recs = draws.draw(st.permutations(recs))
         recs.insert(0, sub.ScoreRecord(recs[-1].segment_id, np.full(key.num_languages, 7.0)))
-        matrix, true_idx = metrics._score_matrix(sub.ScoreTable.of(recs), key, key.num_languages)
+        matrix, true_idx = metrics._score_matrix(sub.ScoreTable.of(recs), key)
         want_matrix, want_idx = oracles.score_matrix_by_record(recs, key, key.num_languages)
         assert matrix.tobytes() == want_matrix.tobytes()
         assert true_idx.tobytes() == want_idx.tobytes()
 
         cfg = metrics.EvalConfig.for_key(key, p_target=p_target)
-        table = metrics._trial_table(matrix, true_idx, key)
+        table = metrics.trials(recs, key)
         thetas = np.union1d(table.scores, [-np.inf, np.inf, *extra])
         curve = metrics._cavg_curve(table, cfg, thetas)
         assert curve.tobytes() == oracles.cavg_curve_at_steps(table, cfg, thetas).tobytes()

@@ -287,6 +287,21 @@ TABLES = st.integers(1, 4).flatmap(lambda width: st.lists(
                                   np.reshape([values for _, values in rows], (-1, width)))))
 
 
+# key tokens the id rule accepts, then any text: empty, with whitespace or
+# a line break, a leading #, or OOS
+KEY_TOKENS = st.sampled_from(["A", "B", "C", "s1", "s2", "7"]) | st.sampled_from(
+    ["", "#x", "a b", "x\x85", sub.OUT_OF_SET]) | st.text(max_size=4)
+
+
+@st.composite
+def keys(draw):
+    """A key of any language and id text, its entry languages mostly from
+    its header (repeats and OOS included)."""
+    languages = draw(st.lists(KEY_TOKENS, max_size=4))
+    entry_language = st.sampled_from(languages + [sub.OUT_OF_SET]) | KEY_TOKENS
+    return sub.TrialKey(languages, draw(st.dictionaries(KEY_TOKENS, entry_language, max_size=6)))
+
+
 class TestBlockParsers:
     @PROPERTY
     @given(st.one_of(texts(SCORES, len(FOUR_LANGS)), st.text(max_size=60)))
@@ -415,3 +430,41 @@ class TestBlockWriter:
         with pytest.raises(NaNScore) as want:
             oracles.write_scores_by_record(records)
         assert str(err.value) == str(want.value)
+
+
+class TestKeyWriter:
+    @PROPERTY
+    @given(keys())
+    def test_written_key_reads_back_to_the_same_key(self, key):
+        # the writer refuses a key exactly when the reader would not give
+        # back the key from its text written line by line, or a language
+        # starts with "#", which only the first one of a header must not
+        # but the id rule refuses in every file
+        naive = "".join(f"{line}\n" for line in [" ".join(key.language_list)]
+                        + [f"{seg} {lang}" for seg, lang in key.entries.items()])
+        fields = (key.language_list, list(key.entries.items()))
+        try:
+            text = sub.write_key(key)
+        except (MalformedLine, UnknownLanguage) as err:
+            assert outcome(sub.parse_key, naive) != fields or any(
+                lang.startswith("#") for lang in key.language_list[1:])
+            named = [repr(key.language_list), *map(repr, key.entries)]
+            assert any(name in str(err) for name in named)
+            return
+        assert text == naive
+        assert outcome(sub.parse_key, text) == fields
+        assert sub.write_key(sub.parse_key(text)) == text
+
+    @pytest.mark.parametrize("languages, entries, error, named", [
+        (["#x", "b"], {"s": "b"}, MalformedLine, "'#x'"),  # the header reads as a comment
+        (["a", "b"], {"#s": "a"}, MalformedLine, "'#s'"),  # the entry reads as a comment
+        (["a b"], {"s": "a b"}, MalformedLine, "'a b'"),  # two languages
+        (["a", sub.OUT_OF_SET], {}, MalformedLine, "'OOS'"),
+        (["a", "a"], {}, MalformedLine, "['a', 'a']"),
+        ([], {"s": "a"}, MalformedLine, "[]"),
+        (["a", "b"], {"s": "c"}, UnknownLanguage, "'c'"),
+    ])
+    def test_refused_key_names_its_field(self, languages, entries, error, named):
+        with pytest.raises(error) as err:
+            sub.write_key(sub.TrialKey(languages, entries))
+        assert named in str(err.value)
