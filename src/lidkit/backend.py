@@ -5,7 +5,7 @@ Closed-set tasks score each segment with the network's log posteriors
 renormalization).
 The zero-resource task enrolls each unseen language as the mean of its
 reference-utterance embeddings and scores test embeddings by cosine
-similarity against those centroids.
+similarity against the key's centroids (``harness.zero_resource_scorer``).
 
 Segments that fail to load, or that keep too few frames for the network,
 never reach a back-end: ``harness.iter_features`` skips them and
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import net
 from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines
-from .submission import bad_token
+from .submission import bad_id, bad_token
 
 log = logging.getLogger(__name__)
 
@@ -101,12 +101,21 @@ def score_zero_resource(
 # model-set serialization (text, one language per line)
 
 def write_models(models: LanguageModelSet) -> str:
+    """Enrolled-models text. Refuses with MalformedLine, naming the field, a
+    set ``parse_models`` would not give back: no language, one repeated or
+    breaking the id rule (``submission.bad_id``), a count that is not a
+    non-negative integer, or a centroid that is empty or not finite."""
+    ids, counts = models.language_ids, models.num_reference_utts
+    if not ids or len(set(ids)) != len(ids) or any(map(bad_id, ids)):
+        raise MalformedLine(f"language list {ids!r} is empty, repeats a language "
+                            "or holds one that breaks the id rule")
+    if len(counts) != len(ids) or not all(str(c).isascii() and str(c).isdigit() for c in counts):
+        raise MalformedLine(f"counts {counts!r} are not one non-negative integer per language")
     lines = []
-    for language, centroid, count in zip(
-        models.language_ids, models.centroids, models.num_reference_utts
-    ):
-        values = " ".join(f"{v:.17g}" for v in centroid)
-        lines.append(f"{language} {count} {values}")
+    for language, count, centroid in zip(ids, counts, models.centroids):
+        if np.ndim(centroid) != 1 or not np.size(centroid) or not np.isfinite(centroid).all():
+            raise MalformedLine(f"centroid of {language!r} is empty or not finite")
+        lines.append(" ".join([language, str(count), *(f"{v:.17g}" for v in centroid)]))
     return "\n".join(lines) + "\n"
 
 

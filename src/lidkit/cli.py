@@ -29,10 +29,7 @@ import sys
 from . import backend as backend_mod
 from . import config as cfgmod
 from . import harness, metrics, net, submission
-from .errors import (
-    CorruptModel, DimMismatch, EmptyTrialSet, InconsistentLanguageSet, LidkitError, MalformedLine,
-    NonFiniteLoss, data_lines, parse_file,
-)
+from .errors import LidkitError, MalformedLine, NonFiniteLoss, about, data_lines, parse_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,12 +177,8 @@ def _cmd_train(args, cfg):
 
 
 def _load_model(path) -> net.NetworkParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return net.load_params(data)
-    except CorruptModel as exc:
-        raise CorruptModel(f"{path}: {exc}") from None
+    with about(path), open(path, "rb") as fh:
+        return net.load_params(fh.read())
 
 
 def _cmd_extract(args, cfg):
@@ -229,27 +222,13 @@ def _cmd_score(args, cfg):
     params = _load_model(args.model)
     key = submission.read_key_file(args.key)
     if args.mode == "closed":
-        try:
+        with about("--languages" if args.languages else f"{args.key} (no --languages)"):
             score = harness.closed_set_scorer(params, args.languages or key.language_list,
                                               key.language_list)
-        except InconsistentLanguageSet as exc:
-            where = "--languages" if args.languages else f"{args.key} (no --languages)"
-            raise InconsistentLanguageSet(f"{where}: {exc}") from None
     else:
         models = parse_file(args.enrolled, backend_mod.parse_models)
-        missing = [lang for lang in key.language_list if lang not in models.language_ids]
-        if missing:
-            raise InconsistentLanguageSet(
-                f"{args.enrolled}: key language(s) {', '.join(missing)} not enrolled"
-            )
-        embed_dim = params.weights[net.EMBED_LAYER].shape[0]
-        if models.centroids.shape[1] != embed_dim:
-            raise DimMismatch(f"{args.enrolled}: centroid dim {models.centroids.shape[1]} "
-                              f"!= model embedding dim {embed_dim}")
-        order = [models.language_ids.index(lang) for lang in key.language_list]
-
-        def score(feats):
-            return backend_mod.score_zero_resource(models, feats, params)[order]
+        with about(args.enrolled):
+            score = harness.zero_resource_scorer(params, models, key.language_list)
     table = harness.score_table(params, args.corpus, _entries(args), cfg, score, key.num_languages)
     fill = submission.fill_missing(table, key)
     _warn_fill(fill)
@@ -275,12 +254,10 @@ def _cmd_evaluate(args, cfg):
     fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
     _warn_lost(fill)
     # both policies are always reported, from one trial set; eval.policy picks the headline
-    try:
+    with about(args.key):  # EmptyTrialSet: a key of one language, or a language with no segment
         configs = [harness.eval_config(cfg, key, policy) for policy in metrics.THRESHOLD_POLICIES]
         trials = metrics.trials(fill.table, key)
         reports = {c.threshold_policy: metrics.compute_cavg(trials, key, c) for c in configs}
-    except EmptyTrialSet as exc:  # a key of one language, or a language with no segment
-        raise EmptyTrialSet(f"{args.key}: {exc}") from None
     report = reports[cfg["eval.policy"]]
     print(f"Cavg {report.cavg:.4f}")
     print(f"EER% {report.eer * 100:.2f}")

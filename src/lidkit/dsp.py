@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort
+from .errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort, about
 
 PCM_SCALE = 32768.0
 
@@ -104,30 +104,29 @@ class VadConfig:
 # WAV I/O (16 kHz, 16-bit, mono PCM only)
 
 def read_wav(path, expected_rate: int = 16000) -> Waveform:
-    """Load a RIFF WAV file, rejecting anything but 16-bit mono PCM."""
-    try:
-        handle = wavefile.open(str(path), "rb")
-    except EOFError:  # raised without a message
-        raise AudioFormatError(
-            f"{path}: not a readable WAV file (file ends inside the WAV header)"
-        ) from None
-    except wavefile.Error as exc:
-        raise AudioFormatError(f"{path}: not a readable WAV file ({exc})") from None
-    with contextlib.closing(handle) as fh:
-        if fh.getcomptype() != "NONE":
-            raise AudioFormatError(f"{path}: compressed WAV not supported")
-        if fh.getnchannels() != 1:
-            raise AudioFormatError(f"{path}: expected mono, got {fh.getnchannels()} channels")
-        if fh.getsampwidth() != 2:
-            raise AudioFormatError(
-                f"{path}: expected 16-bit samples, got {8 * fh.getsampwidth()}-bit"
-            )
-        rate = fh.getframerate()
-        if expected_rate and rate != expected_rate:
-            raise AudioFormatError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
-        raw = fh.readframes(fh.getnframes())
-    if len(raw) % 2:
-        raise AudioFormatError(f"{path}: sample data ends mid-sample")
+    """Load a RIFF WAV file, rejecting anything but 16-bit mono PCM at
+    ``expected_rate`` with an AudioFormatError that names ``path``."""
+    with about(path):
+        try:
+            handle = wavefile.open(str(path), "rb")
+        except EOFError:  # raised without a message
+            raise AudioFormatError("not a readable WAV file "
+                                   "(file ends inside the WAV header)") from None
+        except wavefile.Error as exc:
+            raise AudioFormatError(f"not a readable WAV file ({exc})") from None
+        with contextlib.closing(handle) as fh:
+            if fh.getcomptype() != "NONE":
+                raise AudioFormatError("compressed WAV not supported")
+            if fh.getnchannels() != 1:
+                raise AudioFormatError(f"expected mono, got {fh.getnchannels()} channels")
+            if fh.getsampwidth() != 2:
+                raise AudioFormatError(f"expected 16-bit samples, got {8 * fh.getsampwidth()}-bit")
+            rate = fh.getframerate()
+            if rate != expected_rate:
+                raise AudioFormatError(f"expected {expected_rate} Hz, got {rate} Hz")
+            raw = fh.readframes(fh.getnframes())
+        if len(raw) % 2:
+            raise AudioFormatError("sample data ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 

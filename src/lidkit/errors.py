@@ -1,29 +1,25 @@
 """Exception types shared across the toolkit, and the reading of text files.
 
-Errors raised while parsing line-oriented text carry the offending line
-number; ``parse_file`` attaches the file, so they render as
-``file:line: message``. ``data_lines`` owns the data-line rule of every
-text reader but the config file's, which strips inline comments.
+An error raised while parsing line-oriented text carries the offending
+line number. One raised inside ``about(source)`` names that file or flag,
+and renders as ``source:line: message`` (``source: message`` without a
+line); ``about`` is the only place a source is attached. ``data_lines``
+owns the data-line rule of every text reader but the config file's.
 """
 
+import contextlib
 from pathlib import Path
 
 
 class LidkitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: a message, tied to a line
+    (1-based) of a text input when ``line_no`` is set, and to the file or
+    flag that ``about`` names once raised inside it."""
 
-
-class LineError(LidkitError):
-    """Error tied to a specific line of a text input (1-based).
-
-    Renders as ``file:line: message`` once a path is attached, or as
-    ``file: message`` when the error belongs to no one line.
-    """
-
-    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
+    def __init__(self, message: str, line_no: int | None = None):
         super().__init__(message)
         self.line_no = line_no
-        self.path = path
+        self.path: str | None = None
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -32,6 +28,22 @@ class LineError(LidkitError):
         if self.line_no is None:
             return f"{self.path}: {base}"
         return f"{self.path}:{self.line_no}: {base}"
+
+
+@contextlib.contextmanager
+def about(source):
+    """Name ``source`` as the origin of a LidkitError raised inside that no
+    inner ``about`` named (the innermost wins); the same error propagates."""
+    try:
+        yield
+    except LidkitError as err:
+        if err.path is None:
+            err.path = str(source)
+        raise
+
+
+class LineError(LidkitError):
+    """Error of the line-oriented text formats, tied to a line when it has one."""
 
 
 # score file / trial key validation
@@ -57,20 +69,16 @@ class UnknownLanguage(LineError):
 
 
 def parse_file(path, parse):
-    """``parse(text)`` of the UTF-8 text file at ``path``, with ``path``
-    attached to any LineError it raises. Text that is not UTF-8 is a
-    MalformedLine at the first line that does not decode."""
+    """``parse(text)`` of the UTF-8 text file at ``path``, its errors naming
+    ``path``. Text that is not UTF-8 is a MalformedLine at the first line
+    that does not decode."""
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedLine("not valid UTF-8", line_no, str(path)) from None
-    try:
+    with about(path):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLine("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
         return parse(text)
-    except LineError as err:
-        err.path = str(path)
-        raise
 
 
 def data_lines(text):

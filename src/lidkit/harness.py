@@ -28,8 +28,8 @@ from . import backend as backend_mod
 from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
-    AllFramesRemoved, AudioFormatError, DuplicateSegment, InconsistentLanguageSet, InvalidPlan,
-    InvalidSpec, MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
+    AllFramesRemoved, AudioFormatError, DimMismatch, DuplicateSegment, InconsistentLanguageSet,
+    InvalidPlan, InvalidSpec, MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
 )
 
 log = logging.getLogger(__name__)
@@ -210,7 +210,18 @@ class ManifestEntry:
 
 
 def write_manifest(entries: list[ManifestEntry]) -> str:
-    lines = [f"{e.utt_id} {e.language} {e.path} {e.split}" for e in entries]
+    """Manifest text. Refuses, naming the entry, one ``parse_manifest`` would
+    not give back: a field that is not one token or an id that breaks the id
+    rule (``submission.bad_id``), or an id given twice (DuplicateSegment)."""
+    lines, seen = [], set()
+    for e in entries:
+        fields = [e.utt_id, e.language, e.path, e.split]
+        if " ".join(fields).split() != fields or submission.bad_id(e.utt_id):
+            raise MalformedLine(f"manifest entry {fields!r} holds a field that is not one "
+                                "token or an id starting with '#'")
+        if e.utt_id in seen or seen.add(e.utt_id):
+            raise DuplicateSegment(f"utterance {e.utt_id!r} appears twice")
+        lines.append(" ".join(fields))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -442,6 +453,22 @@ def closed_set_scorer(params: net.NetworkParams, train_languages, languages):
     return lambda feats: backend_mod.score_closed_set(params, feats)[subset]
 
 
+def zero_resource_scorer(params: net.NetworkParams, models, languages):
+    """``score(feats)``: the cosines of the embedding against the centroids of
+    ``languages``, in order, among ``models``. Raises InconsistentLanguageSet
+    for one not enrolled, DimMismatch for centroids of another dimension."""
+    missing = [lang for lang in languages if lang not in models.language_ids]
+    if missing:
+        raise InconsistentLanguageSet(f"key language(s) {', '.join(missing)} not enrolled")
+    dims = models.centroids.shape[1], params.weights[net.EMBED_LAYER].shape[0]
+    if dims[0] != dims[1]:
+        raise DimMismatch(f"centroid dim {dims[0]} != model embedding dim {dims[1]}")
+    rows = [models.language_ids.index(lang) for lang in languages]
+    subset = backend_mod.LanguageModelSet(list(languages), models.centroids[rows],
+                                          [models.num_reference_utts[i] for i in rows])
+    return lambda feats: backend_mod.score_zero_resource(subset, feats, params)
+
+
 def enroll_entries(
     params: net.NetworkParams, corpus_dir, entries, config, languages
 ) -> backend_mod.LanguageModelSet:
@@ -582,7 +609,7 @@ def run_task(
     else:
         references = [e for e in entries if e.split == "reference"]
         models = enroll_entries(params, corpus_dir, references, cfg, languages)
-        score = functools.partial(backend_mod.score_zero_resource, models, params=params)
+        score = zero_resource_scorer(params, models, languages)
     table = score_table(params, corpus_dir, test_entries, cfg, score, len(languages), transform)
 
     fill = submission.fill_missing(table, key)

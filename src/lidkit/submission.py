@@ -263,6 +263,9 @@ def parse_key(text: str) -> TrialKey:
     if OUT_OF_SET in languages:
         raise MalformedLine(
             f"{OUT_OF_SET!r} is reserved and cannot name a language", _line_of(text, 0))
+    bad = next(filter(bad_id, languages), None)  # only a later one can start with "#"
+    if bad is not None:
+        raise MalformedLine(f"header language {bad!r} starts with '#'", _line_of(text, 0))
     arity = _first((len(row) != 2 for row in body), len(body))
     known = {*languages, OUT_OF_SET}
     entries = dict(body[:arity])

@@ -278,6 +278,9 @@ def parse_key_by_line(text):
         raise MalformedLine("duplicate language in header", header_no)
     if OUT_OF_SET in languages:
         raise MalformedLine(f"{OUT_OF_SET!r} is reserved and cannot name a language", header_no)
+    for language in languages:
+        if language.startswith("#"):
+            raise MalformedLine(f"header language {language!r} starts with '#'", header_no)
     known = set(languages)
     entries = {}
     for line_no, line in lines[1:]:

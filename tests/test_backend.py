@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import TOTALITY, token_texts
 from lidkit import backend, harness, net
 from lidkit.errors import (
-    InconsistentLanguageSet, LineError, MalformedLine, NoUsableReferences, TooFewFrames,
+    DimMismatch, InconsistentLanguageSet, LineError, MalformedLine, NoUsableReferences, TooFewFrames,
     ZeroNormVector, data_lines,
 )
 
@@ -148,6 +149,27 @@ class TestZeroResource:
         scores = backend.score_zero_resource(models, f, params)
         assert scores[0] == -np.inf and scores[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_scorer_scores_only_the_languages_asked_for_in_their_order(self, caplog):
+        rng = np.random.default_rng(16)
+        params = seven_class_net()
+        refs = {"x": [feats(rng)], "y": [feats(rng)], "z": [feats(rng)]}
+        models = backend.enroll_languages(params, refs)
+        models.centroids[1][:] = 0.0  # y, left out below, would log a warning
+        f = feats(rng)
+        scores = harness.zero_resource_scorer(params, models, ["z", "x"])(f)
+        assert caplog.records == []
+        assert scores.tolist() == backend.score_zero_resource(models, f, params)[[2, 0]].tolist()
+
+    @pytest.mark.parametrize("languages, dim, error, message", [
+        (["x", "w", "v"], 8, InconsistentLanguageSet, "key language(s) w, v not enrolled"),
+        (["x"], 5, DimMismatch, "centroid dim 5 != model embedding dim 8"),
+    ])
+    def test_scorer_refuses_before_scoring(self, languages, dim, error, message):
+        models = backend.LanguageModelSet(["x", "y"], np.ones((2, dim)), [1, 1])
+        with pytest.raises(error) as err:
+            harness.zero_resource_scorer(seven_class_net(), models, languages)
+        assert str(err.value) == message
+
     def test_too_few_frames_raises(self):
         rng = np.random.default_rng(15)
         params = seven_class_net()
@@ -167,6 +189,42 @@ class TestZeroResource:
             )
             rescored = backend.score_zero_resource(scaled, f, params)
             assert np.argmax(scores) == np.argmax(rescored)
+
+
+# model-set fields the reader takes, then, drawn dirty, ones it refuses or drops
+CLEAN = {"language": st.sampled_from(["delta", "echo", "OOS", "é"]),
+         "count": st.integers(0, 12), "value": st.floats(allow_nan=False, allow_infinity=False)}
+DIRTY = {"language": CLEAN["language"] | st.sampled_from(["", "#x", "a b", "x\x85"])
+         | st.text(max_size=3),
+         "count": st.integers(-2, 12) | st.sampled_from([True, 2.0]), "value": st.floats()}
+
+
+@st.composite
+def model_sets(draw):
+    """A model set the reader gives back, or, drawn dirty, one of any
+    language text, centroid values (NaN and infinities included) and
+    counts, sometimes one too few or too many."""
+    dirty = draw(st.booleans())
+    field = DIRTY if dirty else CLEAN
+    languages = draw(st.lists(field["language"], min_size=not dirty, max_size=3,
+                              unique=not dirty))
+    n, dim = len(languages), draw(st.integers(not dirty, 3))
+    values = draw(st.lists(field["value"], min_size=n * dim, max_size=n * dim))
+    counts = draw(st.lists(field["count"], min_size=max(n - dirty, 0), max_size=n + dirty))
+    return backend.LanguageModelSet(languages, np.reshape(values, (n, dim)), counts)
+
+
+def models_by_line(models):
+    """The text of ``models`` written line by line, unchecked."""
+    return "".join(
+        " ".join([language, str(count), *(f"{v:.17g}" for v in centroid)]) + "\n"
+        for language, count, centroid in zip(
+            models.language_ids, models.num_reference_utts, models.centroids)
+    )
+
+
+def model_fields(models):
+    return models.language_ids, models.num_reference_utts, models.centroids.tobytes()
 
 
 class TestModelSetSerialization:
@@ -202,6 +260,43 @@ class TestModelSetSerialization:
         with pytest.raises(MalformedLine, match=message) as err:
             backend.parse_models(text)
         assert err.value.line_no == 3
+
+    @TOTALITY
+    @given(model_sets())
+    def test_written_models_read_back_to_the_same_text(self, models):
+        # the writer refuses a set exactly when the reader would not give
+        # back its fields from its text written line by line
+        try:
+            given_back = model_fields(backend.parse_models(models_by_line(models)))
+        except MalformedLine:
+            given_back = None
+        try:
+            text = backend.write_models(models)
+        except MalformedLine as err:
+            assert given_back != model_fields(models)
+            named = [repr(models.language_ids), repr(models.num_reference_utts)]
+            assert any(name in str(err) for name in named + list(map(repr, models.language_ids)))
+            return
+        assert given_back == model_fields(models)
+        assert text == models_by_line(models)
+        assert backend.write_models(backend.parse_models(text)) == text
+
+    @pytest.mark.parametrize("languages, counts, centroids, named", [
+        (["#x"], [1], [[0.5]], "['#x']"),  # reads as a comment
+        (["a b"], [1], [[0.5]], "['a b']"),
+        (["a", "a"], [1, 1], [[0.5], [0.5]], "['a', 'a']"),
+        ([], [], np.empty((0, 1)), "[]"),
+        (["a"], [-1], [[0.5]], "[-1]"),
+        (["a", "b"], [1], [[0.5], [0.5]], "[1]"),  # b would vanish
+        (["a"], [1], [[np.nan]], "'a'"),
+        (["a"], [1], [[np.inf]], "'a'"),
+        (["a"], [1], [[-np.inf]], "'a'"),
+        (["a"], [1], np.empty((1, 0)), "'a'"),
+    ])
+    def test_refused_models_name_their_field(self, languages, counts, centroids, named):
+        with pytest.raises(MalformedLine) as err:
+            backend.write_models(backend.LanguageModelSet(languages, centroids, counts))
+        assert named in str(err.value)
 
     @TOTALITY
     @given(token_texts(["delta", "3", "0.5", "-1e3", "nan", "inf", "1_0", "٣", "x", "#"]))

@@ -443,23 +443,30 @@ class TestSegmentFailures:
         assert data_lines(scores) == data_lines(result.score_path)
         assert data_lines(scores)[-1].split() == [TRUNCATED["test"]] + ["-inf"] * 3
 
-    def test_zero_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
-        corpus, model = damaged_corpus
-        refs = tmp_path / "refs.txt"
+    def enroll(self, capsys, corpus, model, tmp_path):
+        """The enrolled-models file of the corpus's reference split."""
+        refs, enrolled = tmp_path / "refs.txt", tmp_path / "enrolled.txt"
         refs.write_text("".join(
             f"{e.language} {corpus / e.path}\n"
             for e in harness.read_manifest(corpus) if e.split == "reference"
         ))
-        enrolled, scores = tmp_path / "enrolled.txt", tmp_path / "zscores.txt"
         code, _, _ = run(
             capsys, "enroll", "--model", str(model), "--refs", str(refs), "--out", str(enrolled)
         )
         assert code == 0
-        code, _, _ = run(
+        return enrolled
+
+    def zero_score(self, capsys, corpus, model, enrolled, scores):
+        return run(
             capsys, "score", "--model", str(model), "--corpus", str(corpus),
             "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
             "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
         )
+
+    def test_zero_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        enrolled, scores = self.enroll(capsys, corpus, model, tmp_path), tmp_path / "zscores.txt"
+        code, _, _ = self.zero_score(capsys, corpus, model, enrolled, scores)
         assert code == 0
         plan = harness.ExperimentPlan(
             task=harness.ZERO_RESOURCE, train_languages=TRAIN_LANGS.split(","),
@@ -470,6 +477,22 @@ class TestSegmentFailures:
         )
         assert data_lines(scores) == data_lines(result.score_path)
         assert data_lines(scores)[-1].split() == [TRUNCATED["zr_test"]] + ["-inf"] * 2
+
+    def test_zero_score_leaves_out_an_enrolled_language_not_in_the_key(
+        self, capsys, damaged_corpus, tmp_path
+    ):
+        # a zero-norm centroid would log one warning per segment if scored
+        corpus, model = damaged_corpus
+        enrolled = self.enroll(capsys, corpus, model, tmp_path)
+        code, _, _ = self.zero_score(capsys, corpus, model, enrolled, tmp_path / "without.txt")
+        assert code == 0
+        dim = net.load_params(model.read_bytes()).weights[net.EMBED_LAYER].shape[0]
+        with_zulu = tmp_path / "with_zulu.txt"
+        with_zulu.write_text(enrolled.read_text() + "zulu 1" + " 0" * dim + "\n")
+        code, _, err = self.zero_score(capsys, corpus, model, with_zulu, tmp_path / "with.txt")
+        assert code == 0
+        assert "zero-resource scoring" not in err
+        assert (tmp_path / "with.txt").read_bytes() == (tmp_path / "without.txt").read_bytes()
 
     def test_invalid_front_end_config_exits_2_without_output(
         self, capsys, damaged_corpus, tmp_path

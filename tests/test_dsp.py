@@ -147,36 +147,47 @@ class TestWavIo:
         dsp.write_wav(path, wave)
         assert np.array_equal(dsp.read_wav(path).samples, wave.samples)
 
-    @pytest.mark.parametrize("channels,width,rate", [(2, 2, 16000), (1, 1, 16000), (1, 2, 8000)])
-    def test_rejects_other_encodings(self, tmp_path, channels, width, rate):
+    # each refusal renders as "<path>: <reason>", as the CLI's skipping warnings show it
+    @pytest.mark.parametrize("channels,width,rate,reason", [
+        pytest.param(2, 2, 16000, "expected mono, got 2 channels", id="2-2-16000"),
+        pytest.param(1, 1, 16000, "expected 16-bit samples, got 8-bit", id="1-1-16000"),
+        pytest.param(1, 2, 8000, "expected 16000 Hz, got 8000 Hz", id="1-2-8000"),
+    ])
+    def test_rejects_other_encodings(self, tmp_path, channels, width, rate, reason):
         path = tmp_path / "bad.wav"
         with contextlib.closing(wavefile.open(str(path), "wb")) as fh:
             fh.setnchannels(channels)
             fh.setsampwidth(width)
             fh.setframerate(rate)
             fh.writeframes(b"\x00" * 64)
-        with pytest.raises(AudioFormatError):
+        with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
+        assert str(err.value) == f"{path}: {reason}"
 
     def test_rejects_data_cut_mid_sample(self, tmp_path):
         path = tmp_path / "cut.wav"
         dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(AudioFormatError, match="mid-sample"):
+        with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
+        assert str(err.value) == f"{path}: sample data ends mid-sample"
 
     def test_header_only_file_gives_a_reason(self, tmp_path):
         path = tmp_path / "header.wav"
         dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
         path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(AudioFormatError, match=r"\(file ends inside the WAV header\)$"):
+        with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
+        assert str(err.value) == (
+            f"{path}: not a readable WAV file (file ends inside the WAV header)")
 
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"plainly not RIFF data")
-        with pytest.raises(AudioFormatError):
+        with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
+        assert str(err.value) == (
+            f"{path}: not a readable WAV file (file does not start with RIFF id)")
 
 
 class TestPipeline:

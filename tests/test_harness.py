@@ -8,16 +8,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
-    DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError,
+    DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError, MalformedLine,
     NoUsableReferences,
 )
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
+# manifest fields the reader takes (all but the id may start with "#"), then
+# ones it splits or, leading a line, skips
+FIELDS = st.sampled_from(["u1", "u2", "alpha", "wav/u1.wav", "#x", "é"])
+DIRTY_FIELDS = FIELDS | st.sampled_from(["", "#", "a b", "x\x85"]) | st.text(max_size=3)
+
+
+@st.composite
+def manifests(draw):
+    """Entries the reader gives back or, drawn dirty, entries of any field
+    text, an id repeated or starting with "#" included."""
+    dirty = draw(st.booleans())
+    ids = draw(st.lists(DIRTY_FIELDS if dirty else FIELDS.filter(lambda f: f[0] != "#"),
+                        max_size=4, unique=not dirty))
+    fields = DIRTY_FIELDS if dirty else FIELDS
+    return [harness.ManifestEntry(utt, *draw(st.tuples(fields, fields, fields))) for utt in ids]
 
 
 def tiny_counts():
@@ -315,6 +331,35 @@ class TestCorpus:
             harness.parse_manifest(text)
         except LineError as err:
             assert err.line_no is not None
+
+    @TOTALITY
+    @given(manifests())
+    def test_written_manifest_reads_back_to_the_same_text(self, entries):
+        # the writer refuses entries exactly when the reader would not give
+        # them back from their text written line by line
+        naive = "".join(f"{e.utt_id} {e.language} {e.path} {e.split}\n" for e in entries)
+        try:
+            given_back = harness.parse_manifest(naive)
+        except LineError:
+            given_back = None
+        try:
+            text = harness.write_manifest(entries)
+        except (MalformedLine, DuplicateSegment) as err:
+            assert given_back != entries
+            assert any(repr(e.utt_id) in str(err) for e in entries)
+            return
+        assert given_back == entries and text == naive
+        assert harness.write_manifest(harness.parse_manifest(text)) == text
+
+    @pytest.mark.parametrize("entries, error, named", [
+        ([("#u", "alpha", "wav/u.wav", "test")], MalformedLine, "'#u'"),  # reads as a comment
+        ([("u", "alpha", "wav/a b.wav", "test")], MalformedLine, "'wav/a b.wav'"),
+        ([("u", "alpha", "wav/u.wav", "test")] * 2, DuplicateSegment, "'u'"),
+    ])
+    def test_refused_manifest_names_its_entry(self, entries, error, named):
+        with pytest.raises(error) as err:
+            harness.write_manifest([harness.ManifestEntry(*e) for e in entries])
+        assert named in str(err.value)
 
 
 class TestPlan:
