@@ -132,6 +132,13 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
 
 
 def write_wav(path, wave: Waveform) -> None:
+    """Write 16-bit mono PCM. A non-finite sample, which the cast would
+    turn into silence or full scale, is refused naming ``path`` before the
+    file is opened."""
+    with about(path):
+        bad = np.flatnonzero(~np.isfinite(wave.samples))
+        if bad.size:
+            raise AudioFormatError(f"sample {bad[0]} is {wave.samples[bad[0]]}, not finite")
     ints = np.clip(np.rint(wave.samples * PCM_SCALE), -32768, 32767).astype("<i2")
     with contextlib.closing(wavefile.open(str(path), "wb")) as fh:
         fh.setnchannels(1)

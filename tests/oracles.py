@@ -419,8 +419,9 @@ def _band_profile(freqs, spec):
 
 
 def synth_utterance_per_harmonic(spec, duration_s, rng):
-    """The harmonic-loop synthesis that ``harness.synth_utterance`` replaced,
-    with its noise shaped at the power-of-two FFT length."""
+    """``harness.synth_utterance`` written plainly: one ``np.sin`` per
+    harmonic where it takes one blocked matrix product per burst, and the
+    noise shaped by an explicitly zero-padded power-of-two FFT."""
     from lidkit import harness
 
     spec.validate()

@@ -147,6 +147,14 @@ class TestWavIo:
         dsp.write_wav(path, wave)
         assert np.array_equal(dsp.read_wav(path).samples, wave.samples)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_sample_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(AudioFormatError) as err:
+            dsp.write_wav(path, dsp.Waveform([0.1, bad, 0.2]))
+        assert str(err.value) == f"{path}: sample 1 is {bad}, not finite"
+        assert not path.exists()
+
     # each refusal renders as "<path>: <reason>", as the CLI's skipping warnings show it
     @pytest.mark.parametrize("channels,width,rate,reason", [
         pytest.param(2, 2, 16000, "expected mono, got 2 channels", id="2-2-16000"),

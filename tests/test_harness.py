@@ -94,10 +94,41 @@ class TestSynthesis:
                 samples = harness.synth_utterance(spec, duration, rng)
                 expected = oracles.synth_utterance_per_harmonic(spec, duration, oracle_rng)
                 assert np.array_equal(oracles.pcm16(samples), oracles.pcm16(expected))
-                # float64 rounding over at most ~80 Horner steps on unit phasors,
-                # with two orders of magnitude of headroom
+                # float64 rounding over two running products of at most ~80 unit
+                # phasors each, with two orders of magnitude of headroom
                 np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-11)
                 assert rng.random() == oracle_rng.random()  # the same draws were taken
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 3200, 5120])
+    def test_harmonic_sum_gives_the_per_harmonic_sine_sum(self, length):
+        # f0 is 12451 / 2**20 cycles per sample, so the oracle reduces each
+        # sine's phase exactly in integers; harmonic 40 sits at 7599.49 Hz
+        f0 = 12451 * harness.SAMPLE_RATE / 2**20
+        rng = np.random.default_rng(length)
+        n = np.arange(length)
+        # one harmonic, unused harmonics between used ones, every harmonic up to the top
+        for ks in ([1], [40], [1, 2, 5, 9, 17, 40], np.arange(1, 41)):
+            ks = np.asarray(ks)
+            amps, phases = rng.uniform(1e-4, 1.0, ks.size), rng.uniform(0, 2 * np.pi, ks.size)
+            expected = np.zeros(length)
+            for k, amp, phase in zip(ks, amps, phases):
+                expected += amp * np.sin(2 * np.pi * ((k * 12451 * n) % 2**20 / 2**20) + phase)
+            tone = harness._harmonic_sum(amps * np.exp(1j * phases), ks, f0, length)
+            assert tone.shape == (length,)
+            np.testing.assert_allclose(tone, expected, rtol=0, atol=1e-11)
+
+    def test_band_profile_at_the_harmonic_bins_equals_the_full_profile_there(self):
+        # the 1e-4 amplitude floor decides how many phases are drawn, so the
+        # profile read at the harmonic bins must equal the full one bit for bit
+        rng = np.random.default_rng(11)
+        for spec in all_specs():
+            for n in (1600, 30011, 35200):
+                freqs = np.fft.rfftfreq(n, 1.0 / harness.SAMPLE_RATE)
+                full = harness._band_profile(freqs, spec)
+                for f0 in rng.uniform(*harness.PITCH_RANGE_HZ, size=200):
+                    ks = np.arange(1, int(7600.0 / f0) + 2)
+                    idx = np.searchsorted(freqs, ks[ks * f0 < 7600.0] * f0)
+                    assert np.array_equal(harness._band_profile(freqs[idx], spec), full[idx])
 
     @pytest.mark.parametrize("size", [1600, 30011, 32767, 32768, 32769])
     def test_noise_is_shaped_at_a_power_of_two_length(self, monkeypatch, size):
@@ -161,6 +192,15 @@ class TestCorpus:
             all_specs()[:3], counts, seed=9, out_dir=tmp_path / "parallel", jobs=4
         )
         assert corpus_digest(tmp_path / "serial") == corpus_digest(tmp_path / "parallel")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corpus_bytes_are_pinned(self, tmp_path, jobs):
+        # every WAV, key and manifest byte of a small corpus, so that a change
+        # to synthesis that moves any sample fails here, not only on a rerun
+        counts = {"test": {lang: 2 for lang in TRAIN_LANGS}, "zr_test": {"delta": 2, "echo": 2}}
+        harness.generate_corpus(all_specs(), counts, seed=3001, out_dir=tmp_path, jobs=jobs)
+        assert corpus_digest(tmp_path) == (
+            "3656a85bb5bd9062f87a2f2bfa5ed6d267ea698f644576a9b606fc1f431a6eb0")
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (8, 3, 3), (8, 16, 6), (2, 16, 2), (1, 16, None), (8, None, None),
