@@ -55,11 +55,13 @@ def _decimal(text: str, least: int = 0) -> int:
 
 
 def _languages(text: str) -> list[str]:
-    """The ``--languages`` type: comma-separated languages, none repeated."""
+    """The ``--languages`` type: two or more comma-separated languages, none repeated."""
     languages = [tok for tok in text.split(",") if tok]
     repeated = [lang for i, lang in enumerate(languages) if lang in languages[:i]]
     if repeated:
         raise argparse.ArgumentTypeError(f"language {repeated[0]!r} given twice")
+    if len(languages) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 languages, got {len(languages)}")
     return languages
 
 
@@ -130,7 +132,7 @@ def _gather_config(args) -> dict[str, object]:
     """The effective config: defaults, then --config, then each --set."""
     overrides: dict[str, str] = {}
     if args.config:
-        overrides.update(cfgmod.load_config(args.config))
+        overrides.update(parse_file(args.config, cfgmod.parse_config))
     for item in args.overrides:
         if "=" not in item:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
@@ -183,7 +185,7 @@ def _load_model(path) -> net.NetworkParams:
 
 def _cmd_extract(args, cfg):
     params = _load_model(args.model)
-    embed_dim = params.weights[net.EMBED_LAYER].shape[0]
+    embed_dim = params.dense_specs[0].out_dim
     table = harness.score_table(params, args.corpus, _entries(args), cfg,
                                 lambda feats: net.extract_xvector(params, feats).values, embed_dim)
     harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(table))
@@ -220,7 +222,7 @@ def _cmd_score(args, cfg):
     if args.mode == "zero" and not args.enrolled:
         raise _UsageError("zero mode requires --enrolled")
     params = _load_model(args.model)
-    key = submission.read_key_file(args.key)
+    key = parse_file(args.key, submission.parse_key)
     if args.mode == "closed":
         with about("--languages" if args.languages else f"{args.key} (no --languages)"):
             score = harness.closed_set_scorer(params, args.languages or key.language_list,
@@ -238,9 +240,15 @@ def _cmd_score(args, cfg):
     return EXIT_OK
 
 
+def _read_filled(args) -> tuple[submission.TrialKey, submission.FillResult]:
+    """``--key``, and ``--scores`` read against it and filled to cover it."""
+    key = parse_file(args.key, submission.parse_key)
+    table = parse_file(args.scores, lambda text: submission.parse_scores(text, key.language_list))
+    return key, submission.fill_missing(table, key)
+
+
 def _cmd_validate(args, cfg):
-    key = submission.read_key_file(args.key)
-    fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
+    key, fill = _read_filled(args)
     _warn_fill(fill)
     if args.out:
         text = submission.write_scores(fill.table)
@@ -250,8 +258,7 @@ def _cmd_validate(args, cfg):
 
 
 def _cmd_evaluate(args, cfg):
-    key = submission.read_key_file(args.key)
-    fill = submission.fill_missing(submission.read_score_file(args.scores, key.language_list), key)
+    key, fill = _read_filled(args)
     _warn_lost(fill)
     # both policies are always reported, from one trial set; eval.policy picks the headline
     with about(args.key):  # EmptyTrialSet: a key of one language, or a language with no segment
@@ -285,23 +292,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     # log to this call's stderr; records still propagate to the root logger
     pkg_log = logging.getLogger(__package__)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
     saved_level = pkg_log.level
     pkg_log.addHandler(handler)
-    pkg_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
+        args = _build_parser().parse_args(argv)
+        pkg_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
         return _COMMANDS[args.command](args, _gather_config(args))
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import InvalidConfig, parse_file
+from .errors import InvalidConfig
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -31,10 +31,6 @@ def parse_config(text: str) -> dict[str, str]:
             raise InvalidConfig("empty key", line_no)
         out[key] = value.strip()
     return out
-
-
-def load_config(path) -> dict[str, str]:
-    return parse_file(path, parse_config)
 
 
 def _typed(key: str, value, default):

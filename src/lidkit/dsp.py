@@ -132,13 +132,16 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
 
 
 def write_wav(path, wave: Waveform) -> None:
-    """Write 16-bit mono PCM. A non-finite sample, which the cast would
-    turn into silence or full scale, is refused naming ``path`` before the
-    file is opened."""
+    """Write 16-bit mono PCM; 1.0 is written as 32767, the largest sample.
+    A sample outside [-1, 1], which the cast would clip, or a non-finite
+    one, which it would turn into silence or full scale, is refused naming
+    ``path`` before the file is opened."""
     with about(path):
-        bad = np.flatnonzero(~np.isfinite(wave.samples))
+        bad = np.flatnonzero(~(np.abs(wave.samples) <= 1.0))  # NaN fails the test too
         if bad.size:
-            raise AudioFormatError(f"sample {bad[0]} is {wave.samples[bad[0]]}, not finite")
+            value = wave.samples[bad[0]]
+            fault = "not finite" if not np.isfinite(value) else "outside [-1, 1]"
+            raise AudioFormatError(f"sample {bad[0]} is {value}, {fault}")
     ints = np.clip(np.rint(wave.samples * PCM_SCALE), -32768, 32767).astype("<i2")
     with contextlib.closing(wavefile.open(str(path), "wb")) as fh:
         fh.setnchannels(1)

@@ -468,7 +468,7 @@ def zero_resource_scorer(params: net.NetworkParams, models, languages):
     missing = [lang for lang in languages if lang not in models.language_ids]
     if missing:
         raise InconsistentLanguageSet(f"key language(s) {', '.join(missing)} not enrolled")
-    dims = models.centroids.shape[1], params.weights[net.EMBED_LAYER].shape[0]
+    dims = models.centroids.shape[1], params.dense_specs[0].out_dim
     if dims[0] != dims[1]:
         raise DimMismatch(f"centroid dim {dims[0]} != model embedding dim {dims[1]}")
     rows = [models.language_ids.index(lang) for lang in languages]
@@ -520,7 +520,12 @@ def train_network(
     SGD step. Utterances ``iter_features`` skips (including those with too
     few frames for the new network) are left out with a warning each.
     ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
+    A language given twice (before any WAV is read) or left with no usable
+    utterance is an InvalidPlan naming it.
     """
+    for i, lang in enumerate(languages):
+        if lang in languages[:i]:
+            raise InvalidPlan(f"training language {lang!r} given twice")
     cfg = cfgmod.resolve(CONFIG_DEFAULTS, config, CONFIG_DOMAINS)
     params = net.init_network(
         num_classes=len(languages),
@@ -534,8 +539,10 @@ def train_network(
     wanted = [e for e in entries if e.language in label_of]
     dataset = [(feats, label_of[entry.language])
                for entry, feats in iter_features(params, corpus_dir, wanted, cfg)]
-    if not dataset:
-        raise InvalidPlan("no usable training utterances")
+    trained = {label for _, label in dataset}
+    for lang in languages:
+        if label_of[lang] not in trained:
+            raise InvalidPlan(f"no usable training utterances for {lang!r}")
     batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
     grads = net.zero_gradients(params)  # reused by every step
@@ -591,7 +598,7 @@ def run_task(
     plan.validate()
     closed_set = plan.task in (SHORT_UTTERANCE, CROSS_CHANNEL)
     test_split = "test" if closed_set else "zr_test"
-    key = submission.read_key_file(corpus_dir / f"key_{test_split}.txt")
+    key = parse_file(corpus_dir / f"key_{test_split}.txt", submission.parse_key)
     evaluation = eval_config(cfg, key, cfg["eval.policy"])
     languages = key.language_list
     if not closed_set and set(languages) != set(plan.zero_languages):

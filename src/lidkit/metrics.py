@@ -205,7 +205,6 @@ class Trials:
     scores, ``det`` the pooled DET and ``eer`` its crossing.
     """
 
-    num_languages: int
     columns: list[tuple[str, np.ndarray, list[tuple[str, np.ndarray]]]]
     scores: np.ndarray
     det: np.ndarray
@@ -241,7 +240,7 @@ def trials(rows, key: TrialKey) -> Trials:
     det[1:-1, 0] = _below(targets, scores) / targets.size
     det[1:-1, 1] = (nontargets.size - _below(nontargets, scores)) / nontargets.size
     det[-1] = (1.0, 0.0)
-    return Trials(num, columns, scores, det, _eer(det))
+    return Trials(columns, scores, det, _eer(det))
 
 
 def _cavg_curve(table: Trials, config: EvalConfig, thetas) -> np.ndarray:
@@ -284,27 +283,6 @@ def _eer(det: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def cavg_from_pairwise(
-    pairwise: list[PairwiseLoss], p_target: float, num_languages: int
-) -> float:
-    """Recompute the average cost from per-pair rates.
-
-    Groups the entries by target language (first-appearance order): each
-    target contributes ``p_target * p_miss`` once plus ``p_nontarget *
-    p_fa`` per entry; the mean over targets is the average cost.
-    """
-    p_nontarget = (1.0 - p_target) / (num_languages - 1)
-    miss: dict[str, float] = {}  # in first-appearance order
-    fa_sum: dict[str, float] = {}
-    for pair in pairwise:
-        miss.setdefault(pair.target, pair.p_miss)
-        fa_sum[pair.target] = fa_sum.get(pair.target, 0.0) + p_nontarget * pair.p_fa
-    total = 0.0
-    for lang in miss:
-        total += p_target * miss[lang] + fa_sum[lang]
-    return total / num_languages
-
-
 def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> EvalReport:
     """Evaluate a score file, or its ``trials``: average cost, pooled EER,
     and the DET curve.
@@ -332,14 +310,18 @@ def compute_cavg(records, key: TrialKey, config: EvalConfig | None = None) -> Ev
         thetas = np.union1d(table.scores, (-np.inf, np.inf))
         theta = float(thetas[int(np.argmin(_cavg_curve(table, config, thetas)))])
     pairwise = []
+    total = 0.0
     for target, own, others in table.columns:
         p_miss = float(_below(own, theta) / own.size)
+        fa = 0.0
         for nontarget, pool in others:
             p_fa = float((pool.size - _below(pool, theta)) / pool.size)
+            fa += config.p_nontarget * p_fa
             cost = config.p_target * p_miss + (1.0 - config.p_target) * p_fa
             pairwise.append(PairwiseLoss(target, nontarget, p_miss, p_fa, cost))
+        total += config.p_target * p_miss + fa
     return EvalReport(
-        cavg=cavg_from_pairwise(pairwise, config.p_target, config.num_languages),
+        cavg=total / config.num_languages,
         eer=table.eer,
         pairwise=pairwise,
         det_points=table.det,

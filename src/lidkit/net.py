@@ -108,12 +108,17 @@ class NetworkParams:
 
 
 def validate_specs(specs: list[LayerSpec]) -> None:
-    """Check the layer chain is wired consistently (raises DimMismatch)."""
+    """Check the layer chain is wired consistently and names each layer
+    once, as ``NetworkParams`` keys its weights by name (raises DimMismatch)."""
     if not specs or not specs[0].is_frame_layer or specs[-1].is_frame_layer:
         raise DimMismatch("layer stack must start with frame layers and end dense")
     prev_out = None
     pooled = False
+    seen: set[str] = set()
     for spec in specs:
+        if spec.name in seen:
+            raise DimMismatch(f"{spec.name}: layer name given twice")
+        seen.add(spec.name)
         if spec.in_dim < 1 or spec.out_dim < 1:
             raise DimMismatch(f"{spec.name}: zero-width layer {spec.in_dim} -> {spec.out_dim}")
         if spec.is_frame_layer:

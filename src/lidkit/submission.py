@@ -50,7 +50,6 @@ from .errors import (
     NaNScore,
     UnknownLanguage,
     data_lines,
-    parse_file,
 )
 
 OUT_OF_SET = "OOS"
@@ -330,10 +329,3 @@ def fill_missing(table: ScoreTable, key: TrialKey) -> FillResult:
     np.compress(keep, table.values, axis=0, out=values[:len(kept)])
     return FillResult(ScoreTable(kept + added, values), added, dropped)
 
-
-def read_score_file(path, expected_languages: Sequence[str]) -> ScoreTable:
-    return parse_file(path, lambda text: parse_scores(text, expected_languages))
-
-
-def read_key_file(path) -> TrialKey:
-    return parse_file(path, parse_key)

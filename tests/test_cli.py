@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import logging
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import cli, dsp, harness, metrics, net, submission as sub
+from lidkit.errors import parse_file
 
 TRAIN_LANGS = "alpha,bravo,charlie"
 
@@ -145,6 +147,28 @@ class TestEvaluateCommand:
         assert run(capsys, *argv, "--policy", "fixed")[0] == 1
 
 
+    # SHA-256 of the report and DET files, stamp line included, for one fixed
+    # score file holding an out-of-set segment, a -inf row and a lost trial
+    @pytest.mark.parametrize("policy, report_sha, det_sha", [
+        ("min_sweep", "7ac4d8be1a3a14c87d6cc8c2805fff32d0338f5d6c0dfd2a19c7aacd1cb211e3",
+         "830e678dcb9630ac6bfbae7ad7eb3735126fcc9e35a303e72262a72c683ac905"),
+        ("fixed", "0b4a5e58c713a169ac952ebf52eb8e05f50a2c5ce23a35c957cf48626925d7d6",
+         "4a3b40dbaa4226e7756cace5006dd85ed7c6ef6df1ae922c704d297af8265e4f"),
+    ], ids=["min_sweep", "fixed"])
+    def test_report_and_det_bytes_are_pinned(self, capsys, tmp_path, policy, report_sha, det_sha):
+        scores, key = tmp_path / "scores.txt", tmp_path / "key.txt"
+        scores.write_text("s1 1.5 -0.25 0.5\ns2 -1 2 0.25\ns3 0.5 0.5 -1.5\ns4 -inf -inf -inf\n"
+                          "s5 0.75 1 1.25\ns6 2 -0.5 -1\ns7 -0.5 0.25 1\n")
+        key.write_text("A B C\ns1 A\ns2 B\ns3 C\ns4 A\ns5 OOS\ns6 A\ns7 C\ns8 B\n")
+        report, det = tmp_path / "report.txt", tmp_path / "det.txt"
+        code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--key", str(key),
+                           "--report", str(report), "--det", str(det),
+                           "--set", f"eval.policy={policy}")
+        assert (code, err) == (0, "warning: 1 lost trial filled with -inf\n")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(det.read_bytes()).hexdigest() == det_sha
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -182,6 +206,20 @@ class TestUsageErrors:
                            "--languages", "alpha,bravo,charlie,bravo")
         assert code == 1
         assert err == "error: argument --languages: language 'bravo' given twice\n"
+
+    @pytest.mark.parametrize("languages, count", [("alpha", 1), ("alpha,", 1), (",", 0)])
+    @pytest.mark.parametrize("command", [
+        ["train", "--corpus", "c"],
+        ["score", "--model", "m", "--corpus", "c", "--split", "test", "--key", "k"],
+    ])
+    def test_fewer_than_two_languages_exits_1_naming_the_flag(
+        self, capsys, tmp_path, command, languages, count
+    ):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, *command, "--out", str(out), "--languages", languages)
+        assert code == 1
+        assert err == f"error: argument --languages: expected at least 2 languages, got {count}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_seed_not_a_non_negative_integer_exits_1_naming_the_flag(
@@ -295,8 +333,31 @@ class TestPipeline:
         )
         assert code == 0
         lines = [l for l in xvecs.read_text().splitlines() if not l.startswith("#")]
-        key = sub.read_key_file(corpus / "key_test.txt")
+        key = parse_file(corpus / "key_test.txt", sub.parse_key)
         assert len(lines) == len(key.entries)
+
+    def test_embedding_width_is_read_from_the_first_dense_layer(self, capsys, workdir, tmp_path):
+        # the x-vector is the first dense layer's output, whatever its name
+        corpus = workdir / "corpus"
+        original = workdir / "model.bin"
+        renamed = tmp_path / "renamed.bin"
+        renamed.write_bytes(original.read_bytes().replace(b"segment6", b"embedder", 1))
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join(f"{e.language} {corpus / e.path}\n"
+                                for e in harness.read_manifest(corpus) if e.split == "reference"))
+        outputs = {}
+        for model in (original, renamed):
+            out = tmp_path / model.stem
+            enrolled = out / "enrolled.txt"
+            for argv in (["extract", "--split", "test", "--out", out / "xvec.txt"],
+                         ["enroll", "--refs", refs, "--out", enrolled],
+                         ["score", "--split", "zr_test", "--key", corpus / "key_zr_test.txt",
+                          "--mode", "zero", "--enrolled", enrolled, "--out", out / "z.txt"]):
+                corpus_args = [] if argv[0] == "enroll" else ["--corpus", corpus]
+                code, _, err = run(capsys, *map(str, [*argv, "--model", model, *corpus_args]))
+                assert (code, err) == (0, "")
+            outputs[model] = [(out / name).read_bytes() for name in ("xvec.txt", "z.txt")]
+        assert outputs[original] == outputs[renamed]
 
     def test_enroll_and_zero_score(self, capsys, workdir):
         corpus = workdir / "corpus"
@@ -354,7 +415,7 @@ class TestPipeline:
         corpus = workdir / "corpus"
         text = (workdir / "scores.txt").read_text()
         assert text.startswith("# stamp config=")
-        key = sub.read_key_file(corpus / "key_test.txt")
+        key = parse_file(corpus / "key_test.txt", sub.parse_key)
         assert len(sub.parse_scores(text, key.language_list)) == len(key.entries)
 
 
@@ -723,7 +784,7 @@ class TestTooFewFrames:
             "--split", "test", "--out", str(xvecs),
         )
         assert code == 0
-        key = sub.read_key_file(corpus / "key_test.txt")
+        key = parse_file(corpus / "key_test.txt", sub.parse_key)
         ids = [line.split()[0] for line in data_lines(xvecs)]
         assert ids == [seg for seg in key.entries if seg != SHORT["test"]]
 

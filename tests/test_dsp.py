@@ -155,6 +155,19 @@ class TestWavIo:
         assert str(err.value) == f"{path}: sample 1 is {bad}, not finite"
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [1.5, -2.0])
+    def test_refuses_a_sample_outside_full_scale_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "loud.wav"
+        with pytest.raises(AudioFormatError) as err:
+            dsp.write_wav(path, dsp.Waveform([0.1, bad, 0.2]))
+        assert str(err.value) == f"{path}: sample 1 is {bad}, outside [-1, 1]"
+        assert not path.exists()
+
+    def test_full_scale_is_written_as_the_extreme_samples(self, tmp_path):
+        path = tmp_path / "full.wav"
+        dsp.write_wav(path, dsp.Waveform([1.0, -1.0, 0.0]))
+        assert dsp.read_wav(path).samples.tolist() == [32767 / 32768, -1.0, 0.0]
+
     # each refusal renders as "<path>: <reason>", as the CLI's skipping warnings show it
     @pytest.mark.parametrize("channels,width,rate,reason", [
         pytest.param(2, 2, 16000, "expected mono, got 2 channels", id="2-2-16000"),

@@ -1,7 +1,7 @@
 import pytest
 
 from lidkit import submission as sub
-from lidkit.errors import AudioFormatError, UnknownLanguage, about
+from lidkit.errors import AudioFormatError, UnknownLanguage, about, parse_file
 
 
 def test_about_names_the_source_of_the_same_error():
@@ -25,5 +25,5 @@ def test_a_file_read_inside_an_outer_about_still_names_the_file(tmp_path):
     path.write_text("A B\ns1 C\n")
     with pytest.raises(UnknownLanguage) as err:
         with about("--flag"):
-            sub.read_key_file(path)
+            parse_file(path, sub.parse_key)
     assert str(err.value) == f"{path}:2: language 'C' not in header"

@@ -15,7 +15,7 @@ from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
     DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError, MalformedLine,
-    NoUsableReferences,
+    NoUsableReferences, parse_file,
 )
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -313,7 +313,7 @@ class TestCorpus:
     def test_manifest_and_keys_written(self, tmp_path):
         entries = harness.generate_corpus(all_specs(), tiny_counts(), 1, tmp_path)
         assert (tmp_path / "manifest.txt").exists()
-        key = sub.read_key_file(tmp_path / "key_train.txt")
+        key = parse_file(tmp_path / "key_train.txt", sub.parse_key)
         assert key.language_list == TRAIN_LANGS
         train_ids = {e.utt_id for e in entries if e.split == "train"}
         assert set(key.entries) == train_ids
@@ -349,7 +349,7 @@ class TestCorpus:
 
     @pytest.mark.parametrize("language_id", [sub.OUT_OF_SET, "#x"])
     def test_id_the_key_reader_refuses_creates_nothing(self, tmp_path, language_id):
-        # the key header would hold OOS, which read_key_file refuses, or a
+        # the key header would hold OOS, which the key reader refuses, or a
         # "#x" line, which every reader skips as a comment
         spec = dataclasses.replace(all_specs()[0], language_id=language_id)
         counts = {"train": {language_id: 1, "bravo": 1}}
@@ -471,8 +471,9 @@ class TestRunTask:
         assert result.score_path.exists()
         assert result.report_path.exists()
         assert result.det_path.exists()
-        key = sub.read_key_file(small_corpus / "key_zr_test.txt")
-        table = sub.read_score_file(result.score_path, key.language_list)
+        key = parse_file(small_corpus / "key_zr_test.txt", sub.parse_key)
+        table = parse_file(result.score_path,
+                           lambda text: sub.parse_scores(text, key.language_list))
         assert len(table) == len(key.entries)
         assert 0.0 <= result.report.cavg <= 1.0
 
@@ -493,8 +494,9 @@ class TestRunTask:
         )
         params = net.load_params(model.read_bytes())
         result = harness.run_task(plan, corpus, tmp_path, FAST_CONFIG, params=params)
-        key = sub.read_key_file(corpus / "key_test.txt")
-        table = sub.read_score_file(result.score_path, key.language_list)
+        key = parse_file(corpus / "key_test.txt", sub.parse_key)
+        table = parse_file(result.score_path,
+                           lambda text: sub.parse_scores(text, key.language_list))
         assert len(table) == len(key.entries)
         assert table.ids[-1] == TRUNCATED["test"]
         assert np.all(table.values[-1] == -np.inf)
@@ -543,6 +545,33 @@ class TestRunTask:
         with pytest.raises(error):
             harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
         assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    def test_training_language_given_twice_is_refused_before_any_wav(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        train = [e for e in harness.read_manifest(small_corpus) if e.split == "train"]
+        with pytest.raises(InvalidPlan, match="^training language 'alpha' given twice$"):
+            harness.train_network(small_corpus, train, ["alpha", "alpha", "bravo"], FAST_CONFIG)
+        plan = harness.ExperimentPlan(harness.ZERO_RESOURCE, ["alpha", "bravo", "alpha"],
+                                      ["delta", "echo"], seed=11)
+        with pytest.raises(InvalidPlan, match="^training language 'alpha' given twice$"):
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
+        assert not (tmp_path / "out").exists()
+
+    def test_training_language_without_an_utterance_is_refused(self, small_corpus, tmp_path):
+        train = [e for e in harness.read_manifest(small_corpus) if e.split == "train"]
+        absent = "^no usable training utterances for 'zulu'$"
+        with pytest.raises(InvalidPlan, match=absent):
+            harness.train_network(small_corpus, train, ["alpha", "zulu", "bravo"], FAST_CONFIG)
+        plan = harness.ExperimentPlan(harness.ZERO_RESOURCE, [*TRAIN_LANGS, "zulu"],
+                                      ["delta", "echo"], seed=11)
+        with pytest.raises(InvalidPlan, match=absent):
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
         assert not (tmp_path / "out").exists()
 
 

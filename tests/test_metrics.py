@@ -264,8 +264,12 @@ class TestInvariants:
         for _ in range(5):
             recs, key = score_factory(rng, 60, ["A", "B", "C"], oos_fraction=0.05)
             report = metrics.compute_cavg(recs, key)
-            recomputed = metrics.cavg_from_pairwise(report.pairwise, 0.5, key.num_languages)
-            assert report.cavg == pytest.approx(recomputed, abs=1e-12)
+            # each target's miss term once, each pair's false-alarm term weighted p_nontarget
+            miss = {pair.target: pair.p_miss for pair in report.pairwise}
+            p_nontarget = 0.5 / (key.num_languages - 1)
+            recomputed = sum(0.5 * p_miss for p_miss in miss.values()) + sum(
+                p_nontarget * pair.p_fa for pair in report.pairwise)
+            assert report.cavg == pytest.approx(recomputed / key.num_languages, abs=1e-12)
 
 
 # Scores on an exact grid of halves (plus lost-trial -inf), so a positive

@@ -315,6 +315,12 @@ class TestSerialization:
         with pytest.raises(CorruptModel, match="layer 2 .* not UTF-8"):
             net.load_params(bytes(blob))
 
+    def test_two_layers_of_one_name_are_corrupt(self):
+        # frame5 renamed frame4: the wiring holds, but the weights are keyed by name
+        blob = net.save_params(tiny_net()).replace(b"frame5", b"frame4", 1)
+        with pytest.raises(CorruptModel, match="^frame4: layer name given twice$"):
+            net.load_params(blob)
+
     def test_non_finite_weight_or_bias_is_corrupt(self):
         for bad in (np.nan, np.inf):
             for table in ("weights", "biases"):
