@@ -145,16 +145,12 @@ def _stamp(cfg: dict[str, object], seed: int) -> str:
     return f"# stamp config={cfgmod.config_hash(cfg, seed)} seed={seed}\n"
 
 
-def _warn_lost(fill: submission.FillResult) -> None:
-    if fill.num_filled:
-        noun = "trial" if fill.num_filled == 1 else "trials"
-        print(f"warning: {fill.num_filled} lost {noun} filled with -inf", file=sys.stderr)
-
-
 def _warn_fill(fill: submission.FillResult) -> None:
     for seg in fill.dropped_ids:
         print(f"warning: segment {seg!r} not in key, dropped", file=sys.stderr)
-    _warn_lost(fill)
+    if fill.num_filled:
+        noun = "trial" if fill.num_filled == 1 else "trials"
+        print(f"warning: {fill.num_filled} lost {noun} filled with -inf", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +190,8 @@ def _cmd_extract(args, cfg):
 
 
 def _parse_refs(text: str) -> list[harness.ManifestEntry]:
-    """'language wav-path' lines as manifest entries (path is the id)."""
+    """'language wav-path' lines as manifest entries (path is the id); at
+    least one is needed."""
     entries = []
     for line_no, line in data_lines(text):
         tokens = line.split(None, 1)
@@ -202,6 +199,8 @@ def _parse_refs(text: str) -> list[harness.ManifestEntry]:
             raise MalformedLine("expected 'language wav-path'", line_no)
         language, wav_path = tokens
         entries.append(harness.ManifestEntry(wav_path, language, wav_path, "reference"))
+    if not entries:
+        raise MalformedLine("no 'language wav-path' line found")
     return entries
 
 
@@ -259,7 +258,7 @@ def _cmd_validate(args, cfg):
 
 def _cmd_evaluate(args, cfg):
     key, fill = _read_filled(args)
-    _warn_lost(fill)
+    _warn_fill(fill)
     # both policies are always reported, from one trial set; eval.policy picks the headline
     with about(args.key):  # EmptyTrialSet: a key of one language, or a language with no segment
         configs = [harness.eval_config(cfg, key, policy) for policy in metrics.THRESHOLD_POLICIES]

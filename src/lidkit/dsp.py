@@ -28,19 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort, about
 
 PCM_SCALE = 32768.0
-
-
-@dataclass
-class Waveform:
-    """Mono audio samples in [-1, 1] at a known sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int = 16000
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
+SAMPLE_RATE = 16000  # Hz: the rate every WAV is written, read and synthesised at
 
 
 @dataclass
@@ -59,7 +47,7 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     frame_len: float = 0.025
     frame_shift: float = 0.010
     fft_size: int = 512
@@ -101,11 +89,11 @@ class VadConfig:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (16 kHz, 16-bit, mono PCM only)
+# WAV I/O (16-bit mono PCM only)
 
-def read_wav(path, expected_rate: int = 16000) -> Waveform:
-    """Load a RIFF WAV file, rejecting anything but 16-bit mono PCM at
-    ``expected_rate`` with an AudioFormatError that names ``path``."""
+def read_wav(path, expected_rate: int = SAMPLE_RATE) -> np.ndarray:
+    """The samples of a RIFF WAV file, in [-1, 1]; anything but 16-bit mono
+    PCM at ``expected_rate`` is an AudioFormatError that names ``path``."""
     with about(path):
         try:
             handle = wavefile.open(str(path), "rb")
@@ -127,26 +115,26 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
             raw = fh.readframes(fh.getnframes())
         if len(raw) % 2:
             raise AudioFormatError("sample data ends mid-sample")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
-    return Waveform(samples, rate)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
 
 
-def write_wav(path, wave: Waveform) -> None:
-    """Write 16-bit mono PCM; 1.0 is written as 32767, the largest sample.
-    A sample outside [-1, 1], which the cast would clip, or a non-finite
-    one, which it would turn into silence or full scale, is refused naming
-    ``path`` before the file is opened."""
+def write_wav(path, samples) -> None:
+    """Write 16-bit mono PCM at SAMPLE_RATE; 1.0 is written as 32767, the
+    largest sample. A sample outside [-1, 1], which the cast would clip, or
+    a non-finite one, which it would turn into silence or full scale, is
+    refused naming ``path`` before the file is opened."""
+    samples = np.asarray(samples, dtype=np.float64)
     with about(path):
-        bad = np.flatnonzero(~(np.abs(wave.samples) <= 1.0))  # NaN fails the test too
+        bad = np.flatnonzero(~(np.abs(samples) <= 1.0))  # NaN fails the test too
         if bad.size:
-            value = wave.samples[bad[0]]
+            value = samples[bad[0]]
             fault = "not finite" if not np.isfinite(value) else "outside [-1, 1]"
             raise AudioFormatError(f"sample {bad[0]} is {value}, {fault}")
-    ints = np.clip(np.rint(wave.samples * PCM_SCALE), -32768, 32767).astype("<i2")
+    ints = np.clip(np.rint(samples * PCM_SCALE), -32768, 32767).astype("<i2")
     with contextlib.closing(wavefile.open(str(path), "wb")) as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(wave.sample_rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(ints.tobytes())
 
 
@@ -202,19 +190,16 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return _read_only(weights)
 
 
-def _checked(wave: Waveform, config: FeatureConfig | None) -> FeatureConfig:
-    if config is None:
-        config = FeatureConfig()
+def _checked(config: FeatureConfig | None) -> FeatureConfig:
+    """``config`` (the defaults for None), validated: every front-end entry
+    point checks its config here before it frames a signal."""
+    config = FeatureConfig() if config is None else config
     config.validate()
-    if wave.sample_rate != config.sample_rate:
-        raise InvalidConfig(
-            f"waveform at {wave.sample_rate} Hz, config expects {config.sample_rate} Hz"
-        )
     return config
 
 
-def _frames(wave: Waveform, config: FeatureConfig) -> np.ndarray:
-    return frame_signal(wave.samples, config.frame_len_samples, config.frame_shift_samples)
+def _frames(samples: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    return frame_signal(samples, config.frame_len_samples, config.frame_shift_samples)
 
 
 def _log_mel(frames: np.ndarray, config: FeatureConfig) -> FeatureMatrix:
@@ -231,25 +216,24 @@ def _log_energy(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return np.log(np.maximum(np.mean(frames**2, axis=1), config.floor))
 
 
-def extract_filterbanks(wave: Waveform, config: FeatureConfig | None = None) -> FeatureMatrix:
-    """Log-mel features, one row per frame.
+def extract_filterbanks(samples, config: FeatureConfig | None = None) -> FeatureMatrix:
+    """Log-mel features of a signal at ``config.sample_rate``, one row per frame.
 
     T = 1 + floor((num_samples - frame_len) / frame_shift); each frame is
     pre-emphasized, windowed, and projected through the mel filterbank,
     then floored and logged.
     """
-    config = _checked(wave, config)
-    return _log_mel(_frames(wave, config), config)
+    config = _checked(config)
+    return _log_mel(_frames(samples, config), config)
 
 
 # ---------------------------------------------------------------------------
 # energy VAD
 
-def frame_log_energy(wave: Waveform, config: FeatureConfig | None = None) -> np.ndarray:
+def frame_log_energy(samples, config: FeatureConfig | None = None) -> np.ndarray:
     """Per-frame log of mean squared amplitude, floored, aligned with features."""
-    if config is None:
-        config = FeatureConfig()
-    return _log_energy(_frames(wave, config), config)
+    config = _checked(config)
+    return _log_energy(_frames(samples, config), config)
 
 
 def energy_vad(log_energy: np.ndarray, config: VadConfig | None = None) -> np.ndarray:
@@ -275,14 +259,14 @@ def apply_vad(features: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
 
 
 def features_from_waveform(
-    wave: Waveform,
+    samples,
     feat_config: FeatureConfig | None = None,
     vad_config: VadConfig | None = None,
 ) -> FeatureMatrix:
     """Full front end from one framing of the signal: energy VAD on the
     frames, then log-mel of the kept frames only."""
-    config = _checked(wave, feat_config)
-    frames = _frames(wave, config)
+    config = _checked(feat_config)
+    frames = _frames(samples, config)
     mask = energy_vad(_log_energy(frames, config), vad_config)
     return _log_mel(apply_vad(FeatureMatrix(frames), mask).frames, config)
 
@@ -292,5 +276,5 @@ def features_from_wav(
     feat_config: FeatureConfig | None = None,
     vad_config: VadConfig | None = None,
 ) -> FeatureMatrix:
-    expected = feat_config.sample_rate if feat_config else 16000
-    return features_from_waveform(read_wav(path, expected), feat_config, vad_config)
+    config = _checked(feat_config)
+    return features_from_waveform(read_wav(path, config.sample_rate), config, vad_config)

@@ -34,8 +34,6 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-SAMPLE_RATE = 16000
-
 SHORT_UTTERANCE = "short_utterance"
 CROSS_CHANNEL = "cross_channel"
 ZERO_RESOURCE = "zero_resource"
@@ -72,8 +70,9 @@ class SyntheticLanguageSpec:
         if len(self.band_centers_hz) != len(self.bandwidths_hz) or not self.band_centers_hz:
             raise InvalidSpec(f"{self.language_id}: band centers/widths must pair up")
         for center in self.band_centers_hz:
-            if not 0.0 < center < 8000.0:
-                raise InvalidSpec(f"{self.language_id}: band center {center} outside (0, 8000)")
+            if not 0.0 < center < dsp.SAMPLE_RATE / 2:
+                raise InvalidSpec(f"{self.language_id}: band center {center} outside "
+                                  f"(0, {dsp.SAMPLE_RATE // 2})")
         if any(bw <= 0 for bw in self.bandwidths_hz):
             raise InvalidSpec(f"{self.language_id}: bandwidths must be positive")
         lo, hi = self.length_range_s
@@ -111,7 +110,7 @@ def _band_profile(freqs: np.ndarray, spec: SyntheticLanguageSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _noise_profile(spec: SyntheticLanguageSpec, fft_len: int) -> np.ndarray:
     """The band profile on the ``rfft`` bins of an ``fft_len``-point FFT."""
-    profile = _band_profile(np.fft.rfftfreq(fft_len, 1.0 / SAMPLE_RATE), spec)
+    profile = _band_profile(np.fft.rfftfreq(fft_len, 1.0 / dsp.SAMPLE_RATE), spec)
     profile.flags.writeable = False
     return profile
 
@@ -125,7 +124,7 @@ def _harmonic_sum(coefs: np.ndarray, ks: np.ndarray, f0: float, length: int) -> 
     taken as two real products: a threaded BLAS can spend ten times as
     long on so small a complex product.
     """
-    w = 2 * np.pi * f0 / SAMPLE_RATE
+    w = 2 * np.pi * f0 / dsp.SAMPLE_RATE
     inner = np.ones((ks.size, HARMONIC_BLOCK), dtype=np.complex128)
     inner[:, 1:] = np.exp(1j * w * ks)[:, None]
     outer = np.empty((-(-length // HARMONIC_BLOCK), ks.size), dtype=np.complex128)
@@ -151,14 +150,14 @@ def synth_utterance(
     A burst at pitch f0 sums the harmonics k*f0 below 7.6 kHz whose
     amplitude a_k (the band profile at k*f0 over sqrt(k)) exceeds 1e-4,
     each at a random phase phi_k. With c_k = a_k e^{i phi_k}, that sum is
-    the imaginary part of sum_k c_k e^{i w k n}, w = 2 pi f0 / 16000, which
-    ``_harmonic_sum`` takes as one blocked matrix product: two complex
+    the imaginary part of sum_k c_k e^{i w k n}, w = 2 pi f0 / SAMPLE_RATE,
+    which ``_harmonic_sum`` takes as one blocked matrix product: two complex
     exponentials per harmonic instead of one sine per harmonic and sample.
     The phases are drawn in one call, in harmonic order.
     """
     spec.validate()
-    n = max(int(round(duration_s * SAMPLE_RATE)), SAMPLE_RATE // 10)
-    freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
+    n = max(int(round(duration_s * dsp.SAMPLE_RATE)), dsp.SAMPLE_RATE // 10)
+    freqs = np.fft.rfftfreq(n, 1.0 / dsp.SAMPLE_RATE)
 
     m = 1 << (n - 1).bit_length()
     spectrum = np.fft.rfft(rng.standard_normal(n), m) * _noise_profile(spec, m)
@@ -169,7 +168,7 @@ def synth_utterance(
     bursts = np.zeros(n)
     num_bursts = max(2, int(round(duration_s * 4)))
     for _ in range(num_bursts):
-        length = int(rng.uniform(0.20, 0.32) * SAMPLE_RATE)
+        length = int(rng.uniform(0.20, 0.32) * dsp.SAMPLE_RATE)
         length = min(length, n)
         start = int(rng.uniform(0, max(n - length, 1)))
         f0 = rng.uniform(*PITCH_RANGE_HZ)
@@ -196,7 +195,7 @@ def apply_channel(
     out = np.asarray(samples, dtype=np.float64)
     if channel.cutoff_hz is not None:
         m = np.arange(CHANNEL_TAPS) - (CHANNEL_TAPS - 1) / 2.0
-        h = np.sinc(2.0 * channel.cutoff_hz / SAMPLE_RATE * m) * np.hamming(CHANNEL_TAPS)
+        h = np.sinc(2.0 * channel.cutoff_hz / dsp.SAMPLE_RATE * m) * np.hamming(CHANNEL_TAPS)
         h /= h.sum()
         out = np.convolve(out, h, mode="same")
     if channel.snr_db is not None:
@@ -301,6 +300,9 @@ def generate_corpus(
     synth_jobs = []  # the (spec, seed key) of each entry
     for split_idx, split in enumerate(sorted(counts)):
         split_specs = [s for s in specs if s.language_id in counts[split]]
+        for lang in counts[split]:
+            if not any(s.language_id == lang for s in split_specs):
+                raise InvalidSpec(f"count for {lang!r}/{split!r} names no language spec")
         for lang_idx, spec in enumerate(split_specs):
             lang, num = spec.language_id, counts[split][spec.language_id]
             if num < 1:
@@ -315,7 +317,7 @@ def generate_corpus(
     workers = min(jobs, len(entries), os.cpu_count() or 1)
     with contextlib.closing(_synthesised(synth_jobs, workers)) as rendered:
         for entry, samples in zip(entries, rendered):
-            dsp.write_wav(out_dir / entry.path, dsp.Waveform(samples, SAMPLE_RATE))
+            dsp.write_wav(out_dir / entry.path, samples)
 
     for split in sorted(counts):
         key_langs = [s.language_id for s in specs if s.language_id in counts[split]]
@@ -341,8 +343,14 @@ class ExperimentPlan:
     def validate(self) -> None:
         if self.task not in TASKS:
             raise InvalidPlan(f"unknown task {self.task!r}")
-        if not self.crop_seconds > 0.0:
-            raise InvalidPlan(f"crop_seconds must be positive, got {self.crop_seconds!r}")
+        if not 0.0 < self.crop_seconds < math.inf:
+            raise InvalidPlan(f"crop_seconds must be in (0, inf), got {self.crop_seconds!r}")
+        cutoff, snr = self.channel.cutoff_hz, self.channel.snr_db
+        if cutoff is not None and not 0.0 < cutoff <= dsp.SAMPLE_RATE / 2:
+            raise InvalidPlan(f"channel.cutoff_hz must be in (0, {dsp.SAMPLE_RATE // 2}], "
+                              f"got {cutoff!r}")
+        if snr is not None and not math.isfinite(snr):
+            raise InvalidPlan(f"channel.snr_db must be finite, got {snr!r}")
         if self.task == ZERO_RESOURCE:
             overlap = set(self.zero_languages) & set(self.train_languages)
             if overlap:
@@ -421,10 +429,10 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
     vcfg = _section("vad", dsp.VadConfig, config)
     for i, entry in enumerate(entries):
         try:
-            wave = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
+            samples = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
             if transform is not None:
-                wave = dsp.Waveform(transform(i, wave.samples), wave.sample_rate)
-            feats = dsp.features_from_waveform(wave, fcfg, vcfg)
+                samples = transform(i, samples)
+            feats = dsp.features_from_waveform(samples, fcfg, vcfg)
             net.require_frames(params, feats.num_frames)
         except SEGMENT_ERRORS as exc:
             log.warning("skipping %s (%s)", entry.utt_id, exc)
@@ -558,7 +566,7 @@ def train_network(
 
 
 def _crop_center(samples: np.ndarray, seconds: float) -> np.ndarray:
-    want = int(round(seconds * SAMPLE_RATE))
+    want = int(round(seconds * dsp.SAMPLE_RATE))
     if samples.size <= want:
         return samples
     start = (samples.size - want) // 2

@@ -98,8 +98,7 @@ def short_corpus(tmp_path_factory):
     def shorten(corpus):
         for utt_id in SHORT.values():
             path = corpus / "wav" / f"{utt_id}.wav"
-            wave = dsp.read_wav(path)
-            mid = wave.samples.size // 2
-            dsp.write_wav(path, dsp.Waveform(wave.samples[mid - 800 : mid + 800],
-                                             wave.sample_rate))
+            samples = dsp.read_wav(path)
+            mid = samples.size // 2
+            dsp.write_wav(path, samples[mid - 800 : mid + 800])
     return corpus_and_model(tmp_path_factory.mktemp("short"), 9, shorten)

@@ -46,7 +46,7 @@ def test_calls_the_workloads_make_outside_the_tracer(tmp_path):
     assert (plan.seed, plan.channel.cutoff_hz, plan.channel.snr_db) == (3, 2000.0, 5.0)
     spec = dataclasses.replace(harness.default_training_specs()[0], length_range_s=(0.5, 0.5))
     samples = harness.synth_utterance(spec, 0.5, np.random.default_rng(1))
-    dsp.write_wav(tmp_path / "u.wav", dsp.Waveform(samples))
+    dsp.write_wav(tmp_path / "u.wav", samples)
     frames = dsp.features_from_wav(tmp_path / "u.wav").frames
     assert frames.ndim == 2 and frames.shape[1] == 40
     params = net.init_network(3, seed=[5, 1], feat_dim=40, frame_dim=16, stats_dim=24,
@@ -71,12 +71,12 @@ def test_positional_calls_of_the_desk_recipe(damaged_corpus, tmp_path):
 
 def test_traced_vad_counts_every_frame_in_and_the_kept_frames_out():
     spec = harness.default_training_specs()[0]
-    wave = dsp.Waveform(harness.synth_utterance(spec, 1.0, np.random.default_rng(2)))
+    samples = harness.synth_utterance(spec, 1.0, np.random.default_rng(2))
     config = dsp.FeatureConfig()
-    num_frames = 1 + (wave.samples.size - config.frame_len_samples) // config.frame_shift_samples
+    num_frames = 1 + (samples.size - config.frame_len_samples) // config.frame_shift_samples
     tracer = load_tracing().Tracer()
     with tracer.installed():
-        feats = dsp.features_from_waveform(wave)
+        feats = dsp.features_from_waveform(samples)
     counted = {name: tracer.stats[f"dsp.apply_vad.{name}"]
                for name in ("calls", "in_frames", "kept_frames")}
     assert counted == {"calls": 1, "in_frames": num_frames, "kept_frames": feats.num_frames}

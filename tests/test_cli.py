@@ -76,6 +76,13 @@ class TestEvaluateCommand:
         assert code == 0
         assert "1 lost trial filled with -inf" in err
 
+    def test_evaluate_names_a_segment_the_key_does_not_hold(self, capsys, worked_example):
+        # as validate does
+        scores, key = worked_example
+        scores.write_text(scores.read_text() + "stray 0 0\n")
+        code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--key", str(key))
+        assert (code, err) == (0, "warning: segment 'stray' not in key, dropped\n")
+
     def test_validate_writes_filled_file(self, capsys, tmp_path):
         scores = tmp_path / "scores.txt"
         key = tmp_path / "key.txt"
@@ -258,7 +265,7 @@ class TestUsageErrors:
         (tmp_path / "wav").mkdir()
         samples = harness.synth_utterance(harness.default_training_specs()[0], 0.5,
                                           np.random.default_rng(1))
-        dsp.write_wav(tmp_path / "wav" / "u1.wav", dsp.Waveform(samples))
+        dsp.write_wav(tmp_path / "wav" / "u1.wav", samples)
         (tmp_path / "manifest.txt").write_text("u1 alpha wav/u1.wav train\n")
         out = tmp_path / "model.bin"
         code, _, err = run(capsys, "train", "--corpus", str(tmp_path), "--languages", TRAIN_LANGS,
@@ -582,6 +589,18 @@ class TestSegmentFailures:
         assert code == 2
         assert err.startswith(f"error: {refs}:2: ")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_refs_without_a_reference_exits_2_naming_the_file(
+        self, capsys, damaged_corpus, tmp_path, text
+    ):
+        _, model = damaged_corpus
+        refs, enrolled = tmp_path / "refs.txt", tmp_path / "enrolled.txt"
+        refs.write_text(text)
+        code, out, err = run(capsys, "enroll", "--model", str(model), "--refs", str(refs),
+                             "--out", str(enrolled))
+        assert (code, out, err) == (2, "", f"error: {refs}: no 'language wav-path' line found\n")
+        assert not enrolled.exists()
+
     def test_key_language_not_enrolled_exits_2(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus
         enrolled = tmp_path / "enrolled.txt"
@@ -650,6 +669,53 @@ class TestSegmentFailures:
         )
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'manifest.txt'}:2: ")
+
+
+class TestOutputBytes:
+    """SHA-256 of the text outputs on the damaged corpus: the score, report
+    and DET files of each ``run_task`` task, and ``extract``'s x-vectors.
+    A change to the front end, the network or the back-ends that moves a
+    single output bit fails here. The model is the fixture's, so its bytes
+    (which follow the BLAS kernel) are not pinned themselves."""
+
+    PLANS = {
+        harness.SHORT_UTTERANCE: {},
+        harness.CROSS_CHANNEL: {"channel": harness.ChannelSpec(cutoff_hz=2000.0, snr_db=5.0)},
+        harness.ZERO_RESOURCE: {"zero_languages": ["delta", "echo"]},
+    }
+    RUN_TASK_SHA = {  # scores, report, DET
+        harness.SHORT_UTTERANCE: (
+            "eb45005e5730f7db03ff2a0cb46977b22f23af5989402d62736b240b11540f8c",
+            "55be0d13fd1aa2ec78d72bb3d28255b2efc3e5309c220efc41ba15eec286a91d",
+            "11458ea5284eb1bee6aca0ff7c12cc25c1e95934db99c2aee9e04adccc253aea"),
+        harness.CROSS_CHANNEL: (
+            "27a1dd35a9d8e6fc8ae7955e1f2d105de350eb5a287d3a1476bea60af1be1601",
+            "50e323c16b7797d1f5a16c797bafb414e498c9710fd7aee12ecc83b504c2f6b3",
+            "3547e7db9ba7615764501cc5546549151a1e1a95647744a9991452577288d4a1"),
+        harness.ZERO_RESOURCE: (
+            "924d137762a08ec758e000d60e6459b87793a6c1f4cfb1f8e236d47d144e62ed",
+            "2a8f00c30d5a40de574bd134044d55c3d444310206191ac6115dba3cd424ab5b",
+            "07cf99e864dc0203da68aa3da32a479b5854b9f2ea9dec9a6cac851b7778c11f"),
+    }
+    EXTRACT_SHA = "e3f84e0ffa44fc0dc0b067670e0e9fc505a64e13557226bfb15a84732a769d28"
+
+    @pytest.mark.parametrize("task", list(PLANS))
+    def test_run_task_outputs_are_pinned(self, damaged_corpus, tmp_path, task):
+        corpus, model = damaged_corpus
+        plan = harness.ExperimentPlan(task, TRAIN_LANGS.split(","), seed=8, **self.PLANS[task])
+        result = harness.run_task(plan, corpus, tmp_path,
+                                  params=net.load_params(model.read_bytes()))
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (result.score_path, result.report_path, result.det_path))
+        assert digests == self.RUN_TASK_SHA[task]
+
+    def test_extract_output_is_pinned(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        xvectors = tmp_path / "xvec.txt"
+        code, _, _ = run(capsys, "extract", "--model", str(model), "--corpus", str(corpus),
+                         "--split", "test", "--out", str(xvectors))
+        assert code == 0
+        assert hashlib.sha256(xvectors.read_bytes()).hexdigest() == self.EXTRACT_SHA
 
 
 class TestFilesNamed:

@@ -11,15 +11,15 @@ from lidkit.errors import AllFramesRemoved, AudioFormatError, InvalidConfig, Too
 CFG = dsp.FeatureConfig()
 
 
-def tone(freq, seconds=1.0, amplitude=0.5, rate=16000):
-    t = np.arange(int(seconds * rate)) / rate
-    return dsp.Waveform(amplitude * np.sin(2 * np.pi * freq * t), rate)
+def tone(freq, seconds=1.0, amplitude=0.5):
+    t = np.arange(int(seconds * dsp.SAMPLE_RATE)) / dsp.SAMPLE_RATE
+    return amplitude * np.sin(2 * np.pi * freq * t)
 
 
 class TestFilterbanks:
     def test_one_second_gives_98_frames_of_40(self):
-        wave = dsp.Waveform(np.random.default_rng(0).uniform(-0.1, 0.1, 16000))
-        feats = dsp.extract_filterbanks(wave, CFG)
+        samples = np.random.default_rng(0).uniform(-0.1, 0.1, 16000)
+        feats = dsp.extract_filterbanks(samples, CFG)
         assert feats.frames.shape == (98, 40)
         # frame-count arithmetic oracle
         assert feats.frames.shape[0] == 1 + (16000 - 400) // 160
@@ -32,33 +32,46 @@ class TestFilterbanks:
         assert argmax[0] == int(np.argmin(np.abs(centers - 1000.0)))
 
     def test_all_zero_signal_hits_log_floor(self):
-        feats = dsp.extract_filterbanks(dsp.Waveform(np.zeros(8000)), CFG)
+        feats = dsp.extract_filterbanks(np.zeros(8000), CFG)
         assert np.all(feats.frames == np.log(CFG.floor))
 
     def test_determinism_is_bit_exact(self):
-        wave = tone(440.0)
-        a = dsp.extract_filterbanks(wave, CFG)
-        b = dsp.extract_filterbanks(wave, CFG)
+        samples = tone(440.0)
+        a = dsp.extract_filterbanks(samples, CFG)
+        b = dsp.extract_filterbanks(samples, CFG)
         assert np.array_equal(a.frames, b.frames)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(2)
         samples = rng.uniform(-0.5, 0.5, 8000)
-        base = dsp.extract_filterbanks(dsp.Waveform(samples), CFG).frames
+        base = dsp.extract_filterbanks(samples, CFG).frames
         for k in (1, 3):
             delayed = np.concatenate([np.zeros(k * CFG.frame_shift_samples), samples])
-            shifted = dsp.extract_filterbanks(dsp.Waveform(delayed), CFG).frames
+            shifted = dsp.extract_filterbanks(delayed, CFG).frames
             np.testing.assert_allclose(shifted[k : k + base.shape[0]], base, rtol=1e-6)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            dsp.extract_filterbanks(dsp.Waveform(np.zeros(399)), CFG)
+            dsp.extract_filterbanks(np.zeros(399), CFG)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
             dsp.extract_filterbanks(tone(440.0), dsp.FeatureConfig(frame_len=0.05))
         with pytest.raises(InvalidConfig):
             dsp.FeatureConfig(low_freq=9000.0).validate()
+
+    # unchecked, a zero-sample frame shift reaches numpy as "slice step cannot be zero"
+    @pytest.mark.parametrize("front_end", [
+        dsp.extract_filterbanks, dsp.frame_log_energy, dsp.features_from_waveform,
+    ])
+    @pytest.mark.parametrize("config, field", [
+        (dsp.FeatureConfig(frame_shift=1e-5), "feat.frame_shift"),
+        (dsp.FeatureConfig(frame_len=0.05), "feat.frame_len"),
+        (dsp.FeatureConfig(high_freq=9000.0), "feat.low_freq"),
+    ])
+    def test_every_entry_point_refuses_a_bad_config(self, front_end, config, field):
+        with pytest.raises(InvalidConfig, match=field):
+            front_end(tone(440.0), config)
 
     def test_mel_partition_of_unity(self):
         weights = dsp.mel_filterbank(CFG)
@@ -75,13 +88,13 @@ class TestEnergyVad:
         assert mask.all()
 
     def test_all_zero_signal_removes_all_frames(self):
-        mask = dsp.energy_vad(dsp.frame_log_energy(dsp.Waveform(np.zeros(8000)), CFG))
+        mask = dsp.energy_vad(dsp.frame_log_energy(np.zeros(8000), CFG))
         assert not mask.any()
 
     def test_loud_half_silent_half(self):
         loud = 0.5 * np.sin(2 * np.pi * 300 * np.arange(8000) / 16000)
         samples = np.concatenate([loud, np.zeros(8000)])
-        log_e = dsp.frame_log_energy(dsp.Waveform(samples), CFG)
+        log_e = dsp.frame_log_energy(samples, CFG)
         mask = dsp.energy_vad(log_e)
         # direct per-frame recomputation as the oracle
         frames = dsp.frame_signal(samples, CFG.frame_len_samples, CFG.frame_shift_samples)
@@ -99,9 +112,9 @@ class TestEnergyVad:
     def test_scaling_shifts_log_energy_by_2_log_c(self):
         rng = np.random.default_rng(7)
         samples = rng.uniform(-0.2, 0.2, 6000)
-        base = dsp.frame_log_energy(dsp.Waveform(samples), CFG)
+        base = dsp.frame_log_energy(samples, CFG)
         for c in (2.0, 3.5):
-            scaled = dsp.frame_log_energy(dsp.Waveform(c * samples), CFG)
+            scaled = dsp.frame_log_energy(c * samples, CFG)
             np.testing.assert_allclose(scaled - base, 2.0 * np.log(c), atol=1e-12)
             assert np.array_equal(
                 dsp.energy_vad(base), dsp.energy_vad(scaled)
@@ -134,24 +147,26 @@ class TestWavIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.wav"
         rng = np.random.default_rng(3)
-        wave = dsp.Waveform(rng.uniform(-0.9, 0.9, 5000))
-        dsp.write_wav(path, wave)
+        samples = rng.uniform(-0.9, 0.9, 5000)
+        dsp.write_wav(path, samples)
+        with contextlib.closing(wavefile.open(str(path), "rb")) as fh:
+            assert fh.getframerate() == dsp.SAMPLE_RATE
         back = dsp.read_wav(path)
-        assert back.sample_rate == 16000
-        np.testing.assert_allclose(back.samples, wave.samples, atol=1.0 / 32768)
+        assert back.dtype == np.float64
+        np.testing.assert_allclose(back, samples, atol=1.0 / 32768)
 
     def test_quantization_is_exactly_invertible(self, tmp_path):
         path = tmp_path / "q.wav"
         ints = np.array([-32768, -1, 0, 1, 32767], dtype=np.int16)
-        wave = dsp.Waveform(ints.astype(np.float64) / 32768.0)
-        dsp.write_wav(path, wave)
-        assert np.array_equal(dsp.read_wav(path).samples, wave.samples)
+        samples = ints.astype(np.float64) / 32768.0
+        dsp.write_wav(path, samples)
+        assert np.array_equal(dsp.read_wav(path), samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_a_non_finite_sample_and_writes_nothing(self, tmp_path, bad):
         path = tmp_path / "bad.wav"
         with pytest.raises(AudioFormatError) as err:
-            dsp.write_wav(path, dsp.Waveform([0.1, bad, 0.2]))
+            dsp.write_wav(path, [0.1, bad, 0.2])
         assert str(err.value) == f"{path}: sample 1 is {bad}, not finite"
         assert not path.exists()
 
@@ -159,14 +174,14 @@ class TestWavIo:
     def test_refuses_a_sample_outside_full_scale_and_writes_nothing(self, tmp_path, bad):
         path = tmp_path / "loud.wav"
         with pytest.raises(AudioFormatError) as err:
-            dsp.write_wav(path, dsp.Waveform([0.1, bad, 0.2]))
+            dsp.write_wav(path, [0.1, bad, 0.2])
         assert str(err.value) == f"{path}: sample 1 is {bad}, outside [-1, 1]"
         assert not path.exists()
 
     def test_full_scale_is_written_as_the_extreme_samples(self, tmp_path):
         path = tmp_path / "full.wav"
-        dsp.write_wav(path, dsp.Waveform([1.0, -1.0, 0.0]))
-        assert dsp.read_wav(path).samples.tolist() == [32767 / 32768, -1.0, 0.0]
+        dsp.write_wav(path, [1.0, -1.0, 0.0])
+        assert dsp.read_wav(path).tolist() == [32767 / 32768, -1.0, 0.0]
 
     # each refusal renders as "<path>: <reason>", as the CLI's skipping warnings show it
     @pytest.mark.parametrize("channels,width,rate,reason", [
@@ -187,7 +202,7 @@ class TestWavIo:
 
     def test_rejects_data_cut_mid_sample(self, tmp_path):
         path = tmp_path / "cut.wav"
-        dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
+        dsp.write_wav(path, np.zeros(100))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
@@ -195,7 +210,7 @@ class TestWavIo:
 
     def test_header_only_file_gives_a_reason(self, tmp_path):
         path = tmp_path / "header.wav"
-        dsp.write_wav(path, dsp.Waveform(np.zeros(100)))
+        dsp.write_wav(path, np.zeros(100))
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(AudioFormatError) as err:
             dsp.read_wav(path)
@@ -214,9 +229,9 @@ class TestWavIo:
 class TestPipeline:
     def test_features_from_waveform_applies_vad(self):
         loud = 0.5 * np.sin(2 * np.pi * 500 * np.arange(8000) / 16000)
-        wave = dsp.Waveform(np.concatenate([loud, np.zeros(8000)]))
-        feats = dsp.features_from_waveform(wave, CFG)
-        full = dsp.extract_filterbanks(wave, CFG)
+        samples = np.concatenate([loud, np.zeros(8000)])
+        feats = dsp.features_from_waveform(samples, CFG)
+        full = dsp.extract_filterbanks(samples, CFG)
         assert 0 < feats.num_frames < full.num_frames
 
 
@@ -233,7 +248,7 @@ class TestFramedOnce:
         for i, spec in enumerate(specs):
             rng = np.random.default_rng([17, i])
             samples = oracles.pcm16(harness.synth_utterance(spec, 1.7, rng)) / 32768.0
-            feats = dsp.features_from_waveform(dsp.Waveform(samples), config)
+            feats = dsp.features_from_waveform(samples, config)
             expected = oracles.features_framed_twice(samples, config)
             assert feats.frames.shape == expected.shape
             assert feats.frames.tobytes() == expected.tobytes()

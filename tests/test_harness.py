@@ -75,8 +75,8 @@ class TestSynthesis:
             rows = []
             for k in range(3):
                 rng = np.random.default_rng([i, k])
-                wave = dsp.Waveform(harness.synth_utterance(spec, 1.5, rng))
-                rows.append(dsp.extract_filterbanks(wave).frames.mean(axis=0))
+                samples = harness.synth_utterance(spec, 1.5, rng)
+                rows.append(dsp.extract_filterbanks(samples).frames.mean(axis=0))
             means.append(np.mean(rows, axis=0))
         argmaxes = [int(np.argmax(m)) for m in means]
         assert len(set(argmaxes)) == len(specs)
@@ -103,7 +103,7 @@ class TestSynthesis:
     def test_harmonic_sum_gives_the_per_harmonic_sine_sum(self, length):
         # f0 is 12451 / 2**20 cycles per sample, so the oracle reduces each
         # sine's phase exactly in integers; harmonic 40 sits at 7599.49 Hz
-        f0 = 12451 * harness.SAMPLE_RATE / 2**20
+        f0 = 12451 * dsp.SAMPLE_RATE / 2**20
         rng = np.random.default_rng(length)
         n = np.arange(length)
         # one harmonic, unused harmonics between used ones, every harmonic up to the top
@@ -123,7 +123,7 @@ class TestSynthesis:
         rng = np.random.default_rng(11)
         for spec in all_specs():
             for n in (1600, 30011, 35200):
-                freqs = np.fft.rfftfreq(n, 1.0 / harness.SAMPLE_RATE)
+                freqs = np.fft.rfftfreq(n, 1.0 / dsp.SAMPLE_RATE)
                 full = harness._band_profile(freqs, spec)
                 for f0 in rng.uniform(*harness.PITCH_RANGE_HZ, size=200):
                     ks = np.arange(1, int(7600.0 / f0) + 2)
@@ -146,7 +146,7 @@ class TestSynthesis:
         monkeypatch.setattr(np.fft, "rfft", spy_rfft)
         monkeypatch.setattr(np.fft, "irfft", spy_irfft)
         # the 1,600-sample minimum, a prime length, and lengths around 2**15
-        duration = 0.05 if size == 1600 else size / harness.SAMPLE_RATE
+        duration = 0.05 if size == 1600 else size / dsp.SAMPLE_RATE
         spec = harness.default_training_specs()[1]
         samples = harness.synth_utterance(spec, duration, np.random.default_rng(size))
         assert samples.size == size
@@ -339,6 +339,12 @@ class TestCorpus:
             harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path / "corpus")
         assert not (tmp_path / "corpus").exists()
 
+    def test_count_for_a_language_without_a_spec_creates_nothing(self, tmp_path):
+        counts = {"train": {"alpha": 1, "bravo": 1, "zulu": 3}}
+        with pytest.raises(InvalidSpec, match="^count for 'zulu'/'train' names no language spec$"):
+            harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
     def test_repeated_language_id_creates_nothing(self, tmp_path):
         # the manifest would name alpha-train-0000 twice, which read_manifest refuses
         counts = {"train": {"alpha": 1, "bravo": 1}}
@@ -423,6 +429,30 @@ class TestPlan:
             task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS, crop_seconds=seconds
         )
         with pytest.raises(InvalidPlan, match="crop_seconds"):
+            plan.validate()
+
+    # unchecked, an infinite crop overflows in run_task, and a NaN cutoff or
+    # SNR loses every test segment without an error
+    def test_crop_must_be_finite(self):
+        plan = harness.ExperimentPlan(harness.SHORT_UTTERANCE, TRAIN_LANGS,
+                                      crop_seconds=float("inf"))
+        with pytest.raises(InvalidPlan, match=r"^crop_seconds must be in \(0, inf\), got inf$"):
+            plan.validate()
+
+    @pytest.mark.parametrize("cutoff", [-5.0, 0.0, 8000.5, float("inf"), float("nan")])
+    def test_channel_cutoff_must_lie_below_nyquist(self, cutoff):
+        plan = harness.ExperimentPlan(harness.CROSS_CHANNEL, TRAIN_LANGS,
+                                      channel=harness.ChannelSpec(cutoff_hz=cutoff))
+        with pytest.raises(InvalidPlan, match=r"^channel\.cutoff_hz must be in \(0, 8000\], "):
+            plan.validate()
+        harness.ExperimentPlan(harness.CROSS_CHANNEL, TRAIN_LANGS,
+                               channel=harness.ChannelSpec(cutoff_hz=8000.0)).validate()
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), -float("inf")])
+    def test_channel_snr_must_be_finite(self, snr):
+        plan = harness.ExperimentPlan(harness.CROSS_CHANNEL, TRAIN_LANGS,
+                                      channel=harness.ChannelSpec(snr_db=snr))
+        with pytest.raises(InvalidPlan, match=r"^channel\.snr_db must be finite, got "):
             plan.validate()
 
 
@@ -545,6 +575,22 @@ class TestRunTask:
         with pytest.raises(error):
             harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
         assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plan_fields", [
+        {"crop_seconds": float("inf")},
+        {"channel": harness.ChannelSpec(cutoff_hz=float("nan"))},
+        {"channel": harness.ChannelSpec(snr_db=float("nan"))},
+    ], ids=["crop", "cutoff", "snr"])
+    def test_bad_plan_is_refused_before_any_wav(self, small_corpus, tmp_path, monkeypatch,
+                                                plan_fields):
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        plan = harness.ExperimentPlan(harness.CROSS_CHANNEL, TRAIN_LANGS, seed=11, **plan_fields)
+        with pytest.raises(InvalidPlan, match=f"^{next(iter(plan_fields))}"):
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
         assert not (tmp_path / "out").exists()
 
     def test_training_language_given_twice_is_refused_before_any_wav(
