@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines
-from .submission import bad_id, bad_token
+from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines, read_back
+from .submission import bad_token
 
 log = logging.getLogger(__name__)
 
@@ -101,22 +101,14 @@ def score_zero_resource(
 # model-set serialization (text, one language per line)
 
 def write_models(models: LanguageModelSet) -> str:
-    """Enrolled-models text. Refuses with MalformedLine, naming the field, a
-    set ``parse_models`` would not give back: no language, one repeated or
-    breaking the id rule (``submission.bad_id``), a count that is not a
-    non-negative integer, or a centroid that is empty or not finite."""
-    ids, counts = models.language_ids, models.num_reference_utts
-    if not ids or len(set(ids)) != len(ids) or any(map(bad_id, ids)):
-        raise MalformedLine(f"language list {ids!r} is empty, repeats a language "
-                            "or holds one that breaks the id rule")
-    if len(counts) != len(ids) or not all(str(c).isascii() and str(c).isdigit() for c in counts):
-        raise MalformedLine(f"counts {counts!r} are not one non-negative integer per language")
-    lines = []
-    for language, count, centroid in zip(ids, counts, models.centroids):
-        if np.ndim(centroid) != 1 or not np.size(centroid) or not np.isfinite(centroid).all():
-            raise MalformedLine(f"centroid of {language!r} is empty or not finite")
-        lines.append(" ".join([language, str(count), *(f"{v:.17g}" for v in centroid)]))
-    return "\n".join(lines) + "\n"
+    """Enrolled-models text, refused through ``errors.read_back`` unless
+    ``parse_models`` gives back its languages, counts, and centroids' shape
+    and bytes."""
+    lines = [" ".join([language, str(count), *(f"{v:.17g}" for v in np.ravel(centroid))])
+             for language, count, centroid in
+             zip(models.language_ids, models.num_reference_utts, models.centroids)]
+    return read_back("\n".join(lines) + "\n", parse_models, lambda m: (
+        m.language_ids, m.num_reference_utts, m.centroids.shape, m.centroids.tobytes()), models)
 
 
 def parse_models(text: str) -> LanguageModelSet:

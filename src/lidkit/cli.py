@@ -25,6 +25,7 @@ import argparse
 import functools
 import logging
 import sys
+from pathlib import Path
 
 from . import backend as backend_mod
 from . import config as cfgmod
@@ -164,7 +165,11 @@ def _cmd_generate(args, cfg):
 
 
 def _entries(args) -> list[harness.ManifestEntry]:
-    return [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
+    entries = [e for e in harness.read_manifest(args.corpus) if e.split == args.split]
+    if not entries:
+        with about(Path(args.corpus) / "manifest.txt"):
+            raise MalformedLine(f"no entry in split {args.split!r}")
+    return entries
 
 
 def _cmd_train(args, cfg):

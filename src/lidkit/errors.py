@@ -81,6 +81,19 @@ def parse_file(path, parse):
         return parse(text)
 
 
+def read_back(text, parse, fields, value):
+    """``text``, once ``parse(text)`` gives back ``value`` compared as
+    ``fields``. Else the reader's error, or a MalformedLine when it reads
+    something else (a line skipped as a comment), names ``value``."""
+    try:
+        back = parse(text)
+    except LidkitError as err:
+        raise type(err)(f"{value!r} would not read back: {err}") from None
+    if fields(back) != fields(value):
+        raise MalformedLine(f"{value!r} would not read back unchanged")
+    return text
+
+
 def data_lines(text):
     """``(line_no, line)``, 1-based and stripped, for each line of ``text``
     that is neither blank nor a comment (first non-blank character ``#``)."""

@@ -30,6 +30,7 @@ from . import dsp, metrics, net, submission
 from .errors import (
     AllFramesRemoved, AudioFormatError, DimMismatch, DuplicateSegment, InconsistentLanguageSet,
     InvalidPlan, InvalidSpec, MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
+    read_back,
 )
 
 log = logging.getLogger(__name__)
@@ -217,19 +218,10 @@ class ManifestEntry:
 
 
 def write_manifest(entries: list[ManifestEntry]) -> str:
-    """Manifest text. Refuses, naming the entry, one ``parse_manifest`` would
-    not give back: a field that is not one token or an id that breaks the id
-    rule (``submission.bad_id``), or an id given twice (DuplicateSegment)."""
-    lines, seen = [], set()
-    for e in entries:
-        fields = [e.utt_id, e.language, e.path, e.split]
-        if " ".join(fields).split() != fields or submission.bad_id(e.utt_id):
-            raise MalformedLine(f"manifest entry {fields!r} holds a field that is not one "
-                                "token or an id starting with '#'")
-        if e.utt_id in seen or seen.add(e.utt_id):
-            raise DuplicateSegment(f"utterance {e.utt_id!r} appears twice")
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Manifest text, refused through ``errors.read_back`` unless
+    ``parse_manifest`` gives back ``entries``."""
+    text = "".join(f"{e.utt_id} {e.language} {e.path} {e.split}\n" for e in entries)
+    return read_back(text, parse_manifest, list, entries)
 
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
@@ -343,6 +335,12 @@ class ExperimentPlan:
     def validate(self) -> None:
         if self.task not in TASKS:
             raise InvalidPlan(f"unknown task {self.task!r}")
+        if self.seed < 0:
+            raise InvalidPlan(f"seed must be non-negative, got {self.seed!r}")
+        if len(self.train_languages) < 2:
+            raise InvalidPlan(f"train_languages must name at least 2, got {self.train_languages!r}")
+        if self.task != CROSS_CHANNEL and self.channel != ChannelSpec():
+            raise InvalidPlan(f"channel applies to {CROSS_CHANNEL!r} only, got {self.channel!r}")
         if not 0.0 < self.crop_seconds < math.inf:
             raise InvalidPlan(f"crop_seconds must be in (0, inf), got {self.crop_seconds!r}")
         cutoff, snr = self.channel.cutoff_hz, self.channel.snr_db

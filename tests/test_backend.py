@@ -298,6 +298,13 @@ class TestModelSetSerialization:
             backend.write_models(backend.LanguageModelSet(languages, centroids, counts))
         assert named in str(err.value)
 
+    @pytest.mark.parametrize("centroids", [[0.5, 0.25], np.zeros((2, 1, 2))], ids=["1d", "3d"])
+    def test_centroids_not_one_row_per_language_are_refused(self, centroids):
+        # their values would read back as rows of another shape
+        models = backend.LanguageModelSet(["a", "b"], centroids, [1, 1])
+        with pytest.raises(MalformedLine, match="would not read back unchanged$"):
+            backend.write_models(models)
+
     @TOTALITY
     @given(token_texts(["delta", "3", "0.5", "-1e3", "nan", "inf", "1_0", "٣", "x", "#"]))
     def test_any_text_gives_models_or_a_line_error(self, text):

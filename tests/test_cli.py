@@ -673,7 +673,8 @@ class TestSegmentFailures:
 
 class TestOutputBytes:
     """SHA-256 of the text outputs on the damaged corpus: the score, report
-    and DET files of each ``run_task`` task, and ``extract``'s x-vectors.
+    and DET files of each ``run_task`` task, ``extract``'s x-vectors and
+    ``enroll``'s models.
     A change to the front end, the network or the back-ends that moves a
     single output bit fails here. The model is the fixture's, so its bytes
     (which follow the BLAS kernel) are not pinned themselves."""
@@ -698,6 +699,7 @@ class TestOutputBytes:
             "07cf99e864dc0203da68aa3da32a479b5854b9f2ea9dec9a6cac851b7778c11f"),
     }
     EXTRACT_SHA = "e3f84e0ffa44fc0dc0b067670e0e9fc505a64e13557226bfb15a84732a769d28"
+    ENROLL_SHA = "ecb8a7bb541fb06c3aa28bb11b63b4b953c82ee16096bcc63b6e81aae705d303"
 
     @pytest.mark.parametrize("task", list(PLANS))
     def test_run_task_outputs_are_pinned(self, damaged_corpus, tmp_path, task):
@@ -716,6 +718,18 @@ class TestOutputBytes:
                          "--split", "test", "--out", str(xvectors))
         assert code == 0
         assert hashlib.sha256(xvectors.read_bytes()).hexdigest() == self.EXTRACT_SHA
+
+    def test_enroll_output_is_pinned(self, capsys, damaged_corpus, tmp_path):
+        # the reference split, plus the truncated zr_test WAV, which enroll skips
+        corpus, model = damaged_corpus
+        refs, enrolled = tmp_path / "refs.txt", tmp_path / "enrolled.txt"
+        entries = [e for e in harness.read_manifest(corpus) if e.split == "reference"]
+        refs.write_text("".join(f"{e.language} {corpus / e.path}\n" for e in entries)
+                        + f"echo {corpus / 'wav' / TRUNCATED['zr_test']}.wav\n")
+        code, _, _ = run(capsys, "enroll", "--model", str(model), "--refs", str(refs),
+                         "--out", str(enrolled))
+        assert code == 0
+        assert hashlib.sha256(enrolled.read_bytes()).hexdigest() == self.ENROLL_SHA
 
 
 class TestFilesNamed:
@@ -784,6 +798,30 @@ class TestFilesNamed:
         )
         assert code == 2
         assert err == f"error: {bad}: {message}\n"
+
+
+class TestUnknownSplit:
+    """A ``--split`` that names no manifest entry exits 2 naming the
+    manifest, before any WAV is read, and writes no file. Unchecked, score
+    would write all -inf rows, extract an empty file, and train would blame
+    a language."""
+
+    @pytest.mark.parametrize("command", ["train", "extract", "score"])
+    def test_exits_2_naming_the_manifest(self, capsys, damaged_corpus, tmp_path, monkeypatch,
+                                         command):
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        corpus, model = damaged_corpus
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        flags = {"train": ["--languages", TRAIN_LANGS],
+                 "extract": ["--model", str(model)],
+                 "score": ["--model", str(model), "--key", str(corpus / "key_test.txt")]}
+        code, out, err = run(capsys, command, "--corpus", str(corpus), "--split", "tset",
+                             "--out", str(tmp_path / "out.txt"), *flags[command])
+        manifest = corpus / "manifest.txt"
+        assert (code, out, err) == (2, "", f"error: {manifest}: no entry in split 'tset'\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTooFewFrames:

@@ -593,6 +593,30 @@ class TestRunTask:
             harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
         assert not (tmp_path / "out").exists()
 
+    # unchecked, a negative seed or a single training language escapes as
+    # numpy's ValueError, and the channel of a task without one is ignored
+    @pytest.mark.parametrize("task, plan_fields, message", [
+        (harness.SHORT_UTTERANCE, {"seed": -1}, "seed must be non-negative, got -1"),
+        (harness.ZERO_RESOURCE, {"train_languages": ["alpha"]},
+         "train_languages must name at least 2, got ['alpha']"),
+        (harness.SHORT_UTTERANCE, {"channel": harness.ChannelSpec(cutoff_hz=300.0)},
+         "channel applies to 'cross_channel' only, got ChannelSpec(cutoff_hz=300.0, snr_db=None)"),
+        (harness.ZERO_RESOURCE, {"channel": harness.ChannelSpec(snr_db=-10.0)},
+         "channel applies to 'cross_channel' only, got ChannelSpec(cutoff_hz=None, snr_db=-10.0)"),
+    ], ids=["seed", "train_languages", "short_utterance_channel", "zero_resource_channel"])
+    def test_plan_field_refused_before_any_wav(self, small_corpus, tmp_path, monkeypatch,
+                                               task, plan_fields, message):
+        def no_wav(*args):
+            raise AssertionError("a WAV was read")
+
+        monkeypatch.setattr(dsp, "read_wav", no_wav)
+        fields = {"train_languages": TRAIN_LANGS, "zero_languages": ["delta", "echo"], "seed": 11}
+        plan = harness.ExperimentPlan(task, **{**fields, **plan_fields})
+        with pytest.raises(InvalidPlan) as err:
+            harness.run_task(plan, small_corpus, tmp_path / "out", FAST_CONFIG)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_training_language_given_twice_is_refused_before_any_wav(
         self, small_corpus, tmp_path, monkeypatch
     ):

@@ -471,3 +471,11 @@ class TestKeyWriter:
         with pytest.raises(error) as err:
             sub.write_key(sub.TrialKey(languages, entries))
         assert named in str(err.value)
+
+    def test_ids_that_split_to_one_are_refused_as_the_reader_refuses_them(self):
+        # "s " reads back as "s", so the key file would name s twice
+        key = sub.TrialKey(["a", "b"], {"s": "a", "s ": "b"})
+        with pytest.raises(DuplicateSegment) as err:
+            sub.write_key(key)
+        assert err.value.line_no is None
+        assert str(err.value) == f"{key!r} would not read back: line 3: segment 's' appears twice"
