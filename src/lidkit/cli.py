@@ -279,8 +279,7 @@ def _cmd_evaluate(args, cfg):
     if args.report:
         harness.write_atomic(args.report, _stamp(cfg, args.seed), metrics.report_text(report))
     if args.det:
-        text = metrics.det_text(report.det_points)
-        harness.write_atomic(args.det, _stamp(cfg, args.seed), text)
+        harness.write_atomic(args.det, _stamp(cfg, args.seed), *metrics.det_text(report.det_points))
     return EXIT_OK
 
 

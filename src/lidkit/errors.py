@@ -71,9 +71,12 @@ class UnknownLanguage(LineError):
 def parse_file(path, parse):
     """``parse(text)`` of the UTF-8 text file at ``path``, its errors naming
     ``path``. Text that is not UTF-8 is a MalformedLine at the first line
-    that does not decode."""
+    that does not decode, and so is a byte-order mark, which would
+    otherwise become part of the first token."""
     data = Path(path).read_bytes()
     with about(path):
+        if data.startswith(b"\xef\xbb\xbf"):
+            raise MalformedLine("starts with a UTF-8 byte-order mark", 1)
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

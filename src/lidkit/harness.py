@@ -643,7 +643,7 @@ def run_task(
     det_path = out_dir / f"det_{plan.task}.txt"
     write_atomic(score_path, submission.write_scores(fill.table))
     write_atomic(report_path, metrics.report_text(report))
-    write_atomic(det_path, metrics.det_text(report.det_points))
+    write_atomic(det_path, *metrics.det_text(report.det_points))
     return TaskResult(report, score_path, report_path, det_path, params)
 
 

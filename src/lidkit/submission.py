@@ -68,13 +68,11 @@ def blocks(rows: Sequence) -> Iterable:
     return (rows[start:start + BLOCK_ROWS] for start in range(0, len(rows), BLOCK_ROWS))
 
 
-def format_lines(line: str, cells) -> str:
-    """``line % tuple(row)`` for every row of the 2-D array ``cells``,
-    newline-joined, one ``%`` operation per block of rows."""
-    return "\n".join(
-        "\n".join([line] * len(block)) % tuple(block.ravel().tolist())
-        for block in blocks(cells)
-    )
+def format_lines(line: str, cells) -> list[str]:
+    """``line % tuple(row)`` plus a newline for every row of the 2-D array
+    ``cells``: one string per block of rows, made by one ``%`` operation."""
+    return [(line + "\n") * len(block) % tuple(block.ravel().tolist())
+            for block in blocks(cells)]
 
 
 @dataclass(eq=False)
@@ -245,8 +243,8 @@ def write_scores(table: ScoreTable) -> str:
         cells = np.empty((len(ids), width + 1), dtype=object)
         cells[:, 0] = ids
         cells[:, 1:] = values
-        texts.append(format_lines("%s " + " ".join([SCORE_FORMAT] * width), cells))
-    return "\n".join(texts) + ("\n" if texts else "")
+        texts += format_lines("%s " + " ".join([SCORE_FORMAT] * width), cells)
+    return "".join(texts)
 
 
 def parse_key(text: str) -> TrialKey:

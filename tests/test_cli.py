@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
 from lidkit import cli, dsp, harness, metrics, net, submission as sub
 from lidkit.errors import parse_file
@@ -57,6 +58,24 @@ class TestEvaluateCommand:
         assert "cavg " in report.read_text()
         det_lines = det.read_text().strip().splitlines()
         assert det_lines[1].split() == ["0", "1"]
+
+    def test_det_of_several_blocks(self, capsys, tmp_path):
+        # more distinct scores than two blocks of DET rows, written chunk by chunk
+        ids = [f"s{i:05d}" for i in range(sub.BLOCK_ROWS)]
+        values = np.random.default_rng(23).standard_normal((len(ids), 3))
+        scores, key, det = tmp_path / "scores.txt", tmp_path / "key.txt", tmp_path / "det.txt"
+        scores.write_text(sub.write_scores(sub.ScoreTable(ids, values)))
+        key.write_text("A B C\n" + "".join(f"{s} {'ABC'[i % 3]}\n" for i, s in enumerate(ids)))
+        code, _, _ = run(capsys, "evaluate", "--scores", str(scores), "--key", str(key),
+                         "--det", str(det))
+        assert code == 0
+        trial_key = parse_file(key, sub.parse_key)
+        table = parse_file(scores, lambda text: sub.parse_scores(text, trial_key.language_list))
+        points = metrics.trials(table, trial_key).det
+        assert len(points) > 2 * sub.BLOCK_ROWS
+        stamp, text = det.read_text().split("\n", 1)
+        assert stamp.startswith("# stamp config=")
+        assert text == oracles.det_text_by_row(points)
 
     def test_missing_key_file_exits_2_with_one_line(self, capsys, worked_example):
         scores, _ = worked_example
@@ -747,6 +766,22 @@ class TestFilesNamed:
             code, _, err = run(capsys, "evaluate", *argv)
             assert code == 2
             assert err == f"error: {bad}:2: not valid UTF-8\n"
+
+    def test_a_byte_order_mark_is_refused(self, capsys, worked_example, tmp_path):
+        # read as text, the mark would join the first token: a score file's
+        # first segment would be dropped as "not in key" and filled as lost
+        scores, key = worked_example
+        config = tmp_path / "config.txt"
+        config.write_text("eval.policy = fixed\n")
+        files = {"--scores": scores, "--key": key, "--config": config}
+        plain = [arg for flag, path in files.items() for arg in (flag, str(path))]
+        assert run(capsys, "evaluate", *plain)[0] == 0
+        for flag, path in files.items():
+            bom = tmp_path / f"bom_{path.name}"
+            bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            argv = [arg for f, p in {**files, flag: bom}.items() for arg in (f, str(p))]
+            code, _, err = run(capsys, "evaluate", *argv)
+            assert (code, err) == (2, f"error: {bom}:1: starts with a UTF-8 byte-order mark\n")
 
     def test_manifest_refs_and_enrolled(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus

@@ -465,7 +465,7 @@ class TestReportText:
 
     def test_det_text_two_columns(self):
         points = np.array([(0.0, 1.0), (0.123456789123, 0.5), (1.0, 0.0)])
-        lines = metrics.det_text(points).strip().splitlines()
+        lines = "".join(metrics.det_text(points)).strip().splitlines()
         assert lines[1] == "0.123456789 0.5"
         assert all(len(line.split()) == 2 for line in lines)
 
@@ -473,11 +473,17 @@ class TestReportText:
     @given(st.lists(st.tuples(FLOAT64, FLOAT64), max_size=40))
     def test_det_text_bytes_equal_a_format_per_row(self, rows):
         points = np.array(rows, dtype=np.float64).reshape(-1, 2)
-        assert metrics.det_text(points) == oracles.det_text_by_row(points)
+        assert "".join(metrics.det_text(points)) == oracles.det_text_by_row(points)
 
     def test_det_text_across_blocks_of_random_bits(self):
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2**64 - 1, size=(2 * sub.BLOCK_ROWS + 3, 2), dtype=np.uint64,
                             endpoint=True)
         points = bits.view(np.float64)
-        assert metrics.det_text(points) == oracles.det_text_by_row(points)
+        assert "".join(metrics.det_text(points)) == oracles.det_text_by_row(points)
+
+    def test_det_text_gives_one_chunk_per_block(self):
+        points = np.linspace(0.0, 1.0, 2 * (2 * sub.BLOCK_ROWS + 3)).reshape(-1, 2)
+        chunks = metrics.det_text(points)
+        assert [chunk.count("\n") for chunk in chunks] == [sub.BLOCK_ROWS, sub.BLOCK_ROWS, 3]
+        assert metrics.det_text(np.empty((0, 2))) == ["\n"]
