@@ -12,9 +12,10 @@ One binary, subcommand style:
 
 Config values come from an optional flat key-value file (--config) with
 command-line overrides via repeated --set key=value (last one wins), checked
-against ``harness.CONFIG_DEFAULTS`` and ``harness.CONFIG_DOMAINS``. Every
-text output starts with a stamp comment (hash of the effective config plus
-seed). Exit codes: 0 success, 1 usage error, 2 data/validation error (an
+against ``harness.CONFIG_DEFAULTS`` and ``harness.CONFIG_DOMAINS``. Only
+``generate`` and ``train`` draw random numbers and take --seed; every text
+output of the other five starts with a stamp comment (hash of the effective
+config). Exit codes: 0 success, 1 usage error, 2 data/validation error (an
 unknown config key or a value outside its key's domain too), 3 numerical
 failure.
 """
@@ -22,7 +23,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import sys
 from pathlib import Path
@@ -47,11 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _decimal(text: str, least: int = 0) -> int:
-    """A decimal integer of at least ``least``: ``--seed`` and ``--jobs`` (least 1)."""
-    if not (text.isascii() and text.isdigit()) or int(text) < least:
-        kind = "positive" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -81,14 +80,13 @@ def _build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="override one config value (repeatable, last wins)",
     )
-    common.add_argument("--seed", type=_decimal, default=0)
 
     p = sub.add_parser("generate", parents=[common], help="synthesize a test corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--jobs", type=functools.partial(_decimal, least=1), default=1,
-                   help="most synthesis threads (no more than CPUs or utterances)")
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("train", parents=[common], help="train the embedding network")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--languages", type=_languages, required=True,
@@ -142,8 +140,8 @@ def _gather_config(args) -> dict[str, object]:
     return cfgmod.resolve(harness.CONFIG_DEFAULTS, overrides, harness.CONFIG_DOMAINS)
 
 
-def _stamp(cfg: dict[str, object], seed: int) -> str:
-    return f"# stamp config={cfgmod.config_hash(cfg, seed)} seed={seed}\n"
+def _stamp(cfg: dict[str, object]) -> str:
+    return f"# stamp config={cfgmod.config_hash(cfg)}\n"
 
 
 def _warn_fill(fill: submission.FillResult) -> None:
@@ -159,7 +157,7 @@ def _warn_fill(fill: submission.FillResult) -> None:
 
 def _cmd_generate(args, cfg):
     specs = harness.default_training_specs() + harness.default_zero_resource_specs()
-    harness.generate_corpus(specs, harness.desk_counts(cfg), args.seed, args.out, jobs=args.jobs)
+    harness.generate_corpus(specs, harness.desk_counts(cfg), args.seed, args.out)
     print(f"corpus written to {args.out}")
     return EXIT_OK
 
@@ -189,7 +187,7 @@ def _cmd_extract(args, cfg):
     embed_dim = params.dense_specs[0].out_dim
     table = harness.score_table(params, args.corpus, _entries(args), cfg,
                                 lambda feats: net.extract_xvector(params, feats).values, embed_dim)
-    harness.write_atomic(args.out, _stamp(cfg, args.seed), submission.write_scores(table))
+    harness.write_atomic(args.out, _stamp(cfg), submission.write_scores(table))
     print(f"{len(table)} x-vectors written to {args.out}")
     return EXIT_OK
 
@@ -214,7 +212,7 @@ def _cmd_enroll(args, cfg):
     entries = parse_file(args.refs, _parse_refs)
     languages = list(dict.fromkeys(e.language for e in entries))
     models = harness.enroll_entries(params, "", entries, cfg, languages)
-    harness.write_atomic(args.out, _stamp(cfg, args.seed), backend_mod.write_models(models))
+    harness.write_atomic(args.out, _stamp(cfg), backend_mod.write_models(models))
     print(f"enrolled {len(models.language_ids)} languages to {args.out}")
     return EXIT_OK
 
@@ -239,7 +237,7 @@ def _cmd_score(args, cfg):
     fill = submission.fill_missing(table, key)
     _warn_fill(fill)
     text = submission.write_scores(fill.table)
-    harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
+    harness.write_atomic(args.out, _stamp(cfg), text)
     print(f"{len(fill.table)} segments scored to {args.out}")
     return EXIT_OK
 
@@ -256,7 +254,7 @@ def _cmd_validate(args, cfg):
     _warn_fill(fill)
     if args.out:
         text = submission.write_scores(fill.table)
-        harness.write_atomic(args.out, _stamp(cfg, args.seed), text)
+        harness.write_atomic(args.out, _stamp(cfg), text)
     print(f"{len(fill.table)} segments valid against {key.num_languages} languages")
     return EXIT_OK
 
@@ -277,9 +275,9 @@ def _cmd_evaluate(args, cfg):
     print(f"Cavg[fixed threshold={cfg['eval.threshold']:g}] {fixed.cavg:.4f}")
     print(f"Cavg[min_sweep threshold={swept.threshold_used:g}] {swept.cavg:.4f}")
     if args.report:
-        harness.write_atomic(args.report, _stamp(cfg, args.seed), metrics.report_text(report))
+        harness.write_atomic(args.report, _stamp(cfg), metrics.report_text(report))
     if args.det:
-        harness.write_atomic(args.det, _stamp(cfg, args.seed), *metrics.det_text(report.det_points))
+        harness.write_atomic(args.det, _stamp(cfg), *metrics.det_text(report.det_points))
     return EXIT_OK
 
 

@@ -72,10 +72,9 @@ def resolve(
     return out
 
 
-def config_hash(cfg: dict[str, object], seed: int) -> str:
-    """Short stable digest of a config plus seed, used in output stamps."""
+def config_hash(cfg: dict[str, object]) -> str:
+    """Short stable digest of a config, used in output stamps."""
     h = hashlib.sha256()
     for key in sorted(cfg):
         h.update(f"{key}={cfg[key]}\n".encode("utf-8"))
-    h.update(f"seed={seed}\n".encode("utf-8"))
     return h.hexdigest()[:12]

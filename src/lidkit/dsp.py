@@ -46,8 +46,13 @@ class FeatureMatrix:
 
 
 @dataclass(frozen=True)
+class VadConfig:
+    offset: float = -1.0  # nats relative to the mean log energy
+    floor: float = 1e-10  # frames at the energy floor are always dropped
+
+
+@dataclass(frozen=True)
 class FeatureConfig:
-    sample_rate: int = SAMPLE_RATE
     frame_len: float = 0.025
     frame_shift: float = 0.010
     fft_size: int = 512
@@ -57,43 +62,40 @@ class FeatureConfig:
     preemphasis: float = 0.97
     floor: float = 1e-10
 
-    def validate(self):
-        """Refuse field combinations; a field's own range is checked where
-        a config is resolved (``harness.CONFIG_DOMAINS``)."""
+    def validate(self, vad: VadConfig | None = None):
+        """Refuse field combinations, and a ``vad`` floor below ``floor``; a
+        field's own range is checked where a config is resolved (``harness.CONFIG_DOMAINS``)."""
         for name, samples in (("frame_len", self.frame_len_samples),
                               ("frame_shift", self.frame_shift_samples)):
             if samples < 1:
-                raise InvalidConfig(f"feat.{name}: {samples} samples at feat.sample_rate "
-                                    f"{self.sample_rate}, expected at least 1")
+                raise InvalidConfig(f"feat.{name}: {samples} samples at {SAMPLE_RATE} Hz, "
+                                    "expected at least 1")
         if self.frame_len_samples > self.fft_size:
             raise InvalidConfig(f"feat.frame_len: a frame of {self.frame_len_samples} samples "
                                 f"exceeds feat.fft_size {self.fft_size}")
-        if not self.low_freq < self.high_freq <= self.sample_rate / 2:
+        if not self.low_freq < self.high_freq <= SAMPLE_RATE / 2:
             raise InvalidConfig(
                 f"feat.low_freq {self.low_freq:g}, feat.high_freq {self.high_freq:g}: expected "
-                f"low < high <= feat.sample_rate / 2 = {self.sample_rate / 2:g}")
+                f"low < high <= {SAMPLE_RATE / 2:g}, half the sample rate")
+        if vad is not None and vad.floor < self.floor:
+            raise InvalidConfig(f"vad.floor {vad.floor:g} is below feat.floor {self.floor:g}: "
+                                "frames at the energy floor would pass the VAD")
 
     @property
     def frame_len_samples(self) -> int:
-        return int(round(self.frame_len * self.sample_rate))
+        return int(round(self.frame_len * SAMPLE_RATE))
 
     @property
     def frame_shift_samples(self) -> int:
-        return int(round(self.frame_shift * self.sample_rate))
-
-
-@dataclass(frozen=True)
-class VadConfig:
-    offset: float = -1.0  # nats relative to the mean log energy
-    floor: float = 1e-10  # frames at the energy floor are always dropped
+        return int(round(self.frame_shift * SAMPLE_RATE))
 
 
 # ---------------------------------------------------------------------------
 # WAV I/O (16-bit mono PCM only)
 
-def read_wav(path, expected_rate: int = SAMPLE_RATE) -> np.ndarray:
+def read_wav(path) -> np.ndarray:
     """The samples of a RIFF WAV file, in [-1, 1]; anything but 16-bit mono
-    PCM at ``expected_rate`` is an AudioFormatError that names ``path``."""
+    PCM at SAMPLE_RATE is an AudioFormatError that names ``path``."""
     with about(path):
         try:
             handle = wavefile.open(str(path), "rb")
@@ -110,8 +112,8 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE) -> np.ndarray:
             if fh.getsampwidth() != 2:
                 raise AudioFormatError(f"expected 16-bit samples, got {8 * fh.getsampwidth()}-bit")
             rate = fh.getframerate()
-            if rate != expected_rate:
-                raise AudioFormatError(f"expected {expected_rate} Hz, got {rate} Hz")
+            if rate != SAMPLE_RATE:
+                raise AudioFormatError(f"expected {SAMPLE_RATE} Hz, got {rate} Hz")
             raw = fh.readframes(fh.getnframes())
         if len(raw) % 2:
             raise AudioFormatError("sample data ends mid-sample")
@@ -180,7 +182,7 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     partition of unity between the first and last center frequency.
     """
     edges = mel_edge_frequencies(config)
-    bin_freqs = np.arange(config.fft_size // 2 + 1) * config.sample_rate / config.fft_size
+    bin_freqs = np.arange(config.fft_size // 2 + 1) * SAMPLE_RATE / config.fft_size
     weights = np.zeros((config.num_filters, bin_freqs.size))
     for j in range(config.num_filters):
         lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
@@ -190,11 +192,11 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return _read_only(weights)
 
 
-def _checked(config: FeatureConfig | None) -> FeatureConfig:
-    """``config`` (the defaults for None), validated: every front-end entry
-    point checks its config here before it frames a signal."""
+def _checked(config: FeatureConfig | None, vad: VadConfig | None = None) -> FeatureConfig:
+    """``config`` (the defaults for None), validated with ``vad``: every
+    front-end entry point checks its config here before it frames a signal."""
     config = FeatureConfig() if config is None else config
-    config.validate()
+    config.validate(vad)
     return config
 
 
@@ -217,7 +219,7 @@ def _log_energy(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 
 def extract_filterbanks(samples, config: FeatureConfig | None = None) -> FeatureMatrix:
-    """Log-mel features of a signal at ``config.sample_rate``, one row per frame.
+    """Log-mel features of a signal at SAMPLE_RATE, one row per frame.
 
     T = 1 + floor((num_samples - frame_len) / frame_shift); each frame is
     pre-emphasized, windowed, and projected through the mel filterbank,
@@ -265,7 +267,8 @@ def features_from_waveform(
 ) -> FeatureMatrix:
     """Full front end from one framing of the signal: energy VAD on the
     frames, then log-mel of the kept frames only."""
-    config = _checked(feat_config)
+    vad_config = VadConfig() if vad_config is None else vad_config
+    config = _checked(feat_config, vad_config)
     frames = _frames(samples, config)
     mask = energy_vad(_log_energy(frames, config), vad_config)
     return _log_mel(apply_vad(FeatureMatrix(frames), mask).frames, config)
@@ -276,5 +279,4 @@ def features_from_wav(
     feat_config: FeatureConfig | None = None,
     vad_config: VadConfig | None = None,
 ) -> FeatureMatrix:
-    config = _checked(feat_config)
-    return features_from_waveform(read_wav(path, config.sample_rate), config, vad_config)
+    return features_from_waveform(read_wav(path), feat_config, vad_config)

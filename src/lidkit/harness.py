@@ -251,16 +251,14 @@ def _synth_job(job) -> np.ndarray:
     return synth_utterance(spec, duration, rng)
 
 
-def _synthesised(jobs, workers: int):
-    """``_synth_job`` of each of ``jobs`` in order, on ``workers`` threads (none
-    for one); closing the generator cancels the syntheses not yet started."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _synthesised(jobs):
+    """``_synth_job`` of each of ``jobs`` in order, on one thread per CPU (no
+    more than there are jobs); closing the generator cancels the syntheses
+    not yet started."""
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_synth_job, jobs)
-    else:
-        yield from map(_synth_job, jobs)
+    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        yield from pool.map(_synth_job, jobs)
 
 
 def generate_corpus(
@@ -268,16 +266,15 @@ def generate_corpus(
     counts: dict[str, dict[str, int]],
     seed: int,
     out_dir,
-    jobs: int = 1,
 ) -> list[ManifestEntry]:
     """Synthesize WAVs plus manifest and per-split trial keys.
 
     ``counts`` maps split name -> {language id -> utterance count}. Each
     utterance draws from its own RNG keyed by (seed, split, language,
     index), so output is deterministic for a given (specs, counts, seed)
-    and independent of ``jobs``, the most synthesis threads to start (no
-    more than there are utterances or CPUs). Each WAV is written as soon as
-    it is synthesised, so about one utterance per worker is in memory; the
+    and independent of the number of synthesis threads, one per CPU (no
+    more than there are utterances). Each WAV is written as soon as it is
+    synthesised, so about one utterance per thread is in memory; the
     keys and the manifest come last, so a failed run may leave WAVs but
     never a manifest or a key. Every spec is checked, and the language ids
     must differ, before ``out_dir`` is created.
@@ -306,8 +303,7 @@ def generate_corpus(
 
     out_dir = Path(out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-    workers = min(jobs, len(entries), os.cpu_count() or 1)
-    with contextlib.closing(_synthesised(synth_jobs, workers)) as rendered:
+    with contextlib.closing(_synthesised(synth_jobs)) as rendered:
         for entry, samples in zip(entries, rendered):
             dsp.write_wav(out_dir / entry.path, samples)
 
@@ -423,11 +419,11 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
     that owe it a score row get one from ``submission.fill_missing``.
     """
     fcfg = _section("feat", dsp.FeatureConfig, config)
-    fcfg.validate()  # before any WAV is read
     vcfg = _section("vad", dsp.VadConfig, config)
+    fcfg.validate(vcfg)  # before any WAV is read
     for i, entry in enumerate(entries):
         try:
-            samples = dsp.read_wav(Path(corpus_dir) / entry.path, fcfg.sample_rate)
+            samples = dsp.read_wav(Path(corpus_dir) / entry.path)
             if transform is not None:
                 samples = transform(i, samples)
             feats = dsp.features_from_waveform(samples, fcfg, vcfg)

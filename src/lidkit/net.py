@@ -16,7 +16,9 @@ total receptive field of ``frame3``).
 Everything is plain float64 numpy. Gradients come from handwritten
 backpropagation and are validated against central finite differences in
 the test suite; training is deliberately minimal (mean cross-entropy,
-plain SGD) so runs are reproducible to the bit.
+plain SGD) so runs are reproducible to the bit at a fixed BLAS thread
+count. At full size, ``frame5``'s pre-activations and the weight gradients
+differ in low bits between one and two OpenBLAS 0.3.31 threads.
 """
 
 from __future__ import annotations

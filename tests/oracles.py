@@ -15,6 +15,7 @@ import re
 
 import numpy as np
 
+from lidkit.dsp import SAMPLE_RATE
 from lidkit.errors import (
     ArityMismatch,
     DuplicateSegment,
@@ -490,7 +491,7 @@ def uncached_mel_filterbank(config):
         _hz_to_mel(config.low_freq), _hz_to_mel(config.high_freq), config.num_filters + 2
     )
     edges = _mel_to_hz(edges_mel)
-    bin_freqs = np.arange(config.fft_size // 2 + 1) * config.sample_rate / config.fft_size
+    bin_freqs = np.arange(config.fft_size // 2 + 1) * SAMPLE_RATE / config.fft_size
     weights = np.zeros((config.num_filters, bin_freqs.size))
     for j in range(config.num_filters):
         lo, center, hi = edges[j], edges[j + 1], edges[j + 2]

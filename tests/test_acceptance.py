@@ -187,7 +187,7 @@ def desk_corpus(tmp_path_factory):
         "counts.train": 60, "counts.dev": 5, "counts.test": 30,
         "counts.reference": 10, "counts.zr_test": 50,
     })
-    harness.generate_corpus(specs, counts, seed=101, out_dir=corpus, jobs=2)
+    harness.generate_corpus(specs, counts, seed=101, out_dir=corpus)
     return corpus
 
 
@@ -225,7 +225,7 @@ def _channel_pair(seed, workdir, channel):
         "train": {lang: 40 for lang in TRAIN_LANGS},
         "test": {lang: 24 for lang in TRAIN_LANGS},
     }
-    harness.generate_corpus(specs, counts, seed=seed, out_dir=corpus, jobs=2)
+    harness.generate_corpus(specs, counts, seed=seed, out_dir=corpus)
     matched_plan = harness.ExperimentPlan(
         task=harness.CROSS_CHANNEL, train_languages=TRAIN_LANGS, seed=seed,
         channel=harness.ChannelSpec(),

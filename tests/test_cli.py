@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import logging
+import wave
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,10 +177,10 @@ class TestEvaluateCommand:
     # SHA-256 of the report and DET files, stamp line included, for one fixed
     # score file holding an out-of-set segment, a -inf row and a lost trial
     @pytest.mark.parametrize("policy, report_sha, det_sha", [
-        ("min_sweep", "7ac4d8be1a3a14c87d6cc8c2805fff32d0338f5d6c0dfd2a19c7aacd1cb211e3",
-         "830e678dcb9630ac6bfbae7ad7eb3735126fcc9e35a303e72262a72c683ac905"),
-        ("fixed", "0b4a5e58c713a169ac952ebf52eb8e05f50a2c5ce23a35c957cf48626925d7d6",
-         "4a3b40dbaa4226e7756cace5006dd85ed7c6ef6df1ae922c704d297af8265e4f"),
+        ("min_sweep", "0c3d998289e0a942963173b058e7afadd60e4df5e05120f0b96e18aa264dd8df",
+         "4f06d9b1adb917e7eff8efea7e44d23b57f8944dcaf69271ecb0b37ba2e1d849"),
+        ("fixed", "9ff05cd88ec5236fad06de29f819adcc1911169bc8e0de99a2f34ced8310a615",
+         "f81e5161294352f0312e4759c3e6230a0b8d7f263b8a7225e04d1b97a664df34"),
     ], ids=["min_sweep", "fixed"])
     def test_report_and_det_bytes_are_pinned(self, capsys, tmp_path, policy, report_sha, det_sha):
         scores, key = tmp_path / "scores.txt", tmp_path / "key.txt"
@@ -210,13 +211,30 @@ class TestUsageErrors:
         assert code == 1
         assert "KEY=VALUE" in err
 
-    def test_jobs_belongs_to_generate_only(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "generate", "--out", str(tmp_path / "c"), "--jobs", "2", *TINY)
-        assert code == 0 and (tmp_path / "c" / "manifest.txt").exists()
-        score = ["score", "--model", "m", "--corpus", "c", "--split", "test",
-                 "--key", "k", "--out", "o"]
-        assert run(capsys, *score, "--jobs", "2")[0] == 1
-        assert run(capsys, "--jobs", "2", *score)[0] == 1
+    def test_generate_takes_no_jobs(self, capsys, tmp_path):
+        code, _, err = run(capsys, "generate", "--out", str(tmp_path / "c"), "--jobs", "2")
+        assert (code, err) == (1, "error: unrecognized arguments: --jobs 2\n")
+        assert not (tmp_path / "c").exists()
+
+    # only generate and train draw random numbers
+    @pytest.mark.parametrize("command", [
+        ["score", "--model", "m", "--corpus", "c", "--split", "test", "--key", "k", "--out"],
+        ["extract", "--model", "m", "--corpus", "c", "--split", "test", "--out"],
+        ["enroll", "--model", "m", "--refs", "r", "--out"],
+        ["validate", "--scores", "s", "--key", "k", "--out"],
+        ["evaluate", "--scores", "s", "--key", "k", "--report"],
+    ], ids=lambda command: command[0])
+    def test_seed_belongs_to_generate_and_train_only(self, capsys, tmp_path, command):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, *command, str(out), "--seed", "1")
+        assert (code, err) == (1, "error: unrecognized arguments: --seed 1\n")
+        assert not out.exists()
+
+    def test_sample_rate_is_not_a_setting(self, capsys, tmp_path):
+        code, _, err = run(capsys, "generate", "--out", str(tmp_path / "c"),
+                           "--set", "feat.sample_rate=16000")
+        assert (code, err) == (2, "error: unknown config key 'feat.sample_rate'\n")
+        assert not (tmp_path / "c").exists()
 
     def test_repeated_language_for_train_exits_1_naming_the_flag(self, capsys, tmp_path):
         out = tmp_path / "model.bin"
@@ -255,13 +273,6 @@ class TestUsageErrors:
         assert code == 1
         assert err == (
             f"error: argument --seed: expected a non-negative integer, got {seed!r}\n")
-        assert not (tmp_path / "c").exists()
-
-    @pytest.mark.parametrize("jobs", ["0", "-3", "x", "1.5", "+2", " 2"])
-    def test_jobs_not_a_positive_integer_exits_1_naming_the_flag(self, capsys, tmp_path, jobs):
-        code, _, err = run(capsys, "generate", "--out", str(tmp_path / "c"), "--jobs", jobs)
-        assert code == 1
-        assert err == f"error: argument --jobs: expected a positive integer, got {jobs!r}\n"
         assert not (tmp_path / "c").exists()
 
     def test_zero_width_network_exits_2_and_writes_nothing(self, capsys, tmp_path):
@@ -511,6 +522,27 @@ class TestSegmentFailures:
     """The CLI and ``run_task`` load segments through one path, so on a
     corpus with an unreadable WAV they write the same score lines."""
 
+    def test_wav_at_another_rate_is_skipped_naming_the_rate(self, capsys, damaged_corpus,
+                                                            tmp_path):
+        corpus, model = damaged_corpus
+        (tmp_path / "wav").mkdir()
+        (tmp_path / "wav" / "good.wav").write_bytes((corpus / "wav" / "alpha-test-0000.wav")
+                                                    .read_bytes())
+        slow = tmp_path / "wav" / "slow.wav"
+        with contextlib.closing(wave.open(str(slow), "wb")) as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(bytes(16000))
+        (tmp_path / "manifest.txt").write_text("good alpha wav/good.wav test\n"
+                                               "slow alpha wav/slow.wav test\n")
+        out = tmp_path / "xvec.txt"
+        code, _, err = run(capsys, "extract", "--model", str(model), "--corpus", str(tmp_path),
+                           "--split", "test", "--out", str(out))
+        assert code == 0
+        assert f"skipping slow ({slow}: expected 16000 Hz, got 8000 Hz)" in err
+        assert [line.split()[0] for line in data_lines(out)] == ["good"]
+
     def test_closed_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus
         scores = tmp_path / "scores.txt"
@@ -669,7 +701,7 @@ class TestSegmentFailures:
     ):
         corpus, model = damaged_corpus
         enrolled = tmp_path / "enrolled.txt"
-        enrolled.write_text("# stamp config=0 seed=0\n")
+        enrolled.write_text("# stamp config=0\n")
         code, _, err = run(
             capsys, "score", "--model", str(model), "--corpus", str(corpus),
             "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
@@ -717,8 +749,8 @@ class TestOutputBytes:
             "2a8f00c30d5a40de574bd134044d55c3d444310206191ac6115dba3cd424ab5b",
             "07cf99e864dc0203da68aa3da32a479b5854b9f2ea9dec9a6cac851b7778c11f"),
     }
-    EXTRACT_SHA = "e3f84e0ffa44fc0dc0b067670e0e9fc505a64e13557226bfb15a84732a769d28"
-    ENROLL_SHA = "ecb8a7bb541fb06c3aa28bb11b63b4b953c82ee16096bcc63b6e81aae705d303"
+    EXTRACT_SHA = "3152f9d389fac12b7a9a47e4d04f3e4a91499835c9c33ce36270c80e23743ac5"
+    ENROLL_SHA = "e3ca3a293146ed3cc1835acdf7117ccfb22cd9ae3cc6234b0d15de6e90defab2"
 
     @pytest.mark.parametrize("task", list(PLANS))
     def test_run_task_outputs_are_pinned(self, damaged_corpus, tmp_path, task):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TOTALITY, token_texts
-from lidkit import cli, config, harness
+from lidkit import cli, config, dsp, harness
 from lidkit.errors import InvalidConfig
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -40,10 +40,10 @@ class TestParseConfig:
 
 
 class TestResolve:
-    def test_table_has_the_25_settable_keys(self):
+    def test_table_has_the_24_settable_keys(self):
         assert sorted(harness.CONFIG_DEFAULTS) == sorted(
             [f"feat.{name}" for name in (
-                "sample_rate", "frame_len", "frame_shift", "fft_size", "num_filters",
+                "frame_len", "frame_shift", "fft_size", "num_filters",
                 "low_freq", "high_freq", "preemphasis", "floor")]
             + ["vad.offset", "vad.floor", "net.frame_dim", "net.stats_dim", "net.embed_dim",
                "train.epochs", "train.batch_size", "train.learn_rate", "eval.p_target", "eval.policy", "eval.threshold"]
@@ -235,14 +235,17 @@ class TestDomains:
         ("vad.floor=0", f"vad.floor: {POSITIVE} 0.0"),
         ("feat.num_filters=0", f"feat.num_filters: {POSITIVE} 0"),
         # combinations of feat.* values, checked before any WAV is read
-        ("feat.frame_len=0.00001", "feat.frame_len: 0 samples at feat.sample_rate 16000, "
+        ("feat.frame_len=0.00001", "feat.frame_len: 0 samples at 16000 Hz, "
                                    "expected at least 1"),
-        ("feat.frame_shift=1e-9", "feat.frame_shift: 0 samples at feat.sample_rate 16000, "
+        ("feat.frame_shift=1e-9", "feat.frame_shift: 0 samples at 16000 Hz, "
                                   "expected at least 1"),
         ("feat.frame_len=0.05", "feat.frame_len: a frame of 800 samples exceeds "
                                 "feat.fft_size 512"),
-        ("feat.sample_rate=8000", "feat.low_freq 20, feat.high_freq 7600: expected "
-                                  "low < high <= feat.sample_rate / 2 = 4000"),
+        ("feat.high_freq=9000", "feat.low_freq 20, feat.high_freq 9000: expected "
+                                f"low < high <= {dsp.SAMPLE_RATE / 2:g}, half the sample rate"),
+        # and the vad.floor that keeps digital silence, at log(feat.floor), out
+        ("vad.floor=1e-12", "vad.floor 1e-12 is below feat.floor 1e-10: "
+                            "frames at the energy floor would pass the VAD"),
     ])
     def test_train_exits_2_naming_the_keys_and_writes_nothing(
         self, capsys, damaged_corpus, tmp_path, setting, message

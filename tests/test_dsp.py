@@ -75,7 +75,7 @@ class TestFilterbanks:
 
     def test_mel_partition_of_unity(self):
         weights = dsp.mel_filterbank(CFG)
-        bins = np.arange(CFG.fft_size // 2 + 1) * CFG.sample_rate / CFG.fft_size
+        bins = np.arange(CFG.fft_size // 2 + 1) * dsp.SAMPLE_RATE / CFG.fft_size
         inside = (bins > CFG.low_freq) & (bins < CFG.high_freq)
         sums = weights.sum(axis=0)[inside]
         assert np.all(sums > 0.0)
@@ -233,6 +233,19 @@ class TestPipeline:
         feats = dsp.features_from_waveform(samples, CFG)
         full = dsp.extract_filterbanks(samples, CFG)
         assert 0 < feats.num_frames < full.num_frames
+
+    # digital silence sits at log(feat.floor), where a lower vad.floor would keep it
+    @pytest.mark.parametrize("feat, vad, message", [
+        (CFG, dsp.VadConfig(offset=-30, floor=1e-12), "vad.floor 1e-12 is below feat.floor 1e-10"),
+        (dsp.FeatureConfig(floor=1e-8), None, "vad.floor 1e-10 is below feat.floor 1e-08"),
+    ])
+    def test_vad_floor_below_feat_floor_is_refused(self, feat, vad, message):
+        noise = 0.1 * np.random.default_rng(3).standard_normal(16000)
+        samples = np.concatenate([np.zeros(8000), noise, np.zeros(8000)])
+        with pytest.raises(InvalidConfig, match=f"^{message}: frames at the energy floor"):
+            dsp.features_from_waveform(samples, feat, vad)
+        kept = dsp.features_from_waveform(samples, CFG, dsp.VadConfig(offset=-30, floor=1e-10))
+        assert 0 < kept.num_frames and not (kept.frames == np.log(CFG.floor)).all(axis=1).any()
 
 
 class TestFramedOnce:

@@ -49,6 +49,28 @@ def all_specs():
     return harness.default_training_specs() + harness.default_zero_resource_specs()
 
 
+def serial_pool(monkeypatch) -> list:
+    """Replace the synthesis thread pool with one that maps lazily on the
+    calling thread; returns the list of the pool sizes asked for."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    return started
+
+
 def corpus_digest(corpus_dir: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(corpus_dir.rglob("*")):
@@ -185,52 +207,37 @@ class TestCorpus:
         harness.generate_corpus(all_specs(), counts, seed=5, out_dir=tmp_path / "b")
         assert corpus_digest(tmp_path / "a") == corpus_digest(tmp_path / "b")
 
-    def test_parallel_generation_matches_serial(self, tmp_path):
+    def test_parallel_generation_matches_serial(self, tmp_path, monkeypatch):
         counts = {"train": {lang: 3 for lang in TRAIN_LANGS}}
-        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path / "serial")
-        harness.generate_corpus(
-            all_specs()[:3], counts, seed=9, out_dir=tmp_path / "parallel", jobs=4
-        )
-        assert corpus_digest(tmp_path / "serial") == corpus_digest(tmp_path / "parallel")
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path / str(cpus))
+        assert corpus_digest(tmp_path / "1") == corpus_digest(tmp_path / "4")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_corpus_bytes_are_pinned(self, tmp_path, jobs):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_corpus_bytes_are_pinned(self, tmp_path, monkeypatch, cpus):
         # every WAV, key and manifest byte of a small corpus, so that a change
         # to synthesis that moves any sample fails here, not only on a rerun
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         counts = {"test": {lang: 2 for lang in TRAIN_LANGS}, "zr_test": {"delta": 2, "echo": 2}}
-        harness.generate_corpus(all_specs(), counts, seed=3001, out_dir=tmp_path, jobs=jobs)
+        harness.generate_corpus(all_specs(), counts, seed=3001, out_dir=tmp_path)
         assert corpus_digest(tmp_path) == (
             "3656a85bb5bd9062f87a2f2bfa5ed6d267ea698f644576a9b606fc1f431a6eb0")
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        (8, 3, 3), (8, 16, 6), (2, 16, 2), (1, 16, None), (8, None, None),
-    ])
-    def test_threads_bounded_by_jobs_utterances_and_cpus(self, tmp_path, monkeypatch,
-                                                          jobs, cpus, workers):
-        started = []
-
-        class SerialPool:  # records its size and maps in order, on this thread
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (16, 6), (1, 1), (None, 1)])
+    def test_threads_bounded_by_utterances_and_cpus(self, tmp_path, monkeypatch, cpus,
+                                                    workers):
+        started = serial_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}  # 6 utterances
-        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=jobs)
-        assert started == ([workers] if workers else [])
+        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
+        assert started == [workers]
         assert len(harness.read_manifest(tmp_path)) == 6
 
     def test_each_utterance_is_written_before_the_next_is_synthesised(self, tmp_path,
                                                                        monkeypatch):
+        # on one thread, so that the write loop must pull each result as it comes
+        serial_pool(monkeypatch)
         unwritten, most = [0], [0]
         synth_job, write_wav = harness._synth_job, dsp.write_wav
 
@@ -247,12 +254,13 @@ class TestCorpus:
         monkeypatch.setattr(harness, "_synth_job", counted_synth)
         monkeypatch.setattr(dsp, "write_wav", counted_write)
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}
-        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=1)
+        harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
         assert (most[0], unwritten[0]) == (1, 0)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_failed_wav_write_stops_synthesis_and_writes_no_text(self, tmp_path, monkeypatch,
                                                                  k):
+        serial_pool(monkeypatch)  # on one thread, so no synthesis runs ahead
         synthesised, writes = [], []
         synth_job, write_wav = harness._synth_job, dsp.write_wav
 
@@ -270,7 +278,7 @@ class TestCorpus:
         monkeypatch.setattr(dsp, "write_wav", failing_write)
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}  # 6 utterances
         with pytest.raises(OSError, match="disk full"):
-            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=1)
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
         assert len(synthesised) == k
         assert [path.name for path in tmp_path.iterdir()] == ["wav"]  # no manifest, no key
         assert len(list((tmp_path / "wav").iterdir())) == k - 1
@@ -299,7 +307,7 @@ class TestCorpus:
         # ``failure`` holds the traceback and so generate_corpus's frame: the
         # pool must be shut down by the call itself, not by garbage collection
         with pytest.raises(OSError, match="disk full") as failure:
-            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path, jobs=2)
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
         assert threading.active_count() == threads, failure.traceback
         assert len(started) <= 3  # the first, plus one held on each of the 2 threads
         assert not (tmp_path / "manifest.txt").exists()
