@@ -11,11 +11,12 @@ Segments that fail to load, or that keep too few frames for the network,
 never reach a back-end: ``harness.iter_features`` skips them and
 ``submission.fill_missing`` fills them as lost trials. Given such a
 segment directly, a back-end raises ``TooFewFrames`` from the network.
+A back-end never writes ``-inf``: ``enroll_languages`` and ``parse_models``
+refuse a zero-norm centroid, which ``cosine_similarity`` cannot score.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,6 @@ import numpy as np
 from . import net
 from .errors import MalformedLine, NoUsableReferences, ZeroNormVector, data_lines, read_back
 from .submission import bad_token
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -46,55 +45,49 @@ def score_closed_set(params: net.NetworkParams, features) -> np.ndarray:
     return net.forward(params, features).log_posteriors
 
 
+def _zero_norm(v: np.ndarray) -> bool:
+    """The degenerate input of ``cosine_similarity``: a 2-norm of 0.0, which
+    a nonzero vector whose squares all underflow has too."""
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, not zero
+        return float(np.linalg.norm(v)) == 0.0
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; raises ZeroNormVector on degenerate input."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    if _zero_norm(a) or _zero_norm(b):
         raise ZeroNormVector("cannot take cosine of a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def enroll_languages(
-    params: net.NetworkParams, references: dict[str, list]
-) -> LanguageModelSet:
+def enroll_languages(params: net.NetworkParams, references: dict[str, list]) -> LanguageModelSet:
     """Average each language's reference-utterance embeddings into a centroid.
 
     A reference too short for the network raises ``TooFewFrames``
-    (``harness.enroll_entries`` skips those first), and a language with no
-    reference at all is an error.
+    (``harness.enroll_entries`` skips those first), a language with no
+    reference at all is an error, and so is one whose references average
+    to a zero-norm centroid (``ZeroNormVector``).
     """
-    language_ids = []
     centroids = []
-    counts = []
     for language, feature_list in references.items():
-        vectors = [net.extract_xvector(params, features).values for features in feature_list]
-        if not vectors:
+        if not feature_list:
             raise NoUsableReferences(f"no usable reference utterances for {language!r}")
-        language_ids.append(language)
+        vectors = [net.extract_xvector(params, features).values for features in feature_list]
         centroids.append(np.mean(vectors, axis=0))
-        counts.append(len(vectors))
-    return LanguageModelSet(language_ids, np.array(centroids), counts)
+        if _zero_norm(centroids[-1]):
+            raise ZeroNormVector(f"references of {language!r} average to a zero-norm centroid")
+    return LanguageModelSet(list(references), np.array(centroids),
+                            [len(feature_list) for feature_list in references.values()])
 
 
 def score_zero_resource(
     models: LanguageModelSet, features, params: net.NetworkParams
 ) -> np.ndarray:
     """Cosine similarity of the segment's embedding against each centroid.
-
-    Zero-norm centroids (or a zero-norm test embedding) produce -inf in the
-    affected columns with a diagnostic, never an exception.
-    """
+    A zero-norm embedding or centroid raises ZeroNormVector."""
     xvec = net.extract_xvector(params, features).values
-    scores = np.full(len(models.language_ids), -np.inf)
-    for i, language in enumerate(models.language_ids):
-        try:
-            scores[i] = cosine_similarity(xvec, models.centroids[i])
-        except ZeroNormVector as exc:
-            log.warning("zero-resource scoring %s: %s; emitting -inf", language, exc)
-    return scores
+    return np.array([cosine_similarity(xvec, centroid) for centroid in models.centroids])
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +106,12 @@ def write_models(models: LanguageModelSet) -> str:
 
 def parse_models(text: str) -> LanguageModelSet:
     """Parse ``write_models`` output. Raises MalformedLine with the line
-    number for a short line, a count that is not ASCII digits, a value
-    that breaks the score-token rule (``submission.bad_token``), a
-    non-finite value, a centroid whose dimension differs from the first
-    one, or a language enrolled on an earlier line, and without one for a
-    text holding no model line."""
+    number for a short line, a count that is not ASCII digits or is 0, a
+    value that breaks the score-token rule (``submission.bad_token``), a
+    non-finite value, a zero-norm centroid (which ``cosine_similarity``
+    refuses), a centroid whose dimension differs from the first one, or a
+    language enrolled on an earlier line, and without one for a text
+    holding no model line."""
     language_ids = []
     centroids = []
     counts = []
@@ -125,7 +119,7 @@ def parse_models(text: str) -> LanguageModelSet:
         tokens = line.split()
         if len(tokens) < 3:
             raise MalformedLine("expected 'language count value...'", line_no)
-        count_ok = tokens[1].isascii() and tokens[1].isdigit()
+        count_ok = tokens[1].isascii() and tokens[1].isdigit() and int(tokens[1]) > 0
         bad = tokens[1] if not count_ok else next(filter(bad_token, tokens[2:]), None)
         if bad is not None:
             raise MalformedLine(f"bad count or value: {bad!r}", line_no)
@@ -133,6 +127,8 @@ def parse_models(text: str) -> LanguageModelSet:
         vec = np.array([float(t) for t in tokens[2:]])
         if not np.all(np.isfinite(vec)):
             raise MalformedLine(f"non-finite centroid value for {tokens[0]!r}", line_no)
+        if _zero_norm(vec):
+            raise MalformedLine(f"zero-norm centroid for {tokens[0]!r}", line_no)
         if centroids and vec.size != centroids[0].size:
             raise MalformedLine(
                 f"centroid dim {vec.size} != {centroids[0].size} for {tokens[0]!r}", line_no

@@ -55,8 +55,10 @@ def _seed(text: str) -> int:
 
 
 def _languages(text: str) -> list[str]:
-    """The ``--languages`` type: two or more comma-separated languages, none repeated."""
-    languages = [tok for tok in text.split(",") if tok]
+    """The ``--languages`` type: two or more comma-separated languages, none empty or repeated."""
+    languages = text.split(",")
+    if "" in languages:
+        raise argparse.ArgumentTypeError(f"empty language in {text!r}")
     repeated = [lang for i, lang in enumerate(languages) if lang in languages[:i]]
     if repeated:
         raise argparse.ArgumentTypeError(f"language {repeated[0]!r} given twice")

@@ -198,7 +198,7 @@ def apply_channel(
         m = np.arange(CHANNEL_TAPS) - (CHANNEL_TAPS - 1) / 2.0
         h = np.sinc(2.0 * channel.cutoff_hz / dsp.SAMPLE_RATE * m) * np.hamming(CHANNEL_TAPS)
         h /= h.sum()
-        out = np.convolve(out, h, mode="same")
+        out = np.convolve(out, h)[(CHANNEL_TAPS - 1) // 2:][:out.size]  # "same" pads a short one
     if channel.snr_db is not None:
         power = np.mean(out**2)
         noise_power = power / (10.0 ** (channel.snr_db / 10.0))
@@ -450,7 +450,8 @@ def closed_set_classes(num_classes: int, train_languages, languages) -> list[int
     """The class of each of ``languages`` in a model labelled ``train_languages``.
     Raises InconsistentLanguageSet unless those name the model's
     ``num_classes`` classes one each and hold all of ``languages``."""
-    if len(train_languages) != num_classes or not set(languages) <= set(train_languages):
+    named = set(train_languages)
+    if not len(train_languages) == len(named) == num_classes or not set(languages) <= named:
         raise InconsistentLanguageSet(f"key languages {languages} need training languages that "
                                       f"label the {num_classes}-class model, got {train_languages}")
     return [train_languages.index(lang) for lang in languages]

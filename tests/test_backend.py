@@ -21,6 +21,15 @@ def feats(rng, t=24):
     return rng.standard_normal((t, 4))
 
 
+def silent_embedding_net():
+    """``seven_class_net`` with all-zero ``segment6`` weights (and, from
+    init, bias): every x-vector it extracts is the zero vector."""
+    params = seven_class_net()
+    params.weights[net.EMBED_LAYER][:] = 0.0
+    assert not params.biases[net.EMBED_LAYER].any()
+    return params
+
+
 class TestClosedSet:
     def test_full_scores_exponentiate_to_one(self):
         rng = np.random.default_rng(1)
@@ -49,6 +58,14 @@ class TestClosedSet:
         # l7 has no column in a seven-class model
         with pytest.raises(InconsistentLanguageSet):
             harness.closed_set_scorer(seven_class_net(), LABELS, ["l0", "l7"])
+
+    def test_repeated_label_rejected(self):
+        # two labels for one class would leave another class unnamed
+        with pytest.raises(InconsistentLanguageSet, match="label the 3-class model"):
+            harness.closed_set_classes(3, ["alpha", "alpha", "charlie"], ["alpha", "charlie"])
+        labels = LABELS[:6] + ["l0"]
+        with pytest.raises(InconsistentLanguageSet):
+            harness.closed_set_scorer(seven_class_net(), labels, ["l0", "l1"])
 
 
 class TestCosine:
@@ -109,6 +126,25 @@ class TestEnrollment:
         with pytest.raises(NoUsableReferences):
             backend.enroll_languages(seven_class_net(), {"lang": []})
 
+    def test_references_averaging_to_zero_norm_are_refused(self):
+        rng = np.random.default_rng(10)
+        refs = {"x": [feats(rng)], "y": [feats(rng), feats(rng)]}
+        with pytest.raises(ZeroNormVector, match="references of 'x' average to a zero-norm"):
+            backend.enroll_languages(silent_embedding_net(), refs)
+
+    def test_opposite_references_make_degenerate_centroid(self, monkeypatch):
+        # the mean of v and -v is the zero vector, refused before it is scored
+        rng = np.random.default_rng(14)
+        params = seven_class_net()
+        f, g = feats(rng), feats(rng)
+        v = net.extract_xvector(params, f).values
+        opposite = {id(f): v, id(g): -v}
+        monkeypatch.setattr(net, "extract_xvector",
+                            lambda params, features: net.XVector(opposite[id(features)]))
+        assert backend.enroll_languages(params, {"x": [f]}).centroids.tolist() == [v.tolist()]
+        with pytest.raises(ZeroNormVector, match="'y'"):
+            backend.enroll_languages(params, {"x": [f], "y": [f, g]})
+
 
 class TestZeroResource:
     def _models(self, params, rng):
@@ -130,35 +166,32 @@ class TestZeroResource:
         scores = backend.score_zero_resource(models, feats(rng), params)
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
-    def test_zero_norm_centroid_scores_neg_inf_column(self):
+    def test_zero_norm_centroid_raises(self):
+        # enroll_languages and parse_models refuse one; built by hand, it is not scored
         rng = np.random.default_rng(13)
         params = seven_class_net()
         models = self._models(params, rng)
         models.centroids[1][:] = 0.0
-        scores = backend.score_zero_resource(models, feats(rng), params)
-        assert scores[1] == -np.inf
-        assert np.isfinite(scores[0])
+        with pytest.raises(ZeroNormVector):
+            backend.score_zero_resource(models, feats(rng), params)
 
-    def test_opposite_references_make_degenerate_centroid(self):
-        # average of v and -v is the zero vector; scoring flags it per column
-        rng = np.random.default_rng(14)
-        params = seven_class_net()
-        f = feats(rng)
-        v = net.extract_xvector(params, f).values
-        models = backend.LanguageModelSet(["x", "y"], np.array([np.zeros_like(v), v]), [2, 1])
-        scores = backend.score_zero_resource(models, f, params)
-        assert scores[0] == -np.inf and scores[1] == pytest.approx(1.0, abs=1e-12)
+    def test_zero_norm_test_embedding_raises(self):
+        rng = np.random.default_rng(19)
+        models = backend.LanguageModelSet(["x", "y"], rng.standard_normal((2, 8)), [1, 1])
+        with pytest.raises(ZeroNormVector):
+            backend.score_zero_resource(models, feats(rng), silent_embedding_net())
 
-    def test_scorer_scores_only_the_languages_asked_for_in_their_order(self, caplog):
+    def test_scorer_scores_only_the_languages_asked_for_in_their_order(self):
         rng = np.random.default_rng(16)
         params = seven_class_net()
         refs = {"x": [feats(rng)], "y": [feats(rng)], "z": [feats(rng)]}
         models = backend.enroll_languages(params, refs)
-        models.centroids[1][:] = 0.0  # y, left out below, would log a warning
+        models.centroids[1][:] = 0.0  # y, left out below, would raise ZeroNormVector
         f = feats(rng)
         scores = harness.zero_resource_scorer(params, models, ["z", "x"])(f)
-        assert caplog.records == []
-        assert scores.tolist() == backend.score_zero_resource(models, f, params)[[2, 0]].tolist()
+        xvec = net.extract_xvector(params, f).values
+        assert scores.tolist() == [backend.cosine_similarity(xvec, models.centroids[i])
+                                   for i in (2, 0)]
 
     @pytest.mark.parametrize("languages, dim, error, message", [
         (["x", "w", "v"], 8, InconsistentLanguageSet, "key language(s) w, v not enrolled"),
@@ -193,7 +226,7 @@ class TestZeroResource:
 
 # model-set fields the reader takes, then, drawn dirty, ones it refuses or drops
 CLEAN = {"language": st.sampled_from(["delta", "echo", "OOS", "é"]),
-         "count": st.integers(0, 12), "value": st.floats(allow_nan=False, allow_infinity=False)}
+         "count": st.integers(1, 12), "value": st.floats(allow_nan=False, allow_infinity=False)}
 DIRTY = {"language": CLEAN["language"] | st.sampled_from(["", "#x", "a b", "x\x85"])
          | st.text(max_size=3),
          "count": st.integers(-2, 12) | st.sampled_from([True, 2.0]), "value": st.floats()}
@@ -202,16 +235,24 @@ DIRTY = {"language": CLEAN["language"] | st.sampled_from(["", "#x", "a b", "x\x8
 @st.composite
 def model_sets(draw):
     """A model set the reader gives back, or, drawn dirty, one of any
-    language text, centroid values (NaN and infinities included) and
-    counts, sometimes one too few or too many."""
+    language text, centroid values (NaN, infinities and zero-norm rows
+    included) and counts, sometimes one too few or too many."""
     dirty = draw(st.booleans())
     field = DIRTY if dirty else CLEAN
     languages = draw(st.lists(field["language"], min_size=not dirty, max_size=3,
                               unique=not dirty))
     n, dim = len(languages), draw(st.integers(not dirty, 3))
-    values = draw(st.lists(field["value"], min_size=n * dim, max_size=n * dim))
+    row = st.lists(field["value"], min_size=dim, max_size=dim)
+    rows = [draw(row if dirty else row.filter(nonzero_norm)) for _ in range(n)]
     counts = draw(st.lists(field["count"], min_size=max(n - dirty, 0), max_size=n + dirty))
-    return backend.LanguageModelSet(languages, np.reshape(values, (n, dim)), counts)
+    return backend.LanguageModelSet(languages, np.reshape(rows, (n, dim)), counts)
+
+
+def nonzero_norm(row):
+    """Whether ``row``'s 2-norm is not 0.0 (not all zero, nor so small its
+    squares all underflow)."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(row) != 0.0
 
 
 def models_by_line(models):
@@ -254,6 +295,10 @@ class TestModelSetSerialization:
         ("echo 3 0.5 inf", "non-finite"),
         ("echo 3 0.5 0.25 0.125", "centroid dim 3 != 2"),
         ("delta 3 0.5 0.5", "language 'delta' enrolled twice"),
+        ("echo 0 0.5 0.25", "bad count or value: '0'"),  # a centroid of no reference
+        ("echo 000 0.5 0.25", "bad count or value: '000'"),
+        ("echo 3 0 -0.0", "zero-norm centroid for 'echo'"),
+        ("echo 3 1e-200 0", "zero-norm centroid for 'echo'"),  # its square underflows
     ])
     def test_bad_line_names_its_line(self, bad_line, message):
         text = f"# enrolled\ndelta 4 0.5 -0.5\n{bad_line}\n"
@@ -298,7 +343,7 @@ class TestModelSetSerialization:
             backend.write_models(backend.LanguageModelSet(languages, centroids, counts))
         assert named in str(err.value)
 
-    @pytest.mark.parametrize("centroids", [[0.5, 0.25], np.zeros((2, 1, 2))], ids=["1d", "3d"])
+    @pytest.mark.parametrize("centroids", [[0.5, 0.25], np.full((2, 1, 2), 0.5)], ids=["1d", "3d"])
     def test_centroids_not_one_row_per_language_are_refused(self, centroids):
         # their values would read back as rows of another shape
         models = backend.LanguageModelSet(["a", "b"], centroids, [1, 1])

@@ -25,6 +25,36 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def closed_score(capsys, corpus, model, scores):
+    """``score`` of the corpus's test split by the model's posteriors."""
+    return run(capsys, "score", "--model", str(model), "--corpus", str(corpus),
+               "--split", "test", "--key", str(corpus / "key_test.txt"),
+               "--languages", TRAIN_LANGS, "--out", str(scores))
+
+
+def enroll_references(capsys, corpus, model, tmp_path):
+    """The enrolled-models file of the corpus's reference split."""
+    refs, enrolled = tmp_path / "refs.txt", tmp_path / "enrolled.txt"
+    refs.write_text("".join(
+        f"{e.language} {corpus / e.path}\n"
+        for e in harness.read_manifest(corpus) if e.split == "reference"
+    ))
+    code, _, _ = run(
+        capsys, "enroll", "--model", str(model), "--refs", str(refs), "--out", str(enrolled)
+    )
+    assert code == 0
+    return enrolled
+
+
+def zero_score(capsys, corpus, model, enrolled, scores):
+    """``score`` of the corpus's zr_test split against the enrolled models."""
+    return run(
+        capsys, "score", "--model", str(model), "--corpus", str(corpus),
+        "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+        "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
+    )
+
+
 @pytest.fixture
 def worked_example(tmp_path):
     scores = tmp_path / "scores.txt"
@@ -251,18 +281,26 @@ class TestUsageErrors:
         assert code == 1
         assert err == "error: argument --languages: language 'bravo' given twice\n"
 
-    @pytest.mark.parametrize("languages, count", [("alpha", 1), ("alpha,", 1), (",", 0)])
-    @pytest.mark.parametrize("command", [
+    LANGUAGES_COMMANDS = [
         ["train", "--corpus", "c"],
         ["score", "--model", "m", "--corpus", "c", "--split", "test", "--key", "k"],
-    ])
-    def test_fewer_than_two_languages_exits_1_naming_the_flag(
-        self, capsys, tmp_path, command, languages, count
-    ):
+    ]
+
+    @pytest.mark.parametrize("command", LANGUAGES_COMMANDS)
+    def test_fewer_than_two_languages_exits_1_naming_the_flag(self, capsys, tmp_path, command):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, *command, "--out", str(out), "--languages", "alpha")
+        assert code == 1
+        assert err == "error: argument --languages: expected at least 2 languages, got 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("languages", ["alpha,,bravo", ",alpha,bravo,", "alpha,", ",", ""])
+    @pytest.mark.parametrize("command", LANGUAGES_COMMANDS)
+    def test_empty_language_exits_1_naming_the_flag(self, capsys, tmp_path, command, languages):
         out = tmp_path / "o"
         code, _, err = run(capsys, *command, "--out", str(out), "--languages", languages)
         assert code == 1
-        assert err == f"error: argument --languages: expected at least 2 languages, got {count}\n"
+        assert err == f"error: argument --languages: empty language in {languages!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
@@ -546,11 +584,7 @@ class TestSegmentFailures:
     def test_closed_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus
         scores = tmp_path / "scores.txt"
-        code, _, _ = run(
-            capsys, "score", "--model", str(model), "--corpus", str(corpus),
-            "--split", "test", "--key", str(corpus / "key_test.txt"),
-            "--languages", TRAIN_LANGS, "--out", str(scores),
-        )
+        code, _, _ = closed_score(capsys, corpus, model, scores)
         assert code == 0
         plan = harness.ExperimentPlan(
             task=harness.SHORT_UTTERANCE, train_languages=TRAIN_LANGS.split(","), seed=8,
@@ -562,30 +596,10 @@ class TestSegmentFailures:
         assert data_lines(scores) == data_lines(result.score_path)
         assert data_lines(scores)[-1].split() == [TRUNCATED["test"]] + ["-inf"] * 3
 
-    def enroll(self, capsys, corpus, model, tmp_path):
-        """The enrolled-models file of the corpus's reference split."""
-        refs, enrolled = tmp_path / "refs.txt", tmp_path / "enrolled.txt"
-        refs.write_text("".join(
-            f"{e.language} {corpus / e.path}\n"
-            for e in harness.read_manifest(corpus) if e.split == "reference"
-        ))
-        code, _, _ = run(
-            capsys, "enroll", "--model", str(model), "--refs", str(refs), "--out", str(enrolled)
-        )
-        assert code == 0
-        return enrolled
-
-    def zero_score(self, capsys, corpus, model, enrolled, scores):
-        return run(
-            capsys, "score", "--model", str(model), "--corpus", str(corpus),
-            "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
-            "--mode", "zero", "--enrolled", str(enrolled), "--out", str(scores),
-        )
-
     def test_zero_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus
-        enrolled, scores = self.enroll(capsys, corpus, model, tmp_path), tmp_path / "zscores.txt"
-        code, _, _ = self.zero_score(capsys, corpus, model, enrolled, scores)
+        enrolled, scores = enroll_references(capsys, corpus, model, tmp_path), tmp_path / "zscores.txt"
+        code, _, _ = zero_score(capsys, corpus, model, enrolled, scores)
         assert code == 0
         plan = harness.ExperimentPlan(
             task=harness.ZERO_RESOURCE, train_languages=TRAIN_LANGS.split(","),
@@ -600,18 +614,29 @@ class TestSegmentFailures:
     def test_zero_score_leaves_out_an_enrolled_language_not_in_the_key(
         self, capsys, damaged_corpus, tmp_path
     ):
-        # a zero-norm centroid would log one warning per segment if scored
         corpus, model = damaged_corpus
-        enrolled = self.enroll(capsys, corpus, model, tmp_path)
-        code, _, _ = self.zero_score(capsys, corpus, model, enrolled, tmp_path / "without.txt")
+        enrolled = enroll_references(capsys, corpus, model, tmp_path)
+        code, _, _ = zero_score(capsys, corpus, model, enrolled, tmp_path / "without.txt")
         assert code == 0
         dim = net.load_params(model.read_bytes()).weights[net.EMBED_LAYER].shape[0]
         with_zulu = tmp_path / "with_zulu.txt"
-        with_zulu.write_text(enrolled.read_text() + "zulu 1" + " 0" * dim + "\n")
-        code, _, err = self.zero_score(capsys, corpus, model, with_zulu, tmp_path / "with.txt")
+        with_zulu.write_text(enrolled.read_text() + "zulu 1" + " 0.5" * dim + "\n")
+        code, _, _ = zero_score(capsys, corpus, model, with_zulu, tmp_path / "with.txt")
         assert code == 0
-        assert "zero-resource scoring" not in err
         assert (tmp_path / "with.txt").read_bytes() == (tmp_path / "without.txt").read_bytes()
+
+    def test_zero_norm_centroid_exits_2_naming_its_line(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        enrolled, scores = enroll_references(capsys, corpus, model, tmp_path), tmp_path / "zscores.txt"
+        lines = enrolled.read_text().splitlines(keepends=True)
+        line_no = next(i for i, line in enumerate(lines, 1) if line.startswith("echo "))
+        dim = len(lines[line_no - 1].split()) - 2
+        lines[line_no - 1] = "echo 3" + " 0" * dim + "\n"
+        enrolled.write_text("".join(lines))
+        code, out, err = zero_score(capsys, corpus, model, enrolled, scores)
+        assert (code, out) == (2, "")
+        assert err == f"error: {enrolled}:{line_no}: zero-norm centroid for 'echo'\n"
+        assert not scores.exists()
 
     def test_invalid_front_end_config_exits_2_without_output(
         self, capsys, damaged_corpus, tmp_path
@@ -724,8 +749,8 @@ class TestSegmentFailures:
 
 class TestOutputBytes:
     """SHA-256 of the text outputs on the damaged corpus: the score, report
-    and DET files of each ``run_task`` task, ``extract``'s x-vectors and
-    ``enroll``'s models.
+    and DET files of each ``run_task`` task, ``score``'s closed-set and
+    zero-resource scores, ``extract``'s x-vectors and ``enroll``'s models.
     A change to the front end, the network or the back-ends that moves a
     single output bit fails here. The model is the fixture's, so its bytes
     (which follow the BLAS kernel) are not pinned themselves."""
@@ -749,6 +774,10 @@ class TestOutputBytes:
             "2a8f00c30d5a40de574bd134044d55c3d444310206191ac6115dba3cd424ab5b",
             "07cf99e864dc0203da68aa3da32a479b5854b9f2ea9dec9a6cac851b7778c11f"),
     }
+    SCORE_SHA = {
+        "closed": "833ba3581d235652b087d3d503f20e662cd1ef73868d17b8bed4f4e109782690",
+        "zero": "f14f31220198c4ba330241603b1ddb21837f452561fb729e37101b9cfa65e96b",
+    }
     EXTRACT_SHA = "3152f9d389fac12b7a9a47e4d04f3e4a91499835c9c33ce36270c80e23743ac5"
     ENROLL_SHA = "e3ca3a293146ed3cc1835acdf7117ccfb22cd9ae3cc6234b0d15de6e90defab2"
 
@@ -761,6 +790,16 @@ class TestOutputBytes:
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in (result.score_path, result.report_path, result.det_path))
         assert digests == self.RUN_TASK_SHA[task]
+
+    def test_score_outputs_are_pinned(self, capsys, damaged_corpus, tmp_path):
+        corpus, model = damaged_corpus
+        closed, zero = tmp_path / "closed.txt", tmp_path / "zero.txt"
+        assert closed_score(capsys, corpus, model, closed)[0] == 0
+        enrolled = enroll_references(capsys, corpus, model, tmp_path)
+        assert zero_score(capsys, corpus, model, enrolled, zero)[0] == 0
+        digests = {mode: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for mode, path in (("closed", closed), ("zero", zero))}
+        assert digests == self.SCORE_SHA
 
     def test_extract_output_is_pinned(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus

@@ -188,6 +188,14 @@ class TestSynthesis:
         out = harness.apply_channel(samples, harness.ChannelSpec(), rng)
         assert np.array_equal(out, samples)
 
+    @pytest.mark.parametrize("size", [1, 50, harness.CHANNEL_TAPS - 1, harness.CHANNEL_TAPS,
+                                      harness.CHANNEL_TAPS + 1, 4000])
+    def test_lowpass_keeps_the_signal_length(self, size):
+        # a signal shorter than the filter must not come back longer
+        rng = np.random.default_rng(3)
+        channel = harness.ChannelSpec(cutoff_hz=2000.0, snr_db=5.0)
+        assert harness.apply_channel(rng.standard_normal(size), channel, rng).size == size
+
     def test_lowpass_removes_high_band_energy(self):
         t = np.arange(16000) / 16000.0
         high = np.sin(2 * np.pi * 6000 * t)
