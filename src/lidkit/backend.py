@@ -62,23 +62,25 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def enroll_languages(params: net.NetworkParams, references: dict[str, list]) -> LanguageModelSet:
-    """Average each language's reference-utterance embeddings into a centroid.
+    """``enroll_xvectors`` of each language's reference-utterance embeddings;
+    a reference too short for the network raises ``TooFewFrames``."""
+    return enroll_xvectors({language: [net.extract_xvector(params, f).values for f in features]
+                            for language, features in references.items()})
 
-    A reference too short for the network raises ``TooFewFrames``
-    (``harness.enroll_entries`` skips those first), a language with no
-    reference at all is an error, and so is one whose references average
-    to a zero-norm centroid (``ZeroNormVector``).
-    """
+
+def enroll_xvectors(xvectors: dict[str, list]) -> LanguageModelSet:
+    """Average each language's reference x-vectors into a centroid. A language
+    with no reference at all is an error, and so is one whose references
+    average to a zero-norm centroid (``ZeroNormVector``)."""
     centroids = []
-    for language, feature_list in references.items():
-        if not feature_list:
+    for language, vectors in xvectors.items():
+        if not vectors:
             raise NoUsableReferences(f"no usable reference utterances for {language!r}")
-        vectors = [net.extract_xvector(params, features).values for features in feature_list]
         centroids.append(np.mean(vectors, axis=0))
         if _zero_norm(centroids[-1]):
             raise ZeroNormVector(f"references of {language!r} average to a zero-norm centroid")
-    return LanguageModelSet(list(references), np.array(centroids),
-                            [len(feature_list) for feature_list in references.values()])
+    return LanguageModelSet(list(xvectors), np.array(centroids),
+                            [len(vectors) for vectors in xvectors.values()])
 
 
 def score_zero_resource(

@@ -104,6 +104,8 @@ def read_wav(path) -> np.ndarray:
                                    "(file ends inside the WAV header)") from None
         except wavefile.Error as exc:
             raise AudioFormatError(f"not a readable WAV file ({exc})") from None
+        except RuntimeError:  # raised bare when a chunk claims more than the RIFF holds
+            raise AudioFormatError("not a readable WAV file (a chunk runs past the RIFF end)") from None
         with contextlib.closing(handle) as fh:
             if fh.getcomptype() != "NONE":
                 raise AudioFormatError("compressed WAV not supported")

@@ -261,6 +261,86 @@ def _synthesised(jobs):
         yield from pool.map(_synth_job, jobs)
 
 
+def _pooled(job, items, workers: int):
+    """``job`` of each of ``items``, in order, on ``workers`` processes, the
+    calling one among them.
+
+    The others are forks of this one, made here, so only results and errors
+    are pickled. Each process runs the next item none has taken; the caller
+    runs one whenever the result it is to yield next is not in, so no more
+    than ``workers`` processes are busy. Processes, not threads: jobs that
+    hold the interpreter lock for most of their time (the front end's many
+    small array operations) would queue on it, and so would every other
+    thread here. With one worker the items run one by one as asked for. A
+    job's error, or closing the generator, stops the taking of items; the
+    jobs under way are waited for, and the error is raised at its item.
+    """
+    items = list(items)
+    if workers == 1:
+        yield from map(job, items)
+        return
+    import multiprocessing.connection
+    import signal
+
+    ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("q", 0)  # items taken so far, by any process
+    reader, writer = ctx.Pipe(duplex=False)
+    writing = ctx.Lock()
+
+    def take():
+        with taken.get_lock():
+            i = taken.value
+            taken.value = min(i + 1, len(items))
+        return i if i < len(items) else None
+
+    def stop():
+        with taken.get_lock():
+            taken.value = len(items)
+
+    def run(i):
+        try:
+            return None, job(items[i])
+        except Exception as exc:  # raised in the caller, at its item
+            stop()
+            return exc, None
+
+    def work():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the pool
+        while (i := take()) is not None:
+            outcome = run(i)
+            with writing:  # an outcome that cannot be pickled ends the fork in error
+                writer.send((i, *outcome))
+
+    forks = [ctx.Process(target=work, daemon=True) for _ in range(workers - 1)]
+    for process in forks:
+        process.start()
+    results = {}
+    try:
+        for i in range(len(items)):
+            while i not in results:
+                if reader.poll():
+                    j, *outcome = reader.recv()
+                    results[j] = outcome
+                elif (j := take()) is not None:
+                    results[j] = run(j)
+                elif failed := [p.exitcode for p in forks if p.exitcode]:
+                    raise ChildProcessError(f"a segment process ended with exit code {failed[0]}")
+                else:  # until a result comes or a fork ends
+                    multiprocessing.connection.wait(
+                        [reader, *(p.sentinel for p in forks if p.exitcode is None)])
+            error, value = results.pop(i)
+            if error is not None:
+                raise error
+            yield value
+    finally:
+        stop()
+        while running := [p.sentinel for p in forks if p.is_alive()]:
+            if reader in multiprocessing.connection.wait([reader, *running]):
+                reader.recv()  # a fork may be blocked writing its last result
+        reader.close()
+        writer.close()
+
+
 def generate_corpus(
     specs: list[SyntheticLanguageSpec],
     counts: dict[str, dict[str, int]],
@@ -272,12 +352,12 @@ def generate_corpus(
     ``counts`` maps split name -> {language id -> utterance count}. Each
     utterance draws from its own RNG keyed by (seed, split, language,
     index), so output is deterministic for a given (specs, counts, seed)
-    and independent of the number of synthesis threads, one per CPU (no
-    more than there are utterances). Each WAV is written as soon as it is
-    synthesised, so about one utterance per thread is in memory; the
-    keys and the manifest come last, so a failed run may leave WAVs but
-    never a manifest or a key. Every spec is checked, and the language ids
-    must differ, before ``out_dir`` is created.
+    and independent of the number of synthesis threads, one per CPU (no more
+    than there are utterances, whatever BLAS threads are declared). Each WAV
+    is written as soon as it is synthesised, so about one utterance per
+    thread is in memory; the keys and the manifest come last, so a failed
+    run may leave WAVs but never a manifest or a key. Every spec is checked,
+    and the language ids must differ, before ``out_dir`` is created.
     """
     if len(specs) < 2:
         raise InvalidSpec("need at least 2 language specs")
@@ -406,10 +486,24 @@ def eval_config(cfg: dict[str, object], key, policy: str) -> metrics.EvalConfig:
 # invalid config, a missing file) propagates.
 SEGMENT_ERRORS = (AudioFormatError, TooShort, AllFramesRemoved, TooFewFrames)
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transform=None):
-    """Yield ``(entry, features)`` for every entry whose WAV makes features
-    that ``params`` accepts.
+
+def segment_workers(num_segments: int) -> int:
+    """Processes for segment jobs: the CPUs over the BLAS threads that the first
+    of BLAS_THREAD_VARIABLES holding a positive integer declares, in [1,
+    num_segments]; 1 if none does, as BLAS then threads a product per CPU."""
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isascii() and value.isdigit() and int(value) > 0:
+            return max(1, min(num_segments, (os.cpu_count() or 1) // int(value)))
+    return 1
+
+
+def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transform=None,
+                  then=None):
+    """Yield ``(entry, features)``, or ``(entry, then(features))``, for every
+    entry whose WAV makes features that ``params`` accepts, in entry order.
 
     ``transform(i, samples)``, if given, rewrites the samples of
     ``entries[i]`` before the front end. ``config`` is an effective config
@@ -417,32 +511,45 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
     ``SEGMENT_ERRORS`` (unreadable, too short, all frames removed by VAD,
     or too few frames left for the network) is logged and skipped; callers
     that owe it a score row get one from ``submission.fill_missing``.
+    Each segment's job (read, ``transform``, front end, frame check,
+    ``then``) runs on ``segment_workers`` processes, this one among them
+    (``_pooled``). This process takes the results in entry order, logs
+    skips and raises other errors (stopping the jobs not yet started): none
+    depends on the count.
     """
     fcfg = _section("feat", dsp.FeatureConfig, config)
     vcfg = _section("vad", dsp.VadConfig, config)
     fcfg.validate(vcfg)  # before any WAV is read
-    for i, entry in enumerate(entries):
+
+    def job(i):
         try:
-            samples = dsp.read_wav(Path(corpus_dir) / entry.path)
+            samples = dsp.read_wav(Path(corpus_dir) / entries[i].path)
             if transform is not None:
                 samples = transform(i, samples)
             feats = dsp.features_from_waveform(samples, fcfg, vcfg)
             net.require_frames(params, feats.num_frames)
         except SEGMENT_ERRORS as exc:
-            log.warning("skipping %s (%s)", entry.utt_id, exc)
-            continue
-        yield entry, feats
+            return exc
+        return feats if then is None else then(feats)
+
+    jobs = _pooled(job, range(len(entries)), segment_workers(len(entries)))
+    with contextlib.closing(jobs) as results:
+        for entry, result in zip(entries, results):
+            if isinstance(result, SEGMENT_ERRORS):
+                log.warning("skipping %s (%s)", entry.utt_id, result)
+                continue
+            yield entry, result
 
 
 def score_table(params: net.NetworkParams, corpus_dir, entries, config, score, width: int,
                 transform=None) -> submission.ScoreTable:
     """One table of ``score(feats)``, a row of ``width`` values, for each
     ``(entry, feats)`` of ``iter_features(params, corpus_dir, entries,
-    config, transform)``, with the entries' ids."""
+    config, transform)``, with the entries' ids; ``score`` runs in its job."""
     ids, rows = [], []
-    for entry, feats in iter_features(params, corpus_dir, entries, config, transform):
+    for entry, row in iter_features(params, corpus_dir, entries, config, transform, score):
         ids.append(entry.utt_id)
-        rows.append(score(feats))
+        rows.append(row)
     return submission.ScoreTable(ids, np.reshape(rows, (len(ids), width)))
 
 
@@ -483,14 +590,15 @@ def zero_resource_scorer(params: net.NetworkParams, models, languages):
 def enroll_entries(
     params: net.NetworkParams, corpus_dir, entries, config, languages
 ) -> backend_mod.LanguageModelSet:
-    """Enroll each of ``languages``, in that order, from its entries;
-    entries of other languages and segments ``iter_features`` skips are
-    ignored, and a language left with no reference is an error."""
-    references: dict[str, list] = {lang: [] for lang in languages}
-    wanted = [e for e in entries if e.language in references]
-    for entry, feats in iter_features(params, corpus_dir, wanted, config):
-        references[entry.language].append(feats)
-    return backend_mod.enroll_languages(params, references)
+    """Enroll each of ``languages``, in that order, from the x-vectors of its
+    entries, extracted in ``iter_features``' jobs; entries of other languages
+    and segments it skips are ignored, and a language left with none is an error."""
+    xvectors: dict[str, list] = {lang: [] for lang in languages}
+    wanted = [e for e in entries if e.language in xvectors]
+    for entry, xvec in iter_features(params, corpus_dir, wanted, config,
+                                     then=lambda f: net.extract_xvector(params, f).values):
+        xvectors[entry.language].append(xvec)
+    return backend_mod.enroll_xvectors(xvectors)
 
 
 def write_atomic(path, *chunks) -> None:

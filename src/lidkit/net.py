@@ -185,6 +185,8 @@ def require_frames(params: NetworkParams, num_frames: int) -> None:
 
 def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     """Concatenate rows of x at each offset, for every valid center step."""
+    if len(offsets) == 1:
+        return x
     lo, hi = min(offsets), max(offsets)
     t_out = x.shape[0] - (hi - lo)  # at least 1: ``forward`` calls ``require_frames`` first
     return np.hstack([x[o - lo : o - lo + t_out] for o in offsets])
@@ -226,22 +228,24 @@ def _as_frames(features) -> np.ndarray:
     return frames
 
 
-def forward(params: NetworkParams, features) -> ForwardCache:
-    """Run the network on one utterance, returning every intermediate
-    needed by backprop and by embedding extraction; the softmax output
-    over the training languages is ``exp(cache.log_posteriors)``."""
+def forward(params: NetworkParams, features, cache: ForwardCache | None = None) -> ForwardCache:
+    """Run the network on one utterance, returning its intermediates (the
+    frame layers' only in a ``cache`` handed in, for backprop); the softmax
+    output over the training languages is ``exp(cache.log_posteriors)``."""
     x = _as_frames(features)
     if x.shape[1] != params.feat_dim:
         raise DimMismatch(
             f"features have dim {x.shape[1]}, network expects {params.feat_dim}"
         )
     require_frames(params, x.shape[0])
-    cache = ForwardCache()
+    keep = cache is not None
+    cache = cache if keep else ForwardCache()
     for spec in params.frame_specs:
         spliced = _splice(x, spec.offsets)
         pre = spliced @ params.weights[spec.name].T + params.biases[spec.name]
-        cache.frame_inputs.append(spliced)
-        cache.frame_preacts.append(pre)
+        if keep:
+            cache.frame_inputs.append(spliced)
+            cache.frame_preacts.append(pre)
         x = np.maximum(pre, 0.0) if spec.has_nonlinearity else pre
     cache.pooled_input = x
     cache.mean, std, cache.var = pool_stats(x)
@@ -346,7 +350,7 @@ def compute_gradients(params: NetworkParams, batch, grads=None):
             label = int(label)
             if not 0 <= label < n_classes:
                 raise ValueError(f"label {label} outside [0, {n_classes})")
-            cache = forward(params, features)
+            cache = forward(params, features, ForwardCache())
             total -= cache.log_posteriors[label]
             d_logits = np.exp(cache.log_posteriors)
             d_logits[label] -= 1.0

@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -68,6 +71,21 @@ def corpus_and_model(root, seed, damage):
     model = root / "model.bin"
     model.write_bytes(net.save_params(params))
     return corpus, model
+
+
+def junk_chunk(wav: bytes) -> bytes:
+    """A 44-byte-header WAV with its ``data`` chunk renamed ``junk`` and
+    claiming more bytes than the file holds, which ``wave`` cannot skip."""
+    return wav[:36] + b"junk" + struct.pack("<I", 0x7FFFFFFF) + wav[44:]
+
+
+@pytest.fixture(params=[1, 3])
+def segment_threads(request, monkeypatch):
+    """Segment jobs on 1 or 3 processes, set through ``harness.segment_workers``'
+    rule: one BLAS thread declared, and that many CPUs."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+    return request.param
 
 
 # one segment per test split whose WAV is cut to 20 bytes (header only)

@@ -400,7 +400,7 @@ def min_kink_distance(params, batch) -> float:
 
     closest = np.inf
     for features, _ in batch:
-        cache = net.forward(params, features)
+        cache = net.forward(params, features, net.ForwardCache())
         for pre in cache.frame_preacts + cache.dense_preacts[:-1]:
             closest = min(closest, float(np.min(np.abs(pre))))
     return closest

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import logging
+import os
+import subprocess
+import sys
 import wave
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
+from conftest import SHORT, TOTALITY, TRUNCATED, junk_chunk, token_texts
 from lidkit import cli, dsp, harness, metrics, net, submission as sub
 from lidkit.errors import parse_file
 
@@ -581,6 +584,28 @@ class TestSegmentFailures:
         assert f"skipping slow ({slow}: expected 16000 Hz, got 8000 Hz)" in err
         assert [line.split()[0] for line in data_lines(out)] == ["good"]
 
+    def test_wav_with_a_chunk_past_its_end_is_skipped_and_filled(self, capsys, damaged_corpus,
+                                                                 tmp_path):
+        corpus, model = damaged_corpus
+        (tmp_path / "wav").mkdir()
+        wav = (corpus / "wav" / "alpha-test-0000.wav").read_bytes()
+        (tmp_path / "wav" / "good.wav").write_bytes(wav)
+        junk = tmp_path / "wav" / "junk.wav"
+        junk.write_bytes(junk_chunk(wav))
+        (tmp_path / "manifest.txt").write_text("good alpha wav/good.wav test\n"
+                                               "junk bravo wav/junk.wav test\n")
+        key = tmp_path / "key.txt"
+        key.write_text("alpha bravo charlie\ngood alpha\njunk bravo\n")
+        scores = tmp_path / "scores.txt"
+        code, _, err = run(capsys, "score", "--model", str(model), "--corpus", str(tmp_path),
+                           "--split", "test", "--key", str(key), "--languages", TRAIN_LANGS,
+                           "--out", str(scores))
+        assert code == 0
+        assert err == (f"lidkit.harness: skipping junk ({junk}: not a readable WAV file "
+                       "(a chunk runs past the RIFF end))\n"
+                       "warning: 1 lost trial filled with -inf\n")
+        assert [line.split() for line in data_lines(scores)][1] == ["junk"] + ["-inf"] * 3
+
     def test_closed_score_matches_run_task(self, capsys, damaged_corpus, tmp_path):
         corpus, model = damaged_corpus
         scores = tmp_path / "scores.txt"
@@ -820,6 +845,41 @@ class TestOutputBytes:
                          "--out", str(enrolled))
         assert code == 0
         assert hashlib.sha256(enrolled.read_bytes()).hexdigest() == self.ENROLL_SHA
+
+
+    def test_outputs_do_not_depend_on_the_segment_threads(self, capsys, damaged_corpus,
+                                                          tmp_path, segment_threads):
+        corpus, model = damaged_corpus
+        for task, extra in self.PLANS.items():
+            plan = harness.ExperimentPlan(task, TRAIN_LANGS.split(","), seed=8, **extra)
+            result = harness.run_task(plan, corpus, tmp_path,
+                                      params=net.load_params(model.read_bytes()))
+            digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in (result.score_path, result.report_path, result.det_path))
+            assert digests == self.RUN_TASK_SHA[task]
+        self.test_score_outputs_are_pinned(capsys, damaged_corpus, tmp_path)
+        self.test_extract_output_is_pinned(capsys, damaged_corpus, tmp_path)
+        self.test_enroll_output_is_pinned(capsys, damaged_corpus, tmp_path)
+
+    def test_score_bytes_do_not_depend_on_declaring_blas_threads(self, damaged_corpus,
+                                                                 tmp_path):
+        # in a new process each: no BLAS variable (one segment thread, BLAS
+        # threads as it likes) and OPENBLAS_NUM_THREADS=1 (a thread per CPU)
+        corpus, model = damaged_corpus
+        env = {name: value for name, value in os.environ.items()
+               if name not in harness.BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(harness.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        digests = set()
+        for declared in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            scores = tmp_path / f"scores{len(declared)}.txt"
+            subprocess.run([sys.executable, "-m", "lidkit.cli", "score", "--model", str(model),
+                            "--corpus", str(corpus), "--split", "test",
+                            "--key", str(corpus / "key_test.txt"), "--languages", TRAIN_LANGS,
+                            "--out", str(scores)],
+                           env={**env, **declared}, check=True, capture_output=True, timeout=120)
+            digests.add(hashlib.sha256(scores.read_bytes()).hexdigest())
+        assert digests == {self.SCORE_SHA["closed"]}
 
 
 class TestFilesNamed:

@@ -1,10 +1,17 @@
 import contextlib
+import io
+import struct
+import tempfile
 import wave as wavefile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from conftest import TOTALITY, junk_chunk
 from lidkit import dsp, harness
 from lidkit.errors import AllFramesRemoved, AudioFormatError, InvalidConfig, TooShort
 
@@ -143,6 +150,38 @@ class TestApplyVad:
             dsp.apply_vad(self._feats(), np.ones(5, dtype=bool))
 
 
+def wav_bytes(samples) -> bytes:
+    """A 16-bit mono WAV at SAMPLE_RATE of ``samples``, 44 header bytes first."""
+    buf = io.BytesIO()
+    with contextlib.closing(wavefile.open(buf, "wb")) as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(dsp.SAMPLE_RATE)
+        fh.writeframes(np.asarray(samples, dtype="<i2").tobytes())
+    return buf.getvalue()
+
+
+VALID_WAV = wav_bytes(np.arange(-100, 100) * 7)
+
+
+@st.composite
+def mutated_wavs(draw):
+    """``VALID_WAV`` with a random u32 written into its header, a header
+    byte changed and the file cut anywhere, or random bytes flipped."""
+    data = bytearray(VALID_WAV)
+    kind = draw(st.sampled_from(["u32", "cut", "flip"]))
+    if kind == "u32":
+        at = draw(st.integers(0, 40))
+        data[at:at + 4] = struct.pack("<I", draw(st.integers(0, 2**32 - 1)))
+    elif kind == "cut":
+        data[draw(st.integers(0, 43))] = draw(st.integers(0, 255))
+        del data[draw(st.integers(0, len(data))):]
+    else:
+        for at in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=8)):
+            data[at] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
 class TestWavIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.wav"
@@ -216,6 +255,27 @@ class TestWavIo:
             dsp.read_wav(path)
         assert str(err.value) == (
             f"{path}: not a readable WAV file (file ends inside the WAV header)")
+
+    def test_chunk_past_the_end_of_the_file_gives_a_reason(self, tmp_path):
+        path = tmp_path / "junk.wav"
+        path.write_bytes(junk_chunk(VALID_WAV))
+        with pytest.raises(AudioFormatError) as err:
+            dsp.read_wav(path)
+        assert str(err.value) == (
+            f"{path}: not a readable WAV file (a chunk runs past the RIFF end)")
+
+    @TOTALITY
+    @given(mutated_wavs())
+    def test_mutated_header_reads_or_is_refused(self, data):
+        # the reader's only outcomes are samples or an AudioFormatError
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.wav"
+            path.write_bytes(data)
+            try:
+                samples = dsp.read_wav(path)
+            except AudioFormatError:
+                return
+        assert samples.dtype == np.float64 and samples.ndim == 1
 
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "not.wav"

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import threading
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SHORT, TOTALITY, TRUNCATED, token_texts
+from conftest import SHORT, TOTALITY, TRUNCATED, junk_chunk, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
     DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError, MalformedLine,
@@ -681,3 +682,153 @@ class TestTooFewFrames:
         params = net.load_params(model.read_bytes())
         with pytest.raises(NoUsableReferences):
             harness.enroll_entries(params, corpus, short, harness.CONFIG_DEFAULTS, ["delta"])
+
+
+class TestSegmentThreads:
+    @pytest.mark.parametrize("env, cpus, segments, workers", [
+        ({}, 8, 10, 1),  # none declared: BLAS may use every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 10, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),  # no more than the segments
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2, 10, 1),  # at least one
+        ({"OPENBLAS_NUM_THREADS": "007"}, 14, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, None, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 10, 2),  # the first wins
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 4, 10, 4),
+        ({"MKL_NUM_THREADS": "2"}, 4, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4, 10, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"}, 4, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "1.0"}, 4, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 4, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": " 1"}, 4, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "١"}, 4, 10, 1),  # a digit, but not ASCII
+    ])
+    def test_workers_follow_the_declared_blas_threads(self, monkeypatch, env, cpus, segments,
+                                                      workers):
+        for name in harness.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness.segment_workers(segments) == workers
+
+    @staticmethod
+    def corpus_with_bad_segments(damaged_corpus, root):
+        """A corpus of ten test entries, some of them bad; returns it with
+        its entries and the bad ones' ids in entry order."""
+        corpus, _ = damaged_corpus
+        good = [e for e in harness.read_manifest(corpus) if e.split == "test"
+                and e.utt_id != TRUNCATED["test"]]
+        (root / "wav").mkdir()
+        wav = (corpus / good[0].path).read_bytes()
+        bad = {"bad0": wav[:20], "bad1": junk_chunk(wav), "bad2": wav[:-1]}
+        order = ["bad0", 0, 1, "bad1", 2, 3, "bad2", 4, 5, 6]
+        entries = []
+        for item in order:
+            if item in bad:
+                (root / "wav" / f"{item}.wav").write_bytes(bad[item])
+                entries.append(harness.ManifestEntry(item, "alpha", f"wav/{item}.wav", "test"))
+            else:
+                entry = good[item]
+                (root / entry.path).write_bytes((corpus / entry.path).read_bytes())
+                entries.append(entry)
+        return entries, [e.utt_id for e in entries if e.utt_id in bad]
+
+    def test_skips_are_logged_in_entry_order(self, damaged_corpus, tmp_path, monkeypatch,
+                                             caplog, segment_threads):
+        entries, bad = self.corpus_with_bad_segments(damaged_corpus, tmp_path)
+        params = net.load_params(damaged_corpus[1].read_bytes())
+        read_wav = dsp.read_wav
+
+        def slow_first(path):  # on 3 processes, the later bad segments fail first
+            if path.name == "bad0.wav":
+                threading.Event().wait(0.3)
+            return read_wav(path)
+
+        monkeypatch.setattr(dsp, "read_wav", slow_first)
+        with caplog.at_level("WARNING", logger="lidkit"):
+            kept = harness.iter_features(params, tmp_path, entries, harness.CONFIG_DEFAULTS)
+            kept = [entry.utt_id for entry, _ in kept]
+        assert kept == [e.utt_id for e in entries if e.utt_id not in bad]
+        assert [r.getMessage().split()[:2] for r in caplog.records] == [
+            ["skipping", utt] for utt in bad]
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_other_error_surfaces_at_its_segment_and_cancels_the_rest(
+            self, damaged_corpus, tmp_path, monkeypatch, caplog, segment_threads, k):
+        entries, bad = self.corpus_with_bad_segments(damaged_corpus, tmp_path)
+        params = net.load_params(damaged_corpus[1].read_bytes())
+        started = tmp_path / "started"  # a file per transform begun, in any process
+        started.mkdir()
+
+        def transform(i, samples):
+            (started / str(i)).touch()
+            if i == k:
+                raise ValueError(f"transform failed at {i}")
+            if i > k:  # held, so that the error is taken before these end
+                threading.Event().wait(1.0)
+            return samples
+
+        threads = threading.active_count()
+        with caplog.at_level("WARNING", logger="lidkit"):
+            with pytest.raises(ValueError, match=f"^transform failed at {k}$"):
+                list(harness.iter_features(params, tmp_path, entries, harness.CONFIG_DEFAULTS,
+                                           transform))
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        assert [r.getMessage().split()[1] for r in caplog.records] == [
+            utt for i, utt in enumerate(e.utt_id for e in entries) if utt in bad and i < k]
+        # the segments before k, k itself, and one held on each other process
+        assert len(list(started.iterdir())) <= k + segment_threads
+
+    def test_closing_early_leaves_no_process(self, damaged_corpus, segment_threads):
+        corpus, model = damaged_corpus
+        params = net.load_params(model.read_bytes())
+        entries = [e for e in harness.read_manifest(corpus) if e.split == "train"]
+        features = harness.iter_features(params, corpus, entries, harness.CONFIG_DEFAULTS)
+        assert next(features)[0] == entries[0]
+        features.close()
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert list(harness._pooled(lambda i: i * i, range(5), 1)) == [0, 1, 4, 9, 16]
+
+    def test_ended_fork_is_an_error_not_a_hang(self, tmp_path):
+        caller, ended = os.getpid(), tmp_path / "ended"
+
+        def job(i):
+            if os.getpid() != caller:  # the fork takes an item and dies with it
+                ended.touch()
+                os._exit(3)
+            for _ in range(500):  # until it has
+                if ended.exists():
+                    break
+                threading.Event().wait(0.01)
+            return i
+
+        with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 3$"):
+            list(harness._pooled(job, range(4), 2))
+        assert multiprocessing.active_children() == []
+
+    def test_result_that_cannot_be_pickled_is_an_error_not_a_hang(self, tmp_path):
+        caller, sent = os.getpid(), tmp_path / "sent"
+
+        def job(i):
+            if os.getpid() != caller:
+                sent.touch()
+                return lambda: i  # no pickle takes it back
+            for _ in range(500):
+                if sent.exists():
+                    break
+                threading.Event().wait(0.01)
+            return i
+
+        with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 1$"):
+            list(harness._pooled(job, range(4), 2))
+        assert multiprocessing.active_children() == []

@@ -100,6 +100,23 @@ class TestForward:
         np.testing.assert_allclose(cache.mean, cache.pooled_input[0], atol=1e-12)
 
 
+    def test_only_a_cache_handed_in_keeps_the_frame_layers(self):
+        rng = np.random.default_rng(5)
+        params = tiny_net()
+        feats = random_features(rng, t=30)
+        bare = net.forward(params, feats)
+        kept = net.forward(params, feats, net.ForwardCache())
+        assert bare.frame_inputs == bare.frame_preacts == []
+        assert len(kept.frame_inputs) == len(kept.frame_preacts) == len(params.frame_specs)
+        assert np.array_equal(bare.log_posteriors, kept.log_posteriors)
+        assert np.array_equal(bare.xvector, kept.xvector)
+
+    def test_single_offset_splice_is_its_input(self):
+        x = np.random.default_rng(6).standard_normal((9, 4))
+        assert net._splice(x, (0,)) is x
+        np.testing.assert_array_equal(net._splice(x, (-1, 1)), np.hstack([x[:-2], x[2:]]))
+
+
 class TestPooling:
     def test_matches_two_pass_direct_computation(self):
         rng = np.random.default_rng(8)
