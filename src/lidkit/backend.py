@@ -12,7 +12,8 @@ never reach a back-end: ``harness.iter_features`` skips them and
 ``submission.fill_missing`` fills them as lost trials. Given such a
 segment directly, a back-end raises ``TooFewFrames`` from the network.
 A back-end never writes ``-inf``: ``enroll_languages`` and ``parse_models``
-refuse a zero-norm centroid, which ``cosine_similarity`` cannot score.
+refuse a centroid whose 2-norm is zero or overflows, which
+``cosine_similarity`` cannot score.
 """
 
 from __future__ import annotations
@@ -45,18 +46,19 @@ def score_closed_set(params: net.NetworkParams, features) -> np.ndarray:
     return net.forward(params, features).log_posteriors
 
 
-def _zero_norm(v: np.ndarray) -> bool:
-    """The degenerate input of ``cosine_similarity``: a 2-norm of 0.0, which
-    a nonzero vector whose squares all underflow has too."""
-    with np.errstate(over="ignore"):  # a norm that overflows is inf, not zero
-        return float(np.linalg.norm(v)) == 0.0
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm that ``cosine_similarity`` divides by: 0.0 for a nonzero
+    vector whose squares all underflow too, and inf for a finite one whose
+    squares' sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; raises ZeroNormVector on degenerate input."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if _zero_norm(a) or _zero_norm(b):
+    if _norm(a) == 0.0 or _norm(b) == 0.0:
         raise ZeroNormVector("cannot take cosine of a zero-norm vector")
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
@@ -71,14 +73,20 @@ def enroll_languages(params: net.NetworkParams, references: dict[str, list]) -> 
 def enroll_xvectors(xvectors: dict[str, list]) -> LanguageModelSet:
     """Average each language's reference x-vectors into a centroid. A language
     with no reference at all is an error, and so is one whose references
-    average to a zero-norm centroid (``ZeroNormVector``)."""
+    average to a zero-norm centroid (``ZeroNormVector``), or to one that is
+    not finite or whose norm overflows (``NoUsableReferences``)."""
     centroids = []
     for language, vectors in xvectors.items():
         if not vectors:
             raise NoUsableReferences(f"no usable reference utterances for {language!r}")
-        centroids.append(np.mean(vectors, axis=0))
-        if _zero_norm(centroids[-1]):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            centroids.append(np.mean(vectors, axis=0))
+        norm = _norm(centroids[-1])
+        if norm == 0.0:
             raise ZeroNormVector(f"references of {language!r} average to a zero-norm centroid")
+        if not norm < np.inf:  # also NaN, and inf for a value or for the norm alone
+            raise NoUsableReferences(
+                f"references of {language!r} average to a centroid with no finite norm")
     return LanguageModelSet(list(xvectors), np.array(centroids),
                             [len(vectors) for vectors in xvectors.values()])
 
@@ -102,7 +110,7 @@ def write_models(models: LanguageModelSet) -> str:
     lines = [" ".join([language, str(count), *(f"{v:.17g}" for v in np.ravel(centroid))])
              for language, count, centroid in
              zip(models.language_ids, models.num_reference_utts, models.centroids)]
-    return read_back("\n".join(lines) + "\n", parse_models, lambda m: (
+    return read_back("write_models", "\n".join(lines) + "\n", parse_models, lambda m: (
         m.language_ids, m.num_reference_utts, m.centroids.shape, m.centroids.tobytes()), models)
 
 
@@ -110,10 +118,10 @@ def parse_models(text: str) -> LanguageModelSet:
     """Parse ``write_models`` output. Raises MalformedLine with the line
     number for a short line, a count that is not ASCII digits or is 0, a
     value that breaks the score-token rule (``submission.bad_token``), a
-    non-finite value, a zero-norm centroid (which ``cosine_similarity``
-    refuses), a centroid whose dimension differs from the first one, or a
-    language enrolled on an earlier line, and without one for a text
-    holding no model line."""
+    non-finite value, a centroid whose 2-norm is zero or overflows (which
+    ``cosine_similarity`` cannot score), a centroid whose dimension differs
+    from the first one, or a language enrolled on an earlier line, and
+    without one for a text holding no model line."""
     language_ids = []
     centroids = []
     counts = []
@@ -129,8 +137,11 @@ def parse_models(text: str) -> LanguageModelSet:
         vec = np.array([float(t) for t in tokens[2:]])
         if not np.all(np.isfinite(vec)):
             raise MalformedLine(f"non-finite centroid value for {tokens[0]!r}", line_no)
-        if _zero_norm(vec):
+        norm = _norm(vec)
+        if norm == 0.0:
             raise MalformedLine(f"zero-norm centroid for {tokens[0]!r}", line_no)
+        if norm == np.inf:
+            raise MalformedLine(f"centroid norm overflows for {tokens[0]!r}", line_no)
         if centroids and vec.size != centroids[0].size:
             raise MalformedLine(
                 f"centroid dim {vec.size} != {centroids[0].size} for {tokens[0]!r}", line_no

@@ -8,6 +8,7 @@ owns the data-line rule of every text reader but the config file's.
 """
 
 import contextlib
+import re
 from pathlib import Path
 
 
@@ -84,17 +85,24 @@ def parse_file(path, parse):
         return parse(text)
 
 
-def read_back(text, parse, fields, value):
-    """``text``, once ``parse(text)`` gives back ``value`` compared as
-    ``fields``. Else the reader's error, or a MalformedLine when it reads
-    something else (a line skipped as a comment), names ``value``."""
+def read_back(writer: str, text, parse, fields, value):
+    """``text``, which ``writer`` made of ``value``, once ``parse(text)``
+    gives back ``value`` compared as ``fields``. Else the reader's error, or
+    a MalformedLine when it reads something else (a line skipped as a
+    comment), on one line naming ``writer`` and the start of ``value``."""
     try:
         back = parse(text)
     except LidkitError as err:
-        raise type(err)(f"{value!r} would not read back: {err}") from None
+        raise type(err)(f"{writer}: {_shown(value)} would not read back: {err}") from None
     if fields(back) != fields(value):
-        raise MalformedLine(f"{value!r} would not read back unchanged")
+        raise MalformedLine(f"{writer}: {_shown(value)} would not read back unchanged")
     return text
+
+
+def _shown(value, width=120) -> str:
+    """``repr(value)`` on one line, cut to ``width`` characters."""
+    shown = re.sub(r"\n\s*", " ", repr(value))  # a repr's newlines are an array's rows
+    return shown if len(shown) <= width else shown[: width - 3] + "..."
 
 
 def data_lines(text):

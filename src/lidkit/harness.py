@@ -16,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import logging
+import mmap
 import math
 import os
 from dataclasses import dataclass, field
@@ -221,7 +223,7 @@ def write_manifest(entries: list[ManifestEntry]) -> str:
     """Manifest text, refused through ``errors.read_back`` unless
     ``parse_manifest`` gives back ``entries``."""
     text = "".join(f"{e.utt_id} {e.language} {e.path} {e.split}\n" for e in entries)
-    return read_back(text, parse_manifest, list, entries)
+    return read_back("write_manifest", text, parse_manifest, list, entries)
 
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
@@ -261,52 +263,98 @@ def _synthesised(jobs):
         yield from pool.map(_synth_job, jobs)
 
 
-def _pooled(job, items, workers: int):
-    """``job`` of each of ``items``, in order, on ``workers`` processes, the
-    calling one among them.
+class _Abandoned(Exception):
+    """A job's wait on a turn that will not come: the pool stopped before it."""
+
+
+def _pooled(job, rounds, workers: int, turns: int = 0):
+    """``job`` of each item of each of ``rounds`` (lists of items), in order,
+    on ``workers`` processes, the calling one among them.
 
     The others are forks of this one, made here, so only results and errors
-    are pickled. Each process runs the next item none has taken; the caller
-    runs one whenever the result it is to yield next is not in, so no more
-    than ``workers`` processes are busy. Processes, not threads: jobs that
-    hold the interpreter lock for most of their time (the front end's many
-    small array operations) would queue on it, and so would every other
-    thread here. With one worker the items run one by one as asked for. A
-    job's error, or closing the generator, stops the taking of items; the
-    jobs under way are waited for, and the error is raised at its item.
+    are pickled. Each process runs the next item none has taken of the
+    rounds opened so far; the caller runs one whenever the result it is to
+    yield next is not in, so no more than ``workers`` processes are busy. A
+    round opens when its first result is asked for, so what the caller does
+    after taking the round before (an SGD step) is seen by all of its jobs.
+    Processes, not threads: jobs that hold the interpreter lock for most of
+    their time (the front end's many small array operations) would queue on
+    it, and so would every other thread here. With one worker the items run
+    one by one as asked for.
+
+    With ``turns``, ``job`` is called as ``job(item, turn)``: in ``with
+    turn(k)``, for k < ``turns``, it runs only after the job of every
+    earlier item has left ``turn(k)``, so each job must enter each turn
+    once. A job's error, or closing the generator, stops the taking of items
+    and releases the jobs waiting on a turn that will not come; the jobs
+    under way are waited for, and the error is raised at its item. A fork
+    that ends, or a caller killed before it can stop the pool, stops it too,
+    so that no process waits on it for ever.
     """
-    items = list(items)
+    rounds = [list(items) for items in rounds]
+    items = [item for items_of_round in rounds for item in items_of_round]
+    call = job if turns else (lambda item, turn: job(item))
     if workers == 1:
-        yield from map(job, items)
+        yield from (call(item, lambda k: contextlib.nullcontext()) for item in items)
         return
     import multiprocessing.connection
     import signal
 
     ctx = multiprocessing.get_context("fork")
-    taken = ctx.Value("q", 0)  # items taken so far, by any process
+    taken, opened, limit = 0, 1, 2  # indices into ``state``; the turns' follow
+    state = ctx.RawArray("q", [0, 0, len(items)] + [0] * turns)  # a turn's value: jobs past it
+    changed = ctx.Condition()  # held to read or write ``state``, notified on a write
     reader, writer = ctx.Pipe(duplex=False)
     writing = ctx.Lock()
+    caller = os.getpid()
 
-    def take():
-        with taken.get_lock():
-            i = taken.value
-            taken.value = min(i + 1, len(items))
-        return i if i < len(items) else None
+    def take(wait):  # items at ``limit`` and after are never taken
+        with changed:
+            while wait and state[opened] <= state[taken] < state[limit]:
+                wait_on_change()
+            i = state[taken]
+            if i >= min(state[opened], state[limit]):
+                return None
+            state[taken] = i + 1
+            return i
 
-    def stop():
-        with taken.get_lock():
-            taken.value = len(items)
+    def stop(at=0):
+        with changed:
+            state[limit] = min(state[limit], at)
+            changed.notify_all()
+
+    def ended():
+        return [p.exitcode for p in forks if p.exitcode]
+
+    def wait_on_change():  # with ``changed`` held
+        # a wait that nothing would end: the caller's on a fork that ended,
+        # or a fork's on a caller killed before its ``finally``
+        if ended() if os.getpid() == caller else os.getppid() != caller:
+            stop()
+        changed.wait(0.1)
+
+    @contextlib.contextmanager
+    def turn(i, k):
+        with changed:
+            while state[3 + k] < i < state[limit]:
+                wait_on_change()
+            if state[3 + k] < i:
+                raise _Abandoned()
+        yield
+        with changed:
+            state[3 + k] = i + 1
+            changed.notify_all()
 
     def run(i):
         try:
-            return None, job(items[i])
+            return None, call(items[i], functools.partial(turn, i))
         except Exception as exc:  # raised in the caller, at its item
-            stop()
+            stop(i + 1)
             return exc, None
 
     def work():
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the pool
-        while (i := take()) is not None:
+        while (i := take(wait=True)) is not None:
             outcome = run(i)
             with writing:  # an outcome that cannot be pickled ends the fork in error
                 writer.send((i, *outcome))
@@ -316,22 +364,29 @@ def _pooled(job, items, workers: int):
         process.start()
     results = {}
     try:
-        for i in range(len(items)):
-            while i not in results:
-                if reader.poll():
-                    j, *outcome = reader.recv()
-                    results[j] = outcome
-                elif (j := take()) is not None:
-                    results[j] = run(j)
-                elif failed := [p.exitcode for p in forks if p.exitcode]:
-                    raise ChildProcessError(f"a segment process ended with exit code {failed[0]}")
-                else:  # until a result comes or a fork ends
-                    multiprocessing.connection.wait(
-                        [reader, *(p.sentinel for p in forks if p.exitcode is None)])
-            error, value = results.pop(i)
-            if error is not None:
-                raise error
-            yield value
+        start = 0
+        for end in itertools.accumulate(map(len, rounds)):
+            with changed:  # the round opens
+                state[opened] = end
+                changed.notify_all()
+            for i in range(start, end):
+                while i not in results:
+                    if reader.poll():
+                        j, *outcome = reader.recv()
+                        results[j] = outcome
+                    elif (j := take(wait=False)) is not None:
+                        results[j] = run(j)
+                    elif failed := ended():
+                        raise ChildProcessError(
+                            f"a segment process ended with exit code {failed[0]}")
+                    else:  # until a result comes or a fork ends
+                        multiprocessing.connection.wait(
+                            [reader, *(p.sentinel for p in forks if p.exitcode is None)])
+                error, value = results.pop(i)
+                if error is not None:
+                    raise error
+                yield value
+            start = end
     finally:
         stop()
         while running := [p.sentinel for p in forks if p.is_alive()]:
@@ -490,9 +545,10 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def segment_workers(num_segments: int) -> int:
-    """Processes for segment jobs: the CPUs over the BLAS threads that the first
-    of BLAS_THREAD_VARIABLES holding a positive integer declares, in [1,
-    num_segments]; 1 if none does, as BLAS then threads a product per CPU."""
+    """Processes for segment jobs, or for a batch's training examples: the CPUs
+    over the BLAS threads that the first of BLAS_THREAD_VARIABLES holding a
+    positive integer declares, in [1, num_segments]; 1 if none does, as BLAS
+    then threads a product per CPU."""
     for name in BLAS_THREAD_VARIABLES:
         value = os.environ.get(name, "")
         if value.isascii() and value.isdigit() and int(value) > 0:
@@ -532,7 +588,7 @@ def iter_features(params: net.NetworkParams, corpus_dir, entries, config, transf
             return exc
         return feats if then is None else then(feats)
 
-    jobs = _pooled(job, range(len(entries)), segment_workers(len(entries)))
+    jobs = _pooled(job, [range(len(entries))], segment_workers(len(entries)))
     with contextlib.closing(jobs) as results:
         for entry, result in zip(entries, results):
             if isinstance(result, SEGMENT_ERRORS):
@@ -618,6 +674,12 @@ def write_atomic(path, *chunks) -> None:
         raise
 
 
+def _shared_zeros(shape) -> np.ndarray:
+    """A float64 array of zeros in anonymous shared memory, which the forks
+    made after it read and write in place."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
 def train_network(
     corpus_dir,
     entries: list[ManifestEntry],
@@ -633,6 +695,16 @@ def train_network(
     ``config`` overrides ``CONFIG_DEFAULTS`` (strings or typed values).
     A language given twice (before any WAV is read) or left with no usable
     utterance is an InvalidPlan naming it.
+
+    Each batch is a round of ``_pooled`` on ``segment_workers`` processes,
+    forked once for the call: each example's forward and backward
+    (``net.example_gradient``) runs on one of them and adds its gradient
+    terms into gradients in shared memory, a layer's term only after the
+    example before it has added its own, so every sum is formed in the
+    order of ``net.compute_gradients``. This process sums the losses in
+    example order and makes the SGD step on the weights, also in shared
+    memory, before the next batch starts: the model's bytes do not depend
+    on the number of processes.
     """
     for i, lang in enumerate(languages):
         if lang in languages[:i]:
@@ -656,14 +728,41 @@ def train_network(
             raise InvalidPlan(f"no usable training utterances for {lang!r}")
     batch_size = cfg["train.batch_size"]
     rng = np.random.default_rng([seed, 2])
-    grads = net.zero_gradients(params)  # reused by every step
-    step = 0
+    batches = []  # of (example, its weight in the batch's mean loss)
     for _ in range(cfg["train.epochs"]):
         order = rng.permutation(len(dataset))
         for lo in range(0, len(order), batch_size):
-            batch = [dataset[i] for i in order[lo : lo + batch_size]]
-            params, loss = net.train_step(params, batch, cfg["train.learn_rate"], grads)
-            step += 1
+            batch = order[lo : lo + batch_size]
+            batches.append([(i, 1.0 / len(batch)) for i in batch])
+    layer = {name: k for k, name in enumerate(params.weights)}
+    for name in layer:  # a layer at a time, so that no more than one is held twice
+        for held in (params.weights, params.biases):
+            shared = _shared_zeros(held[name].shape)
+            shared[...] = held[name]
+            held[name] = shared
+    grads = {name: (_shared_zeros(w.shape), _shared_zeros(params.biases[name].shape))
+             for name, w in params.weights.items()}
+    add = net.adder(grads)
+    scratch = net.gradient_scratch(params)  # each fork writes its own copy
+
+    def job(example, turn):
+        i, scale = example
+
+        def add_in_turn(name, *terms):
+            with turn(layer[name]):
+                add(name, *terms)
+
+        features, label = dataset[i]
+        return net.example_gradient(params, features, label, scale, add_in_turn, scratch)
+
+    workers = segment_workers(min(batch_size, len(dataset)))
+    with contextlib.closing(_pooled(job, batches, workers, len(layer))) as losses:
+        for step, batch in enumerate(batches, 1):
+            loss = net.mean_loss(list(itertools.islice(losses, len(batch))))
+            net.sgd_update(params, grads, cfg["train.learn_rate"])
+            for gradient in grads.values():
+                for g in gradient:
+                    g.fill(0.0)
             log.info("step %d loss %.6f", step, loss)
     return params
 

@@ -19,6 +19,12 @@ the test suite; training is deliberately minimal (mean cross-entropy,
 plain SGD) so runs are reproducible to the bit at a fixed BLAS thread
 count. At full size, ``frame5``'s pre-activations and the weight gradients
 differ in low bits between one and two OpenBLAS 0.3.31 threads.
+
+One example's forward and backward is ``example_gradient``, which hands
+each layer's gradient term to an ``add`` step. ``compute_gradients`` adds
+them in process, example by example; ``harness.train_network`` runs the
+examples on several processes and adds each layer's terms into shared
+gradients in the same order, so both form the same sums to the bit.
 """
 
 from __future__ import annotations
@@ -276,19 +282,20 @@ def extract_xvector(params: NetworkParams, features) -> XVector:
 # ---------------------------------------------------------------------------
 # gradients and training
 
-def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, grads, scratch):
-    """Accumulate parameter gradients for one example into ``grads``, each
-    weight term formed in ``scratch`` rather than in a new array."""
+def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, add, scratch):
+    """Hand each layer's parameter gradient for one example to ``add(name,
+    weight_term, bias_term)``, last layer first, each weight term formed in
+    ``scratch`` rather than in a new array."""
     dense = params.dense_specs
     g = d_logits
     for i in range(len(dense) - 1, -1, -1):
         spec = dense[i]
         if spec.has_nonlinearity:
             g = g * (cache.dense_preacts[i] > 0.0)
-        gw, gb = grads[spec.name]
-        gw += np.multiply.outer(g, cache.dense_inputs[i], out=scratch[: gw.size].reshape(gw.shape))
-        gb += g
-        g = params.weights[spec.name].T @ g
+        w = params.weights[spec.name]
+        add(spec.name, np.multiply.outer(g, cache.dense_inputs[i],
+                                         out=scratch[: w.size].reshape(w.shape)), g)
+        g = w.T @ g
     # statistics pooling
     h = cache.pooled_input
     t_pool, dim = h.shape
@@ -301,12 +308,12 @@ def _backprop(params: NetworkParams, cache: ForwardCache, d_logits: np.ndarray, 
         spec = frames[i]
         if spec.has_nonlinearity:
             g_time = g_time * (cache.frame_preacts[i] > 0.0)
-        gw, gb = grads[spec.name]
-        gw += np.matmul(g_time.T, cache.frame_inputs[i], out=scratch[: gw.size].reshape(gw.shape))
-        gb += g_time.sum(axis=0)
+        w = params.weights[spec.name]
+        add(spec.name, np.matmul(g_time.T, cache.frame_inputs[i],
+                                 out=scratch[: w.size].reshape(w.shape)), g_time.sum(axis=0))
         if i == 0:
             break
-        g_spliced = g_time @ params.weights[spec.name]
+        g_spliced = g_time @ w
         start = -min(spec.offsets)
         t_out = g_time.shape[0]
         prev_dim = spec.in_dim // spec.splice_width
@@ -324,6 +331,51 @@ def zero_gradients(params: NetworkParams) -> dict:
             for name, w in params.weights.items()}
 
 
+def adder(grads):
+    """``add(name, weight_term, bias_term)``, adding the terms into the
+    ``grads`` (from ``zero_gradients``) of layer ``name``."""
+    def add(name, weight_term, bias_term):
+        gw, gb = grads[name]
+        gw += weight_term
+        gb += bias_term
+    return add
+
+
+def gradient_scratch(params: NetworkParams) -> np.ndarray:
+    """Room for the largest weight term ``example_gradient`` forms."""
+    return np.empty(max(w.size for w in params.weights.values()))
+
+
+def example_gradient(params: NetworkParams, features, label, scale: float, add, scratch) -> float:
+    """The loss -log p(label | features) of one example, after handing each
+    layer's gradient of ``scale`` times it to ``add`` (see ``_backprop``)."""
+    label = int(label)
+    if not 0 <= label < params.num_classes:
+        raise ValueError(f"label {label} outside [0, {params.num_classes})")
+    # a diverging step overflows on the way to a non-finite loss, which is
+    # the one report of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = forward(params, features, ForwardCache())
+        d_logits = np.exp(cache.log_posteriors)
+        d_logits[label] -= 1.0
+        d_logits *= scale
+        _backprop(params, cache, d_logits, add, scratch)
+        return -cache.log_posteriors[label]
+
+
+def mean_loss(losses) -> float:
+    """The mean of a batch's example losses, summed in order; NonFiniteLoss
+    unless it is finite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for loss in losses:
+            total += loss
+    loss = total * (1.0 / len(losses))
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"training loss is {loss}")
+    return loss
+
+
 def compute_gradients(params: NetworkParams, batch, grads=None):
     """Mean cross-entropy loss and its parameter gradients over a batch.
 
@@ -333,43 +385,31 @@ def compute_gradients(params: NetworkParams, batch, grads=None):
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    n_classes = params.num_classes
     if grads is None:
         grads = zero_gradients(params)
     else:
         for gw, gb in grads.values():
             gw.fill(0.0)
             gb.fill(0.0)
-    scratch = np.empty(max(w.size for w in params.weights.values()))
-    total = 0.0
-    scale = 1.0 / len(batch)
-    # a diverging step overflows on the way to a non-finite loss, which is
-    # the one report of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for features, label in batch:
-            label = int(label)
-            if not 0 <= label < n_classes:
-                raise ValueError(f"label {label} outside [0, {n_classes})")
-            cache = forward(params, features, ForwardCache())
-            total -= cache.log_posteriors[label]
-            d_logits = np.exp(cache.log_posteriors)
-            d_logits[label] -= 1.0
-            d_logits *= scale
-            _backprop(params, cache, d_logits, grads, scratch)
-    loss = total * scale
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"training loss is {loss}")
-    return loss, grads
+    add, scratch, scale = adder(grads), gradient_scratch(params), 1.0 / len(batch)
+    return mean_loss([example_gradient(params, features, label, scale, add, scratch)
+                      for features, label in batch]), grads
+
+
+def sgd_update(params: NetworkParams, grads, learn_rate: float) -> None:
+    """Subtract ``learn_rate`` times ``grads`` from ``params`` in place;
+    ``grads`` ends up holding the step."""
+    for spec in params.specs:
+        gw, gb = grads[spec.name]
+        params.weights[spec.name] -= np.multiply(gw, learn_rate, out=gw)
+        params.biases[spec.name] -= np.multiply(gb, learn_rate, out=gb)
 
 
 def train_step(params: NetworkParams, batch, learn_rate: float, grads=None):
     """One SGD step, made on ``params`` in place; returns (params, batch
     loss). ``grads`` goes to ``compute_gradients``; it ends up holding the step."""
     loss, grads = compute_gradients(params, batch, grads)
-    for spec in params.specs:
-        gw, gb = grads[spec.name]
-        params.weights[spec.name] -= np.multiply(gw, learn_rate, out=gw)
-        params.biases[spec.name] -= np.multiply(gb, learn_rate, out=gb)
+    sgd_update(params, grads, learn_rate)
     return params, loss
 
 

@@ -283,7 +283,7 @@ def write_key(key: TrialKey) -> str:
     """Key-file text, refused through ``errors.read_back`` unless
     ``parse_key`` gives back its languages, and its entries in order."""
     lines = [" ".join(key.language_list), *(f"{seg} {lang}" for seg, lang in key.entries.items())]
-    return read_back("\n".join(lines) + "\n", parse_key,
+    return read_back("write_key", "\n".join(lines) + "\n", parse_key,
                      lambda k: (k.language_list, list(k.entries.items())), key)
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import struct
 
@@ -45,6 +46,15 @@ def make_random_scorefile(rng, n_segments, languages, oos_fraction=0.0, tie_grid
             entries[seg] = lang
             records.append(sub.ScoreRecord(seg, rng.normal(size=n)))
     return records, key
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a process it started is still running: every
+    pool waits for its forks before it returns or raises."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"processes left running: {left}"
 
 
 @pytest.fixture

@@ -145,6 +145,16 @@ class TestEnrollment:
         with pytest.raises(ZeroNormVector, match="'y'"):
             backend.enroll_languages(params, {"x": [f], "y": [f, g]})
 
+    @pytest.mark.parametrize("vectors", [
+        [[np.nan, 1.0]], [[np.inf, 1.0]],
+        [[1e308, 1e308]],  # finite, but its squares' sum overflows
+        [[1.5e308, 1.0], [1.5e308, 1.0]],  # finite x-vectors whose sum overflows
+    ], ids=["nan", "inf", "norm-overflows", "mean-overflows"])
+    def test_centroid_with_no_finite_norm_is_refused(self, vectors):
+        with pytest.raises(NoUsableReferences, match="^references of 'x' average to a "
+                                                     "centroid with no finite norm$"):
+            backend.enroll_xvectors({"y": [np.ones(2)], "x": [np.array(v) for v in vectors]})
+
 
 class TestZeroResource:
     def _models(self, params, rng):
@@ -299,6 +309,8 @@ class TestModelSetSerialization:
         ("echo 000 0.5 0.25", "bad count or value: '000'"),
         ("echo 3 0 -0.0", "zero-norm centroid for 'echo'"),
         ("echo 3 1e-200 0", "zero-norm centroid for 'echo'"),  # its square underflows
+        ("echo 3 1e308 1e308", "centroid norm overflows for 'echo'"),
+        ("echo 3 -1e200 0", "centroid norm overflows for 'echo'"),  # its square overflows
     ])
     def test_bad_line_names_its_line(self, bad_line, message):
         text = f"# enrolled\ndelta 4 0.5 -0.5\n{bad_line}\n"
@@ -342,6 +354,16 @@ class TestModelSetSerialization:
         with pytest.raises(MalformedLine) as err:
             backend.write_models(backend.LanguageModelSet(languages, centroids, counts))
         assert named in str(err.value)
+
+    def test_refusal_is_one_line_naming_the_writer_and_the_readers_error(self):
+        # the repr of a set of several centroids runs over many lines
+        models = backend.LanguageModelSet(["a b", "c"], np.full((2, 64), 0.5), [3, 3])
+        with pytest.raises(MalformedLine) as err:
+            backend.write_models(models)
+        message = str(err.value)
+        assert "\n" not in message and len(message) < 200
+        assert message.startswith("write_models: LanguageModelSet(language_ids=['a b', 'c'], ")
+        assert message.endswith("... would not read back: line 1: bad count or value: 'b'")
 
     @pytest.mark.parametrize("centroids", [[0.5, 0.25], np.full((2, 1, 2), 0.5)], ids=["1d", "3d"])
     def test_centroids_not_one_row_per_language_are_refused(self, centroids):

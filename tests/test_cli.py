@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -1146,10 +1146,11 @@ def key_rows(languages):
     return more.map(lambda rows: head + lines(rows.items()))
 
 
-def model_rows(dims):
-    """A ``delta`` and an ``echo`` line: a count, then a centroid of one of ``dims``."""
+def model_rows(dims, values=("0.5", "-1", "0", "2e-3")):
+    """A ``delta`` and an ``echo`` line: a count, then a centroid of one of
+    ``dims`` values, each one of ``values``."""
     def rows(dim):
-        centroid = st.lists(st.sampled_from(["0.5", "-1", "0", "2e-3"]), min_size=dim, max_size=dim)
+        centroid = st.lists(st.sampled_from(values), min_size=dim, max_size=dim)
         rest = st.tuples(st.sampled_from(["3", "0"]), centroid).map(lambda t: [t[0], *t[1]])
         return st.tuples(rest, rest).map(lambda pair: lines(zip(["delta", "echo"], pair)))
     return st.sampled_from(dims).flatmap(rows)
@@ -1207,3 +1208,17 @@ class TestCliTotality:
                       "--split", "zr_test", "--key", key_path, "--mode", "zero",
                       "--enrolled", enrolled_path, "--out", str(root / "zscores.txt")],
                      [key_path, enrolled_path])
+
+    @settings(TOTALITY, max_examples=40)
+    @given(enrolled=model_rows([2, 16], ["0.5", "-1", "1e308", "-1e200", "1e154", "2e-3"]))
+    def test_centroids_whose_squares_overflow_exit_0_or_2_naming_a_file(
+        self, damaged_corpus, tmp_path_factory, enrolled
+    ):
+        corpus, model = damaged_corpus
+        root = tmp_path_factory.mktemp("overflow")
+        enrolled_path = root / "enrolled.txt"
+        enrolled_path.write_text(enrolled, encoding="utf-8")
+        self.outcome(["score", "--model", str(model), "--corpus", str(corpus),
+                      "--split", "zr_test", "--key", str(corpus / "key_zr_test.txt"),
+                      "--mode", "zero", "--enrolled", str(enrolled_path),
+                      "--out", str(root / "zscores.txt")], [str(enrolled_path)])

@@ -38,21 +38,22 @@ def test_a_file_read_inside_an_outer_about_still_names_the_file(tmp_path):
 def test_read_back_returns_text_the_reader_gives_back():
     text = "A B\ns1 A\ns2 OOS\n"
     key = sub.TrialKey(["A", "B"], {"s1": "A", "s2": "OOS"})
-    assert read_back(text, sub.parse_key, key_fields, key) is text
+    assert read_back("write_key", text, sub.parse_key, key_fields, key) is text
 
 
 def test_read_back_raises_the_readers_error_naming_the_value():
     key = sub.TrialKey(["A", "B"], {"s1": "C"})
     with pytest.raises(UnknownLanguage) as err:
-        read_back("A B\ns1 C\n", sub.parse_key, key_fields, key)
+        read_back("write_key", "A B\ns1 C\n", sub.parse_key, key_fields, key)
     assert err.value.line_no is None and err.value.__cause__ is None
-    assert str(err.value) == f"{key!r} would not read back: line 2: language 'C' not in header"
+    assert str(err.value) == (f"write_key: {key!r} would not read back: "
+                              "line 2: language 'C' not in header")
 
 
 def test_read_back_refuses_text_the_reader_reads_otherwise():
     # the entry line starts with "#", so the reader skips it as a comment
     key = sub.TrialKey(["A", "B"], {"#s": "A"})
     with pytest.raises(MalformedLine) as err:
-        read_back("A B\n#s A\n", sub.parse_key, key_fields, key)
+        read_back("write_key", "A B\n#s A\n", sub.parse_key, key_fields, key)
     assert err.value.line_no is None
-    assert str(err.value) == f"{key!r} would not read back unchanged"
+    assert str(err.value) == f"write_key: {key!r} would not read back unchanged"

@@ -1,8 +1,12 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -16,7 +20,7 @@ from conftest import SHORT, TOTALITY, TRUNCATED, junk_chunk, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
     DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError, MalformedLine,
-    NoUsableReferences, parse_file,
+    NonFiniteLoss, NoUsableReferences, parse_file,
 )
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -797,7 +801,7 @@ class TestSegmentThreads:
             raise AssertionError("a process was forked")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        assert list(harness._pooled(lambda i: i * i, range(5), 1)) == [0, 1, 4, 9, 16]
+        assert list(harness._pooled(lambda i: i * i, [range(5)], 1)) == [0, 1, 4, 9, 16]
 
     def test_ended_fork_is_an_error_not_a_hang(self, tmp_path):
         caller, ended = os.getpid(), tmp_path / "ended"
@@ -813,7 +817,7 @@ class TestSegmentThreads:
             return i
 
         with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 3$"):
-            list(harness._pooled(job, range(4), 2))
+            list(harness._pooled(job, [range(4)], 2))
         assert multiprocessing.active_children() == []
 
     def test_result_that_cannot_be_pickled_is_an_error_not_a_hang(self, tmp_path):
@@ -830,5 +834,176 @@ class TestSegmentThreads:
             return i
 
         with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 1$"):
-            list(harness._pooled(job, range(4), 2))
+            list(harness._pooled(job, [range(4)], 2))
         assert multiprocessing.active_children() == []
+
+
+class OutOfTime(BaseException):
+    """Not an Exception, so that no pool takes it for a job's error."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise OutOfTime in this (the main) thread after ``seconds``, and again
+    each second after, so that a pool waiting forever, even in its clean-up,
+    fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise OutOfTime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPooledTraining:
+    """``train_network`` runs each example on ``segment_threads`` processes;
+    each result is compared with the same call on one process."""
+
+    @staticmethod
+    def train(corpus, config, seed, workers, monkeypatch, entries=None):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        if entries is None:
+            entries = [e for e in harness.read_manifest(corpus) if e.split == "train"]
+        with time_limit(60):
+            return net.save_params(harness.train_network(corpus, entries, TRAIN_LANGS, config,
+                                                         seed))
+
+    def test_model_bytes_do_not_depend_on_the_processes(self, damaged_corpus, monkeypatch,
+                                                        segment_threads):
+        corpus, model = damaged_corpus  # trained as below, on however many processes
+        config = {"train.epochs": "2"}
+        assert self.train(corpus, config, 8, segment_threads, monkeypatch) == model.read_bytes()
+
+    def test_full_width_model_bytes_do_not_depend_on_the_processes(self, damaged_corpus,
+                                                                   monkeypatch, segment_threads):
+        corpus, _ = damaged_corpus
+        entries = [e for e in harness.read_manifest(corpus) if e.split == "train"][::4]
+        config = {"net.frame_dim": "512", "net.stats_dim": "1500", "net.embed_dim": "512",
+                  "train.epochs": "1", "train.batch_size": "4"}
+        pooled = self.train(corpus, config, 5, segment_threads, monkeypatch, entries)
+        assert pooled == self.train(corpus, config, 5, 1, monkeypatch, entries)
+
+    def test_diverging_rate_stops_at_the_same_step_with_the_same_lines(
+            self, damaged_corpus, monkeypatch, caplog, segment_threads):
+        corpus, _ = damaged_corpus
+        config = {"train.epochs": "2", "train.learn_rate": "1000"}
+        logged = []
+        for workers in (segment_threads, 1):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="lidkit"):
+                with pytest.raises(NonFiniteLoss, match="^training loss is nan$"):
+                    self.train(corpus, config, 8, workers, monkeypatch)
+            logged.append([r.getMessage() for r in caplog.records])
+        assert logged[0] == logged[1]
+        assert [line.split()[:2] for line in logged[0]] == [["step", "1"], ["step", "2"],
+                                                           ["step", "3"]]
+
+    @pytest.mark.parametrize("k", [0, 5, 23])
+    def test_error_of_an_example_surfaces_in_the_caller(self, damaged_corpus, monkeypatch,
+                                                        segment_threads, k):
+        corpus, _ = damaged_corpus
+        entries = [e for e in harness.read_manifest(corpus) if e.split == "train"]
+        frames = dsp.features_from_wav(corpus / entries[k].path).num_frames
+        example_gradient = net.example_gradient
+
+        def failing(params, features, *rest):  # in whichever process runs the example
+            if features.num_frames == frames:  # once the later examples wait on it
+                threading.Event().wait(0.2)
+                raise ValueError(f"example of {frames} frames failed")
+            return example_gradient(params, features, *rest)
+
+        monkeypatch.setattr(net, "example_gradient", failing)
+        with pytest.raises(ValueError, match=f"^example of {frames} frames failed$"):
+            self.train(corpus, {"train.epochs": "2"}, 8, segment_threads, monkeypatch)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_fork_surfaces_in_the_caller(self, damaged_corpus, monkeypatch):
+        corpus, _ = damaged_corpus
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        caller, example_gradient = os.getpid(), net.example_gradient
+
+        def failing(*args):
+            if os.getpid() != caller:
+                raise ValueError("an example failed in a fork")
+            threading.Event().wait(0.05)  # so that the fork takes the next example
+            return example_gradient(*args)
+
+        monkeypatch.setattr(net, "example_gradient", failing)
+        with pytest.raises(ValueError, match="^an example failed in a fork$"):
+            self.train(corpus, {"train.epochs": "2"}, 8, 2, monkeypatch)
+        assert multiprocessing.active_children() == []
+
+    def test_ended_fork_is_an_error_not_a_hang_on_a_turn(self, tmp_path):
+        caller, ended = os.getpid(), tmp_path / "ended"
+
+        def job(i, turn):
+            if os.getpid() != caller:  # the fork takes an item and dies with it
+                ended.touch()
+                os._exit(3)
+            for _ in range(500):  # until it has, so that a later item waits on its turn
+                if ended.exists():
+                    break
+                threading.Event().wait(0.01)
+            with turn(0):
+                return i
+
+        with time_limit(60):
+            with pytest.raises(ChildProcessError,
+                               match="^a segment process ended with exit code 3$"):
+                list(harness._pooled(job, [range(4)], 2, turns=1))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("on_a_turn", [False, True], ids=["between-rounds", "on-a-turn"])
+    def test_forks_of_a_killed_caller_end(self, tmp_path, on_a_turn):
+        # the caller is killed before its clean-up can stop the pool, while its
+        # fork waits for the next round, or on a turn of an item the caller holds
+        script = f"""
+import multiprocessing, os, signal, threading
+from pathlib import Path
+from lidkit import harness
+caller, held = os.getpid(), Path({str(tmp_path)!r}) / "held"
+def die():
+    forks = " ".join(str(p.pid) for p in multiprocessing.active_children())
+    Path({str(tmp_path)!r}, "forks").write_text(forks)
+    os.kill(caller, signal.SIGKILL)
+def job(i, turn):
+    if os.getpid() != caller:
+        (held / str(i)).touch()
+    elif {on_a_turn} and i < 7:
+        for _ in range(500):  # until the fork holds a later item, waiting on this one
+            if any(int(p.name) > i for p in held.iterdir()):
+                die()
+            threading.Event().wait(0.01)
+    with turn(0):
+        return i
+for i in harness._pooled(job, [range(8), range(8)], 2, turns=1):
+    if i == 7:
+        die()
+"""
+        (tmp_path / "held").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        # no pipe: a fork left running would hold it open
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        forks = [int(pid) for pid in (tmp_path / "forks").read_text().split()]
+        assert done.returncode == -signal.SIGKILL and forks
+
+        def running(pid):  # neither gone nor a zombie left for init to reap
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        for _ in range(100):
+            if not any(map(running, forks)):
+                break
+            threading.Event().wait(0.1)
+        left = [pid for pid in forks if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left

@@ -479,4 +479,5 @@ class TestKeyWriter:
         with pytest.raises(DuplicateSegment) as err:
             sub.write_key(key)
         assert err.value.line_no is None
-        assert str(err.value) == f"{key!r} would not read back: line 3: segment 's' appears twice"
+        assert str(err.value) == (f"write_key: {key!r} would not read back: "
+                                  "line 3: segment 's' appears twice")
