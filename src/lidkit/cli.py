@@ -30,7 +30,7 @@ from pathlib import Path
 from . import backend as backend_mod
 from . import config as cfgmod
 from . import harness, metrics, net, submission
-from .errors import LidkitError, MalformedLine, NonFiniteLoss, about, data_lines, parse_file
+from .errors import LidkitError, MalformedLine, NonFiniteValue, about, data_lines, parse_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteLoss as exc:
+    except NonFiniteValue as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (LidkitError, OSError, ValueError, MemoryError) as exc:  # huge in-domain sizes

@@ -152,7 +152,11 @@ class TooFewFrames(LidkitError):
     pass
 
 
-class NonFiniteLoss(LidkitError):
+class NonFiniteValue(LidkitError):  # the numeric failure, exit 3 on the command line
+    pass
+
+
+class NonFiniteLoss(NonFiniteValue):
     pass
 
 

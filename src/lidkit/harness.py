@@ -31,8 +31,8 @@ from . import config as cfgmod
 from . import dsp, metrics, net, submission
 from .errors import (
     AllFramesRemoved, AudioFormatError, DimMismatch, DuplicateSegment, InconsistentLanguageSet,
-    InvalidPlan, InvalidSpec, MalformedLine, TooFewFrames, TooShort, data_lines, parse_file,
-    read_back,
+    InvalidPlan, InvalidSpec, MalformedLine, NonFiniteValue, TooFewFrames, TooShort, data_lines,
+    parse_file, read_back,
 )
 
 log = logging.getLogger(__name__)
@@ -253,23 +253,13 @@ def _synth_job(job) -> np.ndarray:
     return synth_utterance(spec, duration, rng)
 
 
-def _synthesised(jobs):
-    """``_synth_job`` of each of ``jobs`` in order, on one thread per CPU (no
-    more than there are jobs); closing the generator cancels the syntheses
-    not yet started."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        yield from pool.map(_synth_job, jobs)
-
-
 class _Abandoned(Exception):
     """A job's wait on a turn that will not come: the pool stopped before it."""
 
 
 def _pooled(job, rounds, workers: int, turns: int = 0):
     """``job`` of each item of each of ``rounds`` (lists of items), in order,
-    on ``workers`` processes, the calling one among them.
+    on ``workers`` processes, the calling one among them; lidkit's one pool.
 
     The others are forks of this one, made here, so only results and errors
     are pickled. Each process runs the next item none has taken of the
@@ -278,9 +268,9 @@ def _pooled(job, rounds, workers: int, turns: int = 0):
     round opens when its first result is asked for, so what the caller does
     after taking the round before (an SGD step) is seen by all of its jobs.
     Processes, not threads: jobs that hold the interpreter lock for most of
-    their time (the front end's many small array operations) would queue on
-    it, and so would every other thread here. With one worker the items run
-    one by one as asked for.
+    their time (synthesis and the front end: many small array operations)
+    would queue on it, as would every other thread here. With one worker
+    the items run one by one as asked for.
 
     With ``turns``, ``job`` is called as ``job(item, turn)``: in ``with
     turn(k)``, for k < ``turns``, it runs only after the job of every
@@ -377,8 +367,7 @@ def _pooled(job, rounds, workers: int, turns: int = 0):
                     elif (j := take(wait=False)) is not None:
                         results[j] = run(j)
                     elif failed := ended():
-                        raise ChildProcessError(
-                            f"a segment process ended with exit code {failed[0]}")
+                        raise ChildProcessError(f"a pool process ended with exit code {failed[0]}")
                     else:  # until a result comes or a fork ends
                         multiprocessing.connection.wait(
                             [reader, *(p.sentinel for p in forks if p.exitcode is None)])
@@ -407,12 +396,12 @@ def generate_corpus(
     ``counts`` maps split name -> {language id -> utterance count}. Each
     utterance draws from its own RNG keyed by (seed, split, language,
     index), so output is deterministic for a given (specs, counts, seed)
-    and independent of the number of synthesis threads, one per CPU (no more
-    than there are utterances, whatever BLAS threads are declared). Each WAV
-    is written as soon as it is synthesised, so about one utterance per
-    thread is in memory; the keys and the manifest come last, so a failed
-    run may leave WAVs but never a manifest or a key. Every spec is checked,
-    and the language ids must differ, before ``out_dir`` is created.
+    and independent of the number of processes: ``_pooled``'s, one per CPU
+    (no more than there are utterances, whatever BLAS threads are declared).
+    Each utterance's job synthesizes it and writes its WAV, so no samples
+    are pickled; an error is raised at its utterance. The keys and the
+    manifest come last, so a failed run may leave WAVs but never a manifest
+    or a key. Every spec and count is checked before ``out_dir`` is created.
     """
     if len(specs) < 2:
         raise InvalidSpec("need at least 2 language specs")
@@ -420,6 +409,8 @@ def generate_corpus(
         spec.validate()
         if any(s.language_id == spec.language_id for s in specs[:i]):
             raise InvalidSpec(f"language id {spec.language_id!r} given twice")
+    if not counts or not all(counts.values()):
+        raise InvalidSpec(f"counts must name a split, and each split a language: {counts}")
     entries: list[ManifestEntry] = []
     synth_jobs = []  # the (spec, seed key) of each entry
     for split_idx, split in enumerate(sorted(counts)):
@@ -438,9 +429,8 @@ def generate_corpus(
 
     out_dir = Path(out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-    with contextlib.closing(_synthesised(synth_jobs)) as rendered:
-        for entry, samples in zip(entries, rendered):
-            dsp.write_wav(out_dir / entry.path, samples)
+    list(_pooled(lambda i: dsp.write_wav(out_dir / entries[i].path, _synth_job(synth_jobs[i])),
+                 [range(len(entries))], min(len(entries), os.cpu_count() or 1)))
 
     for split in sorted(counts):
         key_langs = [s.language_id for s in specs if s.language_id in counts[split]]
@@ -548,7 +538,7 @@ def segment_workers(num_segments: int) -> int:
     """Processes for segment jobs, or for a batch's training examples: the CPUs
     over the BLAS threads that the first of BLAS_THREAD_VARIABLES holding a
     positive integer declares, in [1, num_segments]; 1 if none does, as BLAS
-    then threads a product per CPU."""
+    then threads a product per CPU. ``generate_corpus`` takes one per CPU."""
     for name in BLAS_THREAD_VARIABLES:
         value = os.environ.get(name, "")
         if value.isascii() and value.isdigit() and int(value) > 0:
@@ -601,9 +591,12 @@ def score_table(params: net.NetworkParams, corpus_dir, entries, config, score, w
                 transform=None) -> submission.ScoreTable:
     """One table of ``score(feats)``, a row of ``width`` values, for each
     ``(entry, feats)`` of ``iter_features(params, corpus_dir, entries,
-    config, transform)``, with the entries' ids; ``score`` runs in its job."""
+    config, transform)``, with the entries' ids; ``score`` runs in its job.
+    NonFiniteValue at the first row not finite (-inf marks a lost trial)."""
     ids, rows = [], []
     for entry, row in iter_features(params, corpus_dir, entries, config, transform, score):
+        if not np.isfinite(row).all():  # the generator, and so the pool, stops with the frame
+            raise NonFiniteValue(f"segment {entry.utt_id!r} has a non-finite value")
         ids.append(entry.utt_id)
         rows.append(row)
     return submission.ScoreTable(ids, np.reshape(rows, (len(ids), width)))

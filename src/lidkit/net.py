@@ -234,10 +234,12 @@ def _as_frames(features) -> np.ndarray:
     return frames
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(params: NetworkParams, features, cache: ForwardCache | None = None) -> ForwardCache:
     """Run the network on one utterance, returning its intermediates (the
     frame layers' only in a ``cache`` handed in, for backprop); the softmax
-    output over the training languages is ``exp(cache.log_posteriors)``."""
+    output over the training languages is ``exp(cache.log_posteriors)``;
+    an overflow gives non-finite values, for callers to refuse, not warnings."""
     x = _as_frames(features)
     if x.shape[1] != params.feat_dim:
         raise DimMismatch(

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -50,11 +51,15 @@ def make_random_scorefile(rng, n_segments, languages, oos_fraction=0.0, tie_grid
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test after which a process it started is still running: every
-    pool waits for its forks before it returns or raises."""
+    """Fail a test after which a process or a thread it started is still
+    running: every pool waits for its forks before it returns or raises,
+    and lidkit starts no thread."""
+    threads = set(threading.enumerate())
     yield
     left = multiprocessing.active_children()
     assert not left, f"processes left running: {left}"
+    left = [thread for thread in threading.enumerate() if thread not in threads]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

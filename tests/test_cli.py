@@ -966,6 +966,45 @@ class TestFilesNamed:
         assert err == f"error: {bad}: {message}\n"
 
 
+class TestOverflowingNetwork:
+    """A finite model whose network overflows on a segment stops ``score``
+    and ``extract`` there: exit 3, one line, no file."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("score", ["--key", "key_test.txt", "--languages", TRAIN_LANGS]),
+        ("extract", []),
+    ])
+    def test_exits_3_with_one_line_on_any_process_count(self, damaged_corpus, tmp_path,
+                                                        command, flags):
+        corpus, model = damaged_corpus
+        params = net.load_params(model.read_bytes())
+        for values in (params.weights, params.biases):
+            for name in values:
+                values[name] = values[name] * 1e60
+        big = tmp_path / "big.bin"
+        big.write_bytes(net.save_params(params))
+        flags = [str(corpus / flag) if flag.endswith(".txt") else flag for flag in flags]
+        argv = [command, "--model", str(big), "--corpus", str(corpus), "--split", "test",
+                *flags, "--out", str(tmp_path / "out.txt")]
+        # in a new process each, so that any numpy warning reaches its stderr,
+        # with the segments on 1 or 3 processes
+        script = ("import os, sys\nos.cpu_count = lambda: int(sys.argv[1])\n"
+                  "from lidkit import cli\nsys.exit(cli.main(sys.argv[2:]))")
+        env = {name: value for name, value in os.environ.items()
+               if name not in harness.BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(harness.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        errs = []
+        for cpus in ("1", "3"):
+            done = subprocess.run([sys.executable, "-c", script, cpus, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 3, done.stderr
+            errs.append(done.stderr)
+        assert errs == ["error: segment 'alpha-test-0000' has a non-finite value\n"] * 2
+        assert [path.name for path in tmp_path.iterdir()] == ["big.bin"]
+
+
 class TestUnknownSplit:
     """A ``--split`` that names no manifest entry exits 2 naming the
     manifest, before any WAV is read, and writes no file. Unchecked, score

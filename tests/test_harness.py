@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -20,7 +19,7 @@ from conftest import SHORT, TOTALITY, TRUNCATED, junk_chunk, token_texts
 from lidkit import dsp, harness, net, submission as sub
 from lidkit.errors import (
     DuplicateSegment, InconsistentLanguageSet, InvalidPlan, InvalidSpec, LineError, MalformedLine,
-    NonFiniteLoss, NoUsableReferences, parse_file,
+    NonFiniteLoss, NonFiniteValue, NoUsableReferences, parse_file,
 )
 
 TRAIN_LANGS = ["alpha", "bravo", "charlie"]
@@ -52,28 +51,6 @@ def tiny_counts():
 
 def all_specs():
     return harness.default_training_specs() + harness.default_zero_resource_specs()
-
-
-def serial_pool(monkeypatch) -> list:
-    """Replace the synthesis thread pool with one that maps lazily on the
-    calling thread; returns the list of the pool sizes asked for."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    return started
 
 
 def corpus_digest(corpus_dir: Path) -> str:
@@ -227,7 +204,7 @@ class TestCorpus:
             harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path / str(cpus))
         assert corpus_digest(tmp_path / "1") == corpus_digest(tmp_path / "4")
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_corpus_bytes_are_pinned(self, tmp_path, monkeypatch, cpus):
         # every WAV, key and manifest byte of a small corpus, so that a change
         # to synthesis that moves any sample fails here, not only on a rerun
@@ -238,19 +215,26 @@ class TestCorpus:
             "3656a85bb5bd9062f87a2f2bfa5ed6d267ea698f644576a9b606fc1f431a6eb0")
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (16, 6), (1, 1), (None, 1)])
-    def test_threads_bounded_by_utterances_and_cpus(self, tmp_path, monkeypatch, cpus,
-                                                    workers):
-        started = serial_pool(monkeypatch)
+    def test_processes_bounded_by_utterances_and_cpus(self, tmp_path, monkeypatch, cpus,
+                                                      workers):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # declared BLAS threads change nothing
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked, pooled = [], harness._pooled
+
+        def counted_pool(job, rounds, workers):
+            asked.append(workers)
+            return pooled(job, rounds, workers)
+
+        monkeypatch.setattr(harness, "_pooled", counted_pool)
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}  # 6 utterances
         harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
-        assert started == [workers]
+        assert asked == [workers]
         assert len(harness.read_manifest(tmp_path)) == 6
 
     def test_each_utterance_is_written_before_the_next_is_synthesised(self, tmp_path,
                                                                        monkeypatch):
-        # on one thread, so that the write loop must pull each result as it comes
-        serial_pool(monkeypatch)
+        # on one process, so that the counts are this one's
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         unwritten, most = [0], [0]
         synth_job, write_wav = harness._synth_job, dsp.write_wav
 
@@ -273,7 +257,7 @@ class TestCorpus:
     @pytest.mark.parametrize("k", [1, 4])
     def test_failed_wav_write_stops_synthesis_and_writes_no_text(self, tmp_path, monkeypatch,
                                                                  k):
-        serial_pool(monkeypatch)  # on one thread, so no synthesis runs ahead
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one process, so none runs ahead
         synthesised, writes = [], []
         synth_job, write_wav = harness._synth_job, dsp.write_wav
 
@@ -296,34 +280,37 @@ class TestCorpus:
         assert [path.name for path in tmp_path.iterdir()] == ["wav"]  # no manifest, no key
         assert len(list((tmp_path / "wav").iterdir())) == k - 1
 
-    def test_failed_wav_write_cancels_threaded_syntheses_not_started(self, tmp_path,
-                                                                     monkeypatch):
-        failed = threading.Event()
-        started = []
-        synth_job = harness._synth_job
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_failed_wav_write_stops_the_syntheses_not_started(self, tmp_path, monkeypatch,
+                                                             segment_threads, k):
+        names = [f"{lang}-train-{i:04d}" for lang in TRAIN_LANGS for i in range(4)]
+        started = tmp_path / "started"  # a file per synthesis begun, in any process
+        started.mkdir()
+        synth_job, write_wav = harness._synth_job, dsp.write_wav
 
-        def held_synth(job):  # all but the first wait for the failure
-            started.append(job)
-            if job[1][1:] != [0, 0, 0]:
-                failed.wait(timeout=2)
+        def marked_synth(job):
+            _, (_, _, lang_idx, i) = job
+            (started / str(4 * lang_idx + i)).touch()
+            if 4 * lang_idx + i > k:  # held, so that the error is taken before these end
+                threading.Event().wait(1.0)
             return synth_job(job)
 
-        def failing_write(*args):
-            failed.set()
-            raise OSError("disk full")
+        def failing_write(path, samples):
+            if path.stem == names[k]:
+                raise OSError("disk full")
+            write_wav(path, samples)
 
-        monkeypatch.setattr(harness, "_synth_job", held_synth)
+        monkeypatch.setattr(harness, "_synth_job", marked_synth)
         monkeypatch.setattr(dsp, "write_wav", failing_write)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         counts = {"train": {lang: 4 for lang in TRAIN_LANGS}}  # 12 utterances
-        threads = threading.active_count()
-        # ``failure`` holds the traceback and so generate_corpus's frame: the
-        # pool must be shut down by the call itself, not by garbage collection
-        with pytest.raises(OSError, match="disk full") as failure:
-            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path)
-        assert threading.active_count() == threads, failure.traceback
-        assert len(started) <= 3  # the first, plus one held on each of the 2 threads
-        assert not (tmp_path / "manifest.txt").exists()
+        with pytest.raises(OSError, match="^disk full$"):
+            harness.generate_corpus(all_specs()[:3], counts, seed=9, out_dir=tmp_path / "c")
+        assert multiprocessing.active_children() == []
+        # the utterances before k, k itself, and one held on each other process
+        assert len(list(started.iterdir())) <= k + segment_threads
+        written = {path.stem for path in (tmp_path / "c" / "wav").iterdir()}
+        assert set(names[:k]) <= written and names[k] not in written
+        assert not (tmp_path / "c" / "manifest.txt").exists()
 
     def test_different_seed_differs(self, tmp_path):
         counts = {"train": {lang: 2 for lang in TRAIN_LANGS}}
@@ -353,6 +340,12 @@ class TestCorpus:
             harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path)
         after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         assert after == before
+
+    @pytest.mark.parametrize("counts", [{}, {"train": {}, "test": {"alpha": 1}}])
+    def test_counts_that_name_no_utterance_create_nothing(self, tmp_path, counts):
+        with pytest.raises(InvalidSpec, match="^counts must name a split, and each split a lang"):
+            harness.generate_corpus(all_specs()[:3], counts, 3, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
 
     def test_refused_count_creates_nothing(self, tmp_path):
         counts = {"train": {lang: 1 for lang in TRAIN_LANGS}, "test": {"alpha": 0}}
@@ -796,6 +789,27 @@ class TestSegmentThreads:
         features.close()
         assert multiprocessing.active_children() == []
 
+    def test_non_finite_row_is_refused_at_its_segment(self, damaged_corpus, segment_threads):
+        corpus, model = damaged_corpus
+        params = net.load_params(model.read_bytes())
+        entries = [e for e in harness.read_manifest(corpus) if e.split == "test"]
+        frames = [dsp.features_from_wav(corpus / e.path).num_frames for e in entries[:3]]
+
+        def score(feats):  # not finite for a segment of the third one's frame count
+            return np.full(3, np.nan if feats.num_frames == frames[2] else 0.0)
+
+        def held(i, samples):  # so that the pool is still at work when the row is refused
+            if i > 2:
+                threading.Event().wait(0.5)
+            return samples
+
+        first = entries[frames.index(frames[2])].utt_id
+        # ``refused`` holds score_table's frame: the call itself must stop the pool
+        with pytest.raises(NonFiniteValue, match=f"^segment '{first}' has a non-finite value$"
+                           ) as refused:
+            harness.score_table(params, corpus, entries, harness.CONFIG_DEFAULTS, score, 3, held)
+        assert multiprocessing.active_children() == [], refused.traceback
+
     def test_one_worker_forks_nothing(self, monkeypatch):
         def no_fork(*args):
             raise AssertionError("a process was forked")
@@ -816,7 +830,7 @@ class TestSegmentThreads:
                 threading.Event().wait(0.01)
             return i
 
-        with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 3$"):
+        with pytest.raises(ChildProcessError, match="^a pool process ended with exit code 3$"):
             list(harness._pooled(job, [range(4)], 2))
         assert multiprocessing.active_children() == []
 
@@ -833,7 +847,7 @@ class TestSegmentThreads:
                 threading.Event().wait(0.01)
             return i
 
-        with pytest.raises(ChildProcessError, match="^a segment process ended with exit code 1$"):
+        with pytest.raises(ChildProcessError, match="^a pool process ended with exit code 1$"):
             list(harness._pooled(job, [range(4)], 2))
         assert multiprocessing.active_children() == []
 
@@ -953,7 +967,7 @@ class TestPooledTraining:
 
         with time_limit(60):
             with pytest.raises(ChildProcessError,
-                               match="^a segment process ended with exit code 3$"):
+                               match="^a pool process ended with exit code 3$"):
                 list(harness._pooled(job, [range(4)], 2, turns=1))
         assert multiprocessing.active_children() == []
 
