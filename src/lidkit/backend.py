@@ -46,7 +46,7 @@ def score_closed_set(params: net.NetworkParams, features) -> np.ndarray:
     return net.forward(params, features).log_posteriors
 
 
-def _norm(v: np.ndarray) -> float:
+def l2_norm(v: np.ndarray) -> float:
     """The 2-norm that ``cosine_similarity`` divides by: 0.0 for a nonzero
     vector whose squares all underflow too, and inf for a finite one whose
     squares' sum overflows."""
@@ -55,12 +55,16 @@ def _norm(v: np.ndarray) -> float:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; raises ZeroNormVector on degenerate input."""
+    """Cosine similarity in [-1, 1]; raises ZeroNormVector on degenerate input,
+    and is NaN when a norm, or the product of the two, is not finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if _norm(a) == 0.0 or _norm(b) == 0.0:
+    norm_a, norm_b = l2_norm(a), l2_norm(b)
+    if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroNormVector("cannot take cosine of a zero-norm vector")
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    if not norm_a * norm_b < np.inf:  # NaN too; dividing by inf would give 0
+        return np.nan
+    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def enroll_languages(params: net.NetworkParams, references: dict[str, list]) -> LanguageModelSet:
@@ -81,7 +85,7 @@ def enroll_xvectors(xvectors: dict[str, list]) -> LanguageModelSet:
             raise NoUsableReferences(f"no usable reference utterances for {language!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             centroids.append(np.mean(vectors, axis=0))
-        norm = _norm(centroids[-1])
+        norm = l2_norm(centroids[-1])
         if norm == 0.0:
             raise ZeroNormVector(f"references of {language!r} average to a zero-norm centroid")
         if not norm < np.inf:  # also NaN, and inf for a value or for the norm alone
@@ -95,7 +99,8 @@ def score_zero_resource(
     models: LanguageModelSet, features, params: net.NetworkParams
 ) -> np.ndarray:
     """Cosine similarity of the segment's embedding against each centroid.
-    A zero-norm embedding or centroid raises ZeroNormVector."""
+    A zero-norm embedding or centroid raises ZeroNormVector; an embedding
+    whose norm is not finite scores NaN, which ``harness.score_table`` refuses."""
     xvec = net.extract_xvector(params, features).values
     return np.array([cosine_similarity(xvec, centroid) for centroid in models.centroids])
 
@@ -137,7 +142,7 @@ def parse_models(text: str) -> LanguageModelSet:
         vec = np.array([float(t) for t in tokens[2:]])
         if not np.all(np.isfinite(vec)):
             raise MalformedLine(f"non-finite centroid value for {tokens[0]!r}", line_no)
-        norm = _norm(vec)
+        norm = l2_norm(vec)
         if norm == 0.0:
             raise MalformedLine(f"zero-norm centroid for {tokens[0]!r}", line_no)
         if norm == np.inf:

@@ -23,6 +23,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -67,6 +68,7 @@ def _languages(text: str) -> list[str]:
     return languages
 
 
+@functools.cache  # built on the first call; a parse leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lidkit", description="language identification toolkit")
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
@@ -295,6 +297,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command, ``argv`` (``sys.argv[1:]`` when None), and return its
+    exit code. Output goes to the current ``sys.stdout`` and ``sys.stderr``,
+    and the package's log records to this call's stderr. Only the argument
+    parser, built on the first call, is kept between calls in one process."""
     # log to this call's stderr; records still propagate to the root logger
     pkg_log = logging.getLogger(__package__)
     handler = logging.StreamHandler(sys.stderr)

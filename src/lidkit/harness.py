@@ -641,11 +641,14 @@ def enroll_entries(
 ) -> backend_mod.LanguageModelSet:
     """Enroll each of ``languages``, in that order, from the x-vectors of its
     entries, extracted in ``iter_features``' jobs; entries of other languages
-    and segments it skips are ignored, and a language left with none is an error."""
+    and segments it skips are ignored, and a language left with none is an error.
+    NonFiniteValue at the first x-vector not finite or whose norm overflows."""
     xvectors: dict[str, list] = {lang: [] for lang in languages}
     wanted = [e for e in entries if e.language in xvectors]
     for entry, xvec in iter_features(params, corpus_dir, wanted, config,
                                      then=lambda f: net.extract_xvector(params, f).values):
+        if not backend_mod.l2_norm(xvec) < np.inf:  # also NaN; stops the pool as in score_table
+            raise NonFiniteValue(f"segment {entry.utt_id!r} has an x-vector with no finite norm")
         xvectors[entry.language].append(xvec)
     return backend_mod.enroll_xvectors(xvectors)
 

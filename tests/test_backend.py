@@ -95,6 +95,13 @@ class TestCosine:
         with pytest.raises(ZeroNormVector):
             backend.cosine_similarity(np.zeros(4), np.ones(4))
 
+    @pytest.mark.parametrize("a, b", [
+        ([1e200, 1e200], [1.0, 0.0]),  # a norm overflows: dividing by it would give 0
+        ([1e154, 0.0], [1e155, 0.0]),  # each norm is finite, their product is not
+    ])
+    def test_norm_that_cannot_divide_gives_nan(self, a, b):
+        assert np.isnan(backend.cosine_similarity(a, b))
+
 
 class TestEnrollment:
     def test_single_reference_centroid_equals_its_xvector(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import SHORT, TOTALITY, TRUNCATED, junk_chunk, token_texts
-from lidkit import cli, dsp, harness, metrics, net, submission as sub
+from lidkit import cli, config, dsp, harness, metrics, net, submission as sub
 from lidkit.errors import parse_file
 
 TRAIN_LANGS = "alpha,bravo,charlie"
@@ -26,6 +26,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**declared) -> dict[str, str]:
+    """The environment for a child interpreter that imports this lidkit:
+    this one's, with no BLAS thread count but ``declared``."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in harness.BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(harness.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    return {**env, **declared}
 
 
 def closed_score(capsys, corpus, model, scores):
@@ -227,6 +237,42 @@ class TestEvaluateCommand:
         assert (code, err) == (0, "warning: 1 lost trial filled with -inf\n")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(det.read_bytes()).hexdigest() == det_sha
+
+
+class TestRepeatedCalls:
+    """``cli.main`` called again in one process keeps nothing but the
+    parser: no setting, usage error or help carries over to the next call."""
+
+    def test_calls_share_only_the_parser(self, capsys, worked_example, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "lidkit":  # not a subcommand's parser
+                built.append(parser)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        scores, key = worked_example
+        report = tmp_path / "report.txt"
+        argv = ["evaluate", "--scores", str(scores), "--key", str(key), "--report", str(report)]
+
+        def plain():
+            return *run(capsys, *argv), report.read_text()
+
+        assert run(capsys, *argv, "--set", "eval.policy=fixed")[0] == 0
+        assert "threshold_policy fixed" in report.read_text()
+        first = plain()
+        defaults = config.resolve(harness.CONFIG_DEFAULTS, {}, harness.CONFIG_DOMAINS)
+        assert first[0] == 0
+        assert first[3].startswith(cli._stamp(defaults))
+        assert "threshold_policy min_sweep" in first[3]
+        assert run(capsys, *argv, "--policy", "fixed")[0] == 1
+        assert plain() == first
+        code, out, _ = run(capsys, "evaluate", "--help")
+        assert code == 0 and out.startswith("usage: lidkit evaluate")
+        assert plain() == first
+        assert len(built) <= 1
 
 
 class TestUsageErrors:
@@ -866,10 +912,6 @@ class TestOutputBytes:
         # in a new process each: no BLAS variable (one segment thread, BLAS
         # threads as it likes) and OPENBLAS_NUM_THREADS=1 (a thread per CPU)
         corpus, model = damaged_corpus
-        env = {name: value for name, value in os.environ.items()
-               if name not in harness.BLAS_THREAD_VARIABLES}
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(harness.__file__).parents[1]),
-                                             env.get("PYTHONPATH", "")])
         digests = set()
         for declared in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
             scores = tmp_path / f"scores{len(declared)}.txt"
@@ -877,7 +919,7 @@ class TestOutputBytes:
                             "--corpus", str(corpus), "--split", "test",
                             "--key", str(corpus / "key_test.txt"), "--languages", TRAIN_LANGS,
                             "--out", str(scores)],
-                           env={**env, **declared}, check=True, capture_output=True, timeout=120)
+                           env=child_env(**declared), check=True, capture_output=True, timeout=120)
             digests.add(hashlib.sha256(scores.read_bytes()).hexdigest())
         assert digests == {self.SCORE_SHA["closed"]}
 
@@ -967,8 +1009,37 @@ class TestFilesNamed:
 
 
 class TestOverflowingNetwork:
-    """A finite model whose network overflows on a segment stops ``score``
-    and ``extract`` there: exit 3, one line, no file."""
+    """A finite model whose network overflows on a segment stops ``score``,
+    ``extract`` and ``enroll`` there: exit 3, one line naming the segment,
+    no file."""
+
+    @staticmethod
+    def scaled(model, tmp_path, factor, layers=None):
+        """A copy of ``model`` with the weights and biases of ``layers`` (all
+        of them when None) times ``factor``."""
+        params = net.load_params(model.read_bytes())
+        for values in (params.weights, params.biases):
+            for name in layers or values:
+                values[name] = values[name] * factor
+        big = tmp_path / "big.bin"
+        big.write_bytes(net.save_params(params))
+        return big
+
+    @staticmethod
+    def errors_on_1_and_3_processes(argv):
+        """The stderr of ``cli.main(argv)``, which must exit 3, run in a new
+        process each, so that any numpy warning reaches it, with the
+        segments on 1 and then 3 processes."""
+        script = ("import os, sys\nos.cpu_count = lambda: int(sys.argv[1])\n"
+                  "from lidkit import cli\nsys.exit(cli.main(sys.argv[2:]))")
+        errs = []
+        for cpus in ("1", "3"):
+            done = subprocess.run([sys.executable, "-c", script, cpus, *argv],
+                                  env=child_env(OPENBLAS_NUM_THREADS="1"),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 3, done.stderr
+            errs.append(done.stderr)
+        return errs
 
     @pytest.mark.parametrize("command, flags", [
         ("score", ["--key", "key_test.txt", "--languages", TRAIN_LANGS]),
@@ -977,32 +1048,67 @@ class TestOverflowingNetwork:
     def test_exits_3_with_one_line_on_any_process_count(self, damaged_corpus, tmp_path,
                                                         command, flags):
         corpus, model = damaged_corpus
-        params = net.load_params(model.read_bytes())
-        for values in (params.weights, params.biases):
-            for name in values:
-                values[name] = values[name] * 1e60
-        big = tmp_path / "big.bin"
-        big.write_bytes(net.save_params(params))
+        big = self.scaled(model, tmp_path, 1e60)
         flags = [str(corpus / flag) if flag.endswith(".txt") else flag for flag in flags]
         argv = [command, "--model", str(big), "--corpus", str(corpus), "--split", "test",
                 *flags, "--out", str(tmp_path / "out.txt")]
-        # in a new process each, so that any numpy warning reaches its stderr,
-        # with the segments on 1 or 3 processes
-        script = ("import os, sys\nos.cpu_count = lambda: int(sys.argv[1])\n"
-                  "from lidkit import cli\nsys.exit(cli.main(sys.argv[2:]))")
-        env = {name: value for name, value in os.environ.items()
-               if name not in harness.BLAS_THREAD_VARIABLES}
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(harness.__file__).parents[1]),
-                                             env.get("PYTHONPATH", "")])
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        errs = []
-        for cpus in ("1", "3"):
-            done = subprocess.run([sys.executable, "-c", script, cpus, *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 3, done.stderr
-            errs.append(done.stderr)
+        errs = self.errors_on_1_and_3_processes(argv)
         assert errs == ["error: segment 'alpha-test-0000' has a non-finite value\n"] * 2
         assert [path.name for path in tmp_path.iterdir()] == ["big.bin"]
+
+    # every weight and bias x1e60 overflows to inf and NaN; segment6's x1e160
+    # keeps each x-vector finite, but its 2-norm overflows
+    @pytest.mark.parametrize("command, factor, layers", [
+        ("enroll", 1e60, None),
+        ("enroll", 1e160, ["segment6"]),
+        ("zero", 1e160, ["segment6"]),
+    ], ids=["enroll-all", "enroll-segment6", "zero-segment6"])
+    def test_enroll_and_zero_scoring_exit_3_at_the_segment(self, capsys, damaged_corpus,
+                                                           tmp_path, command, factor, layers):
+        corpus, model = damaged_corpus
+        enrolled = enroll_references(capsys, corpus, model, tmp_path)
+        big = self.scaled(model, tmp_path, factor, layers)
+        out = str(tmp_path / "out.txt")
+        if command == "enroll":
+            argv = ["enroll", "--model", str(big), "--refs", str(tmp_path / "refs.txt"),
+                    "--out", out]
+            first = next(e for e in harness.read_manifest(corpus) if e.split == "reference")
+            error = f"error: segment '{corpus / first.path}' has an x-vector with no finite norm\n"
+        else:
+            argv = ["score", "--model", str(big), "--corpus", str(corpus), "--split", "zr_test",
+                    "--key", str(corpus / "key_zr_test.txt"), "--mode", "zero",
+                    "--enrolled", str(enrolled), "--out", out]
+            error = "error: segment 'delta-zr_test-0000' has a non-finite value\n"
+        assert self.errors_on_1_and_3_processes(argv) == [error] * 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "big.bin", "enrolled.txt", "refs.txt"]
+
+
+class TestFullSizeDeterminism:
+    """A full-size model trained twice under one BLAS thread count has the
+    same bytes, at one thread and at two. Across the counts the bytes may
+    differ (README), so this is the promise a rerun can rely on."""
+
+    def test_train_repeats_its_bytes_at_a_fixed_blas_thread_count(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        specs = harness.default_training_specs()
+        harness.generate_corpus(specs, {"train": {s.language_id: 2 for s in specs}}, seed=3,
+                                out_dir=corpus)
+        digests = {}
+        for threads in ("1", "2"):
+            for run_no in range(2):
+                model = tmp_path / f"model-{threads}-{run_no}.bin"
+                subprocess.run(
+                    [sys.executable, "-m", "lidkit.cli", "train", "--corpus", str(corpus),
+                     "--languages", TRAIN_LANGS, "--out", str(model), "--set", "train.epochs=1",
+                     "--set", "net.frame_dim=512", "--set", "net.stats_dim=1500",
+                     "--set", "net.embed_dim=512"],
+                    env=child_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=120,
+                    stdout=subprocess.DEVNULL)
+                digests.setdefault(threads, set()).add(
+                    hashlib.sha256(model.read_bytes()).hexdigest())
+                model.unlink()
+        assert [len(found) for found in digests.values()] == [1, 1]
 
 
 class TestUnknownSplit:
